@@ -219,23 +219,6 @@ func BenchmarkSimulatorStreaming(b *testing.B) {
 	}
 }
 
-// BenchmarkEFLoRaAllocateSequential / Parallel scan each device's
-// (SF, TP, channel) candidates serially vs across workers.
-func BenchmarkEFLoRaAllocateSequential(b *testing.B) { benchEFLoRaAllocate(b, 1) }
-func BenchmarkEFLoRaAllocateParallel(b *testing.B)   { benchEFLoRaAllocate(b, 0) }
-
-func benchEFLoRaAllocate(b *testing.B, workers int) {
-	b.Helper()
-	net, p, _ := benchNetwork(300, 3)
-	ef := alloc.NewEFLoRa(alloc.Options{Parallelism: workers})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ef.Allocate(net, p, rng.New(uint64(i))); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // Hierarchical-allocator scale benchmarks. The 1k and 10k sizes run in
 // seconds; the 100k size and the exact-greedy 10k reference take minutes
 // and only run with EFLORA_HEAVY_BENCH=1 (cmd/eflora-bench records them
@@ -272,7 +255,7 @@ func BenchmarkExactGreedyAllocate10k(b *testing.B) {
 		b.Skip("minutes-long; set EFLORA_HEAVY_BENCH=1")
 	}
 	net, p, _ := benchNetwork(10000, 9)
-	ef := alloc.NewEFLoRa(alloc.Options{Parallelism: 1})
+	ef := alloc.NewEFLoRa(alloc.Options{})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := ef.Allocate(net, p, rng.New(uint64(i))); err != nil {

@@ -110,7 +110,7 @@ func run(args []string, out *os.File) error {
 		radius     = fs.Float64("radius", 5000, "deployment disc radius in meters")
 		trials     = fs.Int("trials", 3, "independent topologies averaged per cell")
 		seed       = fs.Uint64("seed", 1, "random seed")
-		parallel   = fs.Int("parallel", 0, "allocator worker goroutines (0 = all CPUs); metrics identical at any value")
+		parallel   = fs.Int("parallel", 0, "cell goroutines of the hier strategy (0 = all CPUs); the other strategies run sequentially; metrics identical at any value")
 		strategies = fs.String("strategies", "all", "comma-separated registry keys, or 'all'")
 		asJSON     = fs.Bool("json", false, "emit the full grid as JSON instead of text")
 		benchOut   = fs.String("bench-out", "", "also write wall clocks as an eflora-bench recording to this path")

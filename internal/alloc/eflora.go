@@ -4,13 +4,11 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 	"time"
 
 	"eflora/internal/geo"
 	"eflora/internal/lora"
 	"eflora/internal/model"
-	"eflora/internal/par"
 	"eflora/internal/rng"
 )
 
@@ -34,10 +32,12 @@ type Options struct {
 	// in a seeded random order instead (the ablation behind the paper's
 	// 10.3% execution-delay claim).
 	RandomOrder bool
-	// Parallelism bounds the candidate-scan goroutines of the greedy's
-	// inner (SF, TP, channel) loop (0 = NumCPU). Workers share the
-	// evaluator as a read-only snapshot and the winning move is committed
-	// sequentially, so the allocation is bit-identical at any setting.
+	// Parallelism bounds the fan-out of allocators that split the network
+	// into independent pieces: the registry hands it to the hierarchical
+	// allocator's cell goroutines (HierOptions.Parallelism). The flat
+	// greedy ignores it — its candidate scan is sequential, because the
+	// bottleneck-group pruning leaves too little work per device to
+	// share — so its allocation does not depend on it.
 	Parallelism int
 	// Starts caps the multi-start initial allocations the greedy refines:
 	// 0 runs all four, 1..4 keeps a prefix of [minimal-SF/max-power,
@@ -69,9 +69,15 @@ type Report struct {
 	Passes int
 	// Improvements counts committed single-device changes.
 	Improvements int
-	// CandidatesTried counts evaluated (device, SF, TP, channel) options.
+	// CandidatesTried counts the enumerated (device, SF, TP, channel)
+	// options: every feasible move other than the device's current one.
 	CandidatesTried int
+	// CandidatesEvaluated counts the MinEEIfAbove calls the scans made:
+	// the tried options the bottleneck-group pruning did not rule out.
+	CandidatesEvaluated int
 	// InitialMinEE and FinalMinEE bracket the optimization (bits/J).
+	// FinalMinEE is the returned allocation's minimum exactly as a fresh
+	// evaluator (EvaluateMinEE) scores it.
 	InitialMinEE, FinalMinEE float64
 	// Elapsed is the wall-clock optimization time (Fig. 10's metric).
 	Elapsed time.Duration
@@ -181,7 +187,15 @@ func (a *EFLoRa) AllocateWithReport(net *model.Network, p model.Params, r *rng.R
 			bestAlloc = ev.Allocation()
 		}
 	}
-	rep.FinalMinEE = bestMin
+	// Score the result on a fresh evaluator: the incremental group sums
+	// drift by an ULP now and then over many commits, and RecomputeAll
+	// does not re-add them, so bestMin can miss the allocation's true
+	// minimum in the last bit.
+	final, err := EvaluateMinEE(net, p, bestAlloc, a.opts.Mode)
+	if err != nil {
+		return model.Allocation{}, rep, err
+	}
+	rep.FinalMinEE = final
 	//eflora:nondeterminism-ok Report.Elapsed is a wall-clock diagnostic (Fig. 10); it never feeds the allocation
 	rep.Elapsed = time.Since(start)
 	return bestAlloc, rep, nil
@@ -203,34 +217,14 @@ func (a *EFLoRa) refine(ev *model.Evaluator, gains [][]float64, order []int, p m
 		phases = [][]float64{{*a.opts.FixedTPdBm}}
 	}
 	nch := p.Plan.NumChannels()
-	workers := par.Workers(a.opts.Parallelism)
 
-	var cands []candidate
 	cur, _ := ev.MinEE()
 	for _, tpLevels := range phases {
 		for pass := 0; pass < a.opts.MaxPasses; pass++ {
 			rep.Passes++
 			before := cur
 			for _, i := range order {
-				curSF, curTP, curCh := ev.Assignment(i)
-				cands = cands[:0]
-				for _, sf := range lora.SFs() {
-					for _, tp := range tpLevels {
-						if !model.Feasible(gains, i, sf, tp) {
-							continue
-						}
-						for ch := 0; ch < nch; ch++ {
-							if sf == curSF && tp == curTP && ch == curCh {
-								continue
-							}
-							cands = append(cands, candidate{sf: sf, tp: tp, ch: ch})
-						}
-					}
-				}
-				rep.CandidatesTried += len(cands)
-				bestIdx := scanCandidates(ev, i, cands, cur, workers)
-				if bestIdx >= 0 {
-					c := cands[bestIdx]
+				if c, ok := greedyStep(ev, gains, i, tpLevels, nch, cur, false, rep); ok {
 					if err := ev.SetDevice(i, c.sf, c.tp, c.ch); err != nil {
 						return 0, err
 					}
@@ -256,86 +250,53 @@ func (a *EFLoRa) refine(ev *model.Evaluator, gains [][]float64, order []int, p m
 	return cur, nil
 }
 
-// candidate is one (SF, TP, channel) option of the greedy's inner scan.
+// candidate is one (SF, TP, channel) assignment of a device.
 type candidate struct {
 	sf lora.SF
 	tp float64
 	ch int
 }
 
-// scanCandidates evaluates every candidate reassignment of device dev and
-// returns the index of the winner — the first candidate (in enumeration
-// order) attaining the largest network minimum strictly above cur — or -1
-// when no candidate improves on cur.
+// greedyStep is the single-device greedy step shared by the flat greedy's
+// passes and Incremental's reassignments. It scans device i's feasible
+// (SF, TP, channel) candidates in enumeration order (SF, then TP level,
+// then channel) and returns the first one attaining the largest network
+// minimum strictly above cur, and whether any did. With keepCurrent false
+// i's committed assignment is not a candidate. It adds the candidates it
+// enumerates and evaluates to rep.
 //
-// With more than one worker the candidate list is split into contiguous
-// chunks scanned concurrently against the shared evaluator (reads only;
-// see model.Evaluator's concurrency contract). Each worker prunes with a
-// threshold strictly below its running best, so candidates tying the best
-// still evaluate exactly, and the reduce resolves ties by candidate
-// index. That reproduces the sequential first-winner rule bit-for-bit at
-// any worker count.
+// Candidates that ev.BlockingGroups rules out at cur are counted but not
+// evaluated. Each of them would have made MinEEIfAbove return at most its
+// threshold, and the threshold — the running best — never drops below
+// cur, so none of them could have become the winner: the scan picks the
+// same move a full scan does, at a few percent of the evaluations.
 //
 //eflora:hotpath
-func scanCandidates(ev *model.Evaluator, dev int, cands []candidate, cur float64, workers int) int {
-	if workers > len(cands) {
-		workers = len(cands)
-	}
-	if workers <= 1 {
-		bestIdx, bestEE := -1, cur
-		for ci, c := range cands {
-			got := ev.MinEEIfAbove(dev, c.sf, c.tp, c.ch, bestEE)
-			if got > bestEE {
-				bestIdx, bestEE = ci, got
+func greedyStep(ev *model.Evaluator, gains [][]float64, i int, tpLevels []float64, nch int, cur float64, keepCurrent bool, rep *Report) (candidate, bool) {
+	curSF, curTP, curCh := ev.Assignment(i)
+	blocking, onlySF, onlyCh := ev.BlockingGroups(i, cur)
+	best, bestEE, found := candidate{sf: curSF, tp: curTP, ch: curCh}, cur, false
+	for _, sf := range lora.SFs() {
+		for _, tp := range tpLevels {
+			if !model.Feasible(gains, i, sf, tp) {
+				continue
 			}
-		}
-		return bestIdx
-	}
-	type scanBest struct {
-		idx int
-		val float64
-	}
-	bests := make([]scanBest, workers)
-	chunk := (len(cands) + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(cands) {
-			hi = len(cands)
-		}
-		bests[w] = scanBest{idx: -1, val: cur}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		//eflora:alloc-ok one goroutine closure per worker per scan, bounded by Parallelism; the allocator's alloc budget (BenchmarkEFLoRaAllocate) is measured at workers=1
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			b := scanBest{idx: -1, val: cur}
-			for ci := lo; ci < hi; ci++ {
-				c := cands[ci]
-				got := ev.MinEEIfAbove(dev, c.sf, c.tp, c.ch, math.Nextafter(b.val, math.Inf(-1)))
-				if got > b.val {
-					b = scanBest{idx: ci, val: got}
+			for ch := 0; ch < nch; ch++ {
+				if !keepCurrent && sf == curSF && tp == curTP && ch == curCh {
+					continue
+				}
+				rep.CandidatesTried++
+				if blocking > 1 || (blocking == 1 && (sf != onlySF || ch != onlyCh)) {
+					continue
+				}
+				rep.CandidatesEvaluated++
+				if got := ev.MinEEIfAbove(i, sf, tp, ch, bestEE); got > bestEE {
+					best, bestEE, found = candidate{sf: sf, tp: tp, ch: ch}, got, true
 				}
 			}
-			bests[w] = b
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	out := scanBest{idx: -1, val: cur}
-	for _, b := range bests {
-		if b.idx < 0 {
-			continue
-		}
-		// Strictly-greater keeps the lowest candidate index on value ties,
-		// because chunks are contiguous and visited in ascending order.
-		if b.val > out.val {
-			out = b
 		}
 	}
-	return out.idx
+	return best, found
 }
 
 // deviceOrder returns the visiting order: density-first (most contended

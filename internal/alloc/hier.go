@@ -35,11 +35,10 @@ type HierOptions struct {
 	// within this fraction of its cell's width (height) of a cell side
 	// that is not also a side of the quadtree root (default 0.1).
 	BoundaryFrac float64
-	// Parallelism bounds the per-cell allocation goroutines (0 = NumCPU).
+	// Parallelism bounds the per-cell allocation goroutines (0 = GOMAXPROCS).
 	// Cells write into index-addressed slots merged in cell order, so the
-	// result is bit-identical at any setting; the per-cell greedy's inner
-	// scan runs sequentially (its Parallelism is forced to 1) because the
-	// cell fan-out already saturates the cores.
+	// result is bit-identical at any setting. Each cell's greedy scans its
+	// candidates sequentially.
 	Parallelism int
 }
 
@@ -65,7 +64,6 @@ func (o HierOptions) cellOptions() Options {
 	if c.MaxPasses <= 0 {
 		c.MaxPasses = 4
 	}
-	c.Parallelism = 1
 	return c
 }
 

@@ -27,11 +27,11 @@ const hierMinEETolerance = 0.95
 func TestHierarchicalSingleCellBitExact(t *testing.T) {
 	net := testNetwork(120, 3, 51)
 	p := model.DefaultParams()
-	exact, err := NewEFLoRa(Options{Parallelism: 1}).Allocate(net, p, rng.New(52))
+	exact, err := NewEFLoRa(Options{}).Allocate(net, p, rng.New(52))
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := NewHierarchical(HierOptions{Cell: Options{Parallelism: 1}})
+	h := NewHierarchical(HierOptions{})
 	got, rep, err := h.AllocateWithReport(net, p, rng.New(52))
 	if err != nil {
 		t.Fatal(err)
@@ -55,7 +55,7 @@ func TestHierarchicalMinEEWithinTolerance(t *testing.T) {
 	p := model.DefaultParams()
 	for seed := uint64(1); seed <= 5; seed++ {
 		net := testNetwork(500, 4, seed)
-		exact, err := NewEFLoRa(Options{Parallelism: 1}).Allocate(net, p, nil)
+		exact, err := NewEFLoRa(Options{}).Allocate(net, p, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,21 +111,8 @@ func TestHierarchicalBitIdenticalAcrossParallelism(t *testing.T) {
 	}
 }
 
-// hierDigest renders an allocation as a golden digest line.
-func hierDigest(label string, a model.Allocation) string {
-	sfs := make([]int, len(a.SF))
-	for i, s := range a.SF {
-		sfs[i] = int(s)
-	}
-	return fmt.Sprintf("%s %s\n", label, golden.Digest(
-		golden.Ints(sfs),
-		golden.Floats(a.TPdBm),
-		golden.Ints(a.Channel),
-	))
-}
-
 // TestHierarchicalGoldenDeterminism pins the multi-cell allocation
-// bit-for-bit across releases, at sequential and NumCPU parallelism. A
+// bit-for-bit across releases, at sequential and default parallelism. A
 // change to the quadtree, the per-cell greedy, the merge order or the seam
 // reconcile that alters any device's assignment fails here.
 func TestHierarchicalGoldenDeterminism(t *testing.T) {
@@ -137,7 +124,7 @@ func TestHierarchicalGoldenDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out.WriteString(hierDigest(fmt.Sprintf("hier-600dev-parallelism-%d", workers), a))
+		out.WriteString(allocDigest(fmt.Sprintf("hier-600dev-parallelism-%d", workers), a))
 	}
 	golden.Check(t, "testdata/golden_hier.txt", out.String(), *update)
 }

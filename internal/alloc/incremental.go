@@ -123,12 +123,11 @@ func (inc *Incremental) Network() *model.Network {
 // AddDevice joins a new device at pos (environment class env) and assigns
 // it the resources that maximize the resulting network minimum EE while
 // every existing device keeps its settings. It returns the new device's
-// index.
+// index. An env outside the parameters' environment classes is rejected
+// before any state changes.
 func (inc *Incremental) AddDevice(pos geo.Point, env int) (int, error) {
-	if env != 0 && (inc.net.Env == nil || env >= len(inc.p.Environments)) {
-		if env >= len(inc.p.Environments) {
-			return 0, fmt.Errorf("alloc: environment %d out of range", env)
-		}
+	if env < 0 || env >= len(inc.p.Environments) {
+		return 0, fmt.Errorf("alloc: environment %d out of range [0,%d)", env, len(inc.p.Environments))
 	}
 	if inc.net.Env == nil && env != 0 {
 		inc.net.Env = make([]int, inc.net.N())
@@ -178,29 +177,17 @@ func (inc *Incremental) AddDevice(pos geo.Point, env int) (int, error) {
 	return i, nil
 }
 
-// bestMove scans every feasible (SF, TP, channel) for device i against the
-// cached evaluator and returns the move that maximizes the network minimum
-// EE, and whether it differs from i's current assignment. The cached
+// bestMove runs the single-device greedy step for device i against the
+// cached evaluator — every feasible (SF, TP, channel), i's current one
+// included — and returns the move that maximizes the network minimum EE,
+// and whether it differs from i's current assignment. The cached
 // evaluator must be valid (ensureEval).
 func (inc *Incremental) bestMove(i int) (lora.SF, float64, int, bool) {
-	bestEE, _ := inc.ev.MinEE()
-	bestSF, bestTP, bestCh := inc.alloc.SF[i], inc.alloc.TPdBm[i], inc.alloc.Channel[i]
-	nch := inc.p.Plan.NumChannels()
-	for s := lora.MinSF; s <= lora.MaxSF; s++ {
-		for _, t := range inc.tpLevels {
-			if !model.Feasible(inc.gains, i, s, t) {
-				continue
-			}
-			for c := 0; c < nch; c++ {
-				got := inc.ev.MinEEIfAbove(i, s, t, c, bestEE)
-				if got > bestEE {
-					bestEE, bestSF, bestTP, bestCh = got, s, t, c
-				}
-			}
-		}
-	}
-	changed := bestSF != inc.alloc.SF[i] || bestTP != inc.alloc.TPdBm[i] || bestCh != inc.alloc.Channel[i]
-	return bestSF, bestTP, bestCh, changed
+	cur, _ := inc.ev.MinEE()
+	var counts Report // reassignments report no candidate counts
+	c, _ := greedyStep(inc.ev, inc.gains, i, inc.tpLevels, inc.p.Plan.NumChannels(), cur, true, &counts)
+	changed := c.sf != inc.alloc.SF[i] || c.tp != inc.alloc.TPdBm[i] || c.ch != inc.alloc.Channel[i]
+	return c.sf, c.tp, c.ch, changed
 }
 
 // commit applies a move to both the allocation snapshot and the cached

@@ -59,6 +59,39 @@ func TestIncrementalAddKeepsOthersUnchanged(t *testing.T) {
 	}
 }
 
+// TestIncrementalAddDeviceRejectsBadEnv pins AddDevice's validation: an
+// environment class outside [0, len(Environments)) is an error, and the
+// rejected call leaves the device count and allocation untouched.
+func TestIncrementalAddDeviceRejectsBadEnv(t *testing.T) {
+	inc := newIncremental(t, 40)
+	n0, before := inc.N(), inc.Allocation()
+	nEnv := len(model.DefaultParams().Environments)
+	for _, env := range []int{-1, nEnv, nEnv + 3} {
+		if _, err := inc.AddDevice(geo.Point{X: 100, Y: -300}, env); err == nil {
+			t.Errorf("AddDevice(env=%d) accepted", env)
+		}
+		if inc.N() != n0 {
+			t.Fatalf("AddDevice(env=%d) rejected but N went %d -> %d", env, n0, inc.N())
+		}
+		after := inc.Allocation()
+		if len(after.SF) != len(before.SF) {
+			t.Fatalf("AddDevice(env=%d) rejected but the allocation grew to %d", env, len(after.SF))
+		}
+		for i := range before.SF {
+			if before.SF[i] != after.SF[i] || before.TPdBm[i] != after.TPdBm[i] || before.Channel[i] != after.Channel[i] {
+				t.Fatalf("AddDevice(env=%d) rejected but device %d changed", env, i)
+			}
+		}
+	}
+	// The maintainer still works after the rejections.
+	if _, err := inc.AddDevice(geo.Point{X: 100, Y: -300}, 0); err != nil {
+		t.Fatal(err)
+	}
+	if inc.N() != n0+1 {
+		t.Fatalf("N = %d after a valid add, want %d", inc.N(), n0+1)
+	}
+}
+
 func TestIncrementalRemoveDevice(t *testing.T) {
 	inc := newIncremental(t, 40)
 	allocBefore := inc.Allocation()

@@ -37,11 +37,10 @@ type Config struct {
 	// Seed drives deployment and simulation randomness.
 	Seed uint64
 	// Parallelism bounds the worker goroutines at each fan-out level —
-	// independent trials, figure data points, gateway replay inside the
-	// simulator, and the allocator's candidate scans (0 = NumCPU). Every
-	// trial derives its own RNG from a per-trial seed and partial results
-	// merge in trial order, so experiment output is bit-identical at any
-	// setting.
+	// independent trials, figure data points and gateway replay inside the
+	// simulator (0 = GOMAXPROCS). Every trial derives its own RNG from a
+	// per-trial seed and partial results merge in trial order, so
+	// experiment output is bit-identical at any setting.
 	Parallelism int
 	// StreamWindowS, when positive, runs every trial's simulation in
 	// time-windowed streaming mode (sim.Config.StreamWindowS): resident
@@ -257,9 +256,6 @@ var scratchPool = sync.Pool{New: func() any { return new(sim.Scratch) }}
 func runMethodTrialsR(cfg Config, devices, gateways int, radiusM float64, params *model.Params, method string, opts alloc.Options) (trialStats, error) {
 	ts := trialStats{Method: method}
 	p := cfg.params(params)
-	if opts.Parallelism == 0 {
-		opts.Parallelism = cfg.Parallelism
-	}
 	// Trials are independent by construction — each derives deployment,
 	// allocation and simulation RNGs from its own seed — so they fan out
 	// across workers; per-trial results land in trial-indexed slots and

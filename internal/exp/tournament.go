@@ -32,7 +32,8 @@ type TournamentConfig struct {
 	// Seed drives deployment placement and allocator randomness; all
 	// strategies see identical deployments per (size, trial).
 	Seed uint64
-	// Parallelism is handed to each allocator's Options (0 = NumCPU).
+	// Parallelism is handed to each allocator's Options (0 = GOMAXPROCS); of
+	// the registered strategies only hier fans out, over its cells.
 	// Metrics are bit-identical at any value; wall-clock obviously not.
 	Parallelism int
 	// Strategies selects registry keys or aliases (empty = every

@@ -9,7 +9,8 @@ import (
 )
 
 // TestEvaluatorAllocBudget pins the allocator's steady-state hot paths —
-// candidate probes, commits and pass-boundary recomputes — to zero heap
+// candidate probes, pruning verdicts, commits and pass-boundary
+// recomputes — to zero heap
 // allocations per operation. The greedy performs millions of these per
 // figure; a regression that re-introduces a per-call allocation (a map
 // rebuild, an escaping closure, a fresh capacity distribution) fails here
@@ -42,6 +43,12 @@ func TestEvaluatorAllocBudget(t *testing.T) {
 		i++
 	}); got > 0 {
 		t.Errorf("MinEEIf + MinEEIfAbove allocate %v per pair, budget 0", got)
+	}
+	if got := testing.AllocsPerRun(50, func() {
+		ev.BlockingGroups(i%300, cur)
+		i++
+	}); got > 0 {
+		t.Errorf("BlockingGroups allocates %v per call, budget 0", got)
 	}
 	if got := testing.AllocsPerRun(20, func() {
 		if err := ev.SetDevice(i%300, lora.SF7+lora.SF(i%6), tpLevels[i%len(tpLevels)], i%nch); err != nil {

@@ -45,12 +45,10 @@ type group struct {
 // the greedy allocator can evaluate candidate re-allocations cheaply.
 //
 // An Evaluator is not safe for concurrent mutation, but the read-only
-// methods — EE, EEAll, PRR, MinEE, MinEEIf, MinEEIfAbove, Allocation —
-// never write to the evaluator and may be called from multiple goroutines
-// at once, as long as no SetDevice or RecomputeAll runs concurrently.
-// The parallel candidate scan of the EF-LoRa greedy relies on this:
-// workers share one evaluator as a read-only snapshot, and the winning
-// candidate is committed sequentially afterward.
+// methods — EE, EEAll, PRR, MinEE, MinEEIf, MinEEIfAbove, BlockingGroups,
+// Assignment, Allocation — never write to the evaluator and may be called
+// from multiple goroutines at once, as long as no SetDevice or
+// RecomputeAll runs concurrently.
 type Evaluator struct {
 	net  *Network
 	p    Params
@@ -594,6 +592,37 @@ func (e *Evaluator) MinEEIfAbove(i int, sf lora.SF, tpDBm float64, ch int, thres
 		}
 	}
 	return min
+}
+
+// BlockingGroups counts the (SF, channel) groups other than device i's own
+// whose cached minimum EE is at or below t, stopping at two, and returns
+// the SF and channel of the first one it finds. Before MinEEIfAbove can
+// return a value above its threshold t it folds in the cached minimum of
+// every group the move leaves untouched, so:
+//   - with two or more blocking groups, no move of i can beat t;
+//   - with exactly one, only moves into that group can;
+//   - with none, any move can.
+//
+// A group at or below t stays at or below every larger threshold, so the
+// verdict also holds for a scan whose threshold rises from t as it finds
+// better moves. The method reads the cached group minima only and
+// allocates nothing.
+//
+//eflora:hotpath
+func (e *Evaluator) BlockingGroups(i int, t float64) (n int, sf lora.SF, ch int) {
+	own := e.groupOf(e.sf[i], e.ch[i])
+	for si := range e.groups {
+		for c, gr := range e.groups[si] {
+			if gr == own || !(gr.minEE <= t) {
+				continue
+			}
+			if n == 1 {
+				return 2, sf, ch
+			}
+			n, sf, ch = 1, lora.SF7+lora.SF(si), c
+		}
+	}
+	return n, sf, ch
 }
 
 // SetDevice commits a reassignment of device i and refreshes the caches of

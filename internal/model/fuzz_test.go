@@ -120,3 +120,107 @@ func FuzzEvaluatorInvariants(f *testing.F) {
 		}
 	})
 }
+
+// checkBlockingGroupsSound drives one fuzz scenario through a random
+// SetDevice burst in both interference modes, then checks the pruning
+// rule against MinEEIfAbove: every (SF, TP, channel) move that
+// BlockingGroups rules out for a device must evaluate to at most the
+// threshold, at t = MinEE() and at thresholds above it (the runner-up
+// group minimum exactly, and halfway to the largest EE). It returns how
+// many verdicts ruled out every move of a device and how many left
+// exactly one group.
+func checkBlockingGroupsSound(t *testing.T, seed, knobs uint64) (skipAll, oneGroup int) {
+	t.Helper()
+	net, p, a := fuzzEvalScenario(seed, knobs)
+	tpLevels := p.Plan.TxPowerLevels()
+	nch := p.Plan.NumChannels()
+	for _, mode := range []Mode{ModeExact, ModePPP} {
+		ev, err := NewEvaluator(net, p, a, mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := rng.New(seed ^ 0x9e3779b97f4a7c15)
+		for op := 0; op < 40; op++ {
+			i := r.Intn(net.N())
+			sf := lora.SF7 + lora.SF(r.Intn(6))
+			if err := ev.SetDevice(i, sf, tpLevels[r.Intn(len(tpLevels))], r.Intn(nch)); err != nil {
+				t.Fatalf("SetDevice: %v", err)
+			}
+		}
+		// The scan runs on exactly this state: SetDevice refreshed only the
+		// two groups it touched, so other group minima may be stale.
+		minEE, _ := ev.MinEE()
+		maxEE := math.Inf(-1)
+		for _, ee := range ev.EEAll() {
+			maxEE = math.Max(maxEE, ee)
+		}
+		// The runner-up group minimum sits exactly on a second group's
+		// cached value, the boundary of the rule's "at or below".
+		runnerUp := math.Inf(1)
+		for si := range ev.groups {
+			for _, gr := range ev.groups[si] {
+				if gr.minEE > minEE && gr.minEE < runnerUp {
+					runnerUp = gr.minEE
+				}
+			}
+		}
+		thresholds := []float64{minEE, minEE + (maxEE-minEE)/2}
+		if !math.IsInf(runnerUp, 1) {
+			thresholds = append(thresholds, runnerUp)
+		}
+		for _, th := range thresholds {
+			for i := 0; i < net.N(); i++ {
+				n, bsf, bch := ev.BlockingGroups(i, th)
+				switch {
+				case n >= 2:
+					skipAll++
+				case n == 1:
+					oneGroup++
+				}
+				for _, sf := range lora.SFs() {
+					for _, tp := range tpLevels {
+						for ch := 0; ch < nch; ch++ {
+							if n == 0 || (n == 1 && sf == bsf && ch == bch) {
+								continue
+							}
+							if got := ev.MinEEIfAbove(i, sf, tp, ch, th); got > th {
+								t.Fatalf("mode %d: device %d move (%v, %v dBm, ch %d) ruled out at t=%v "+
+									"(%d blocking groups, first %v/ch %d) but MinEEIfAbove = %v",
+									mode, i, sf, tp, ch, th, n, bsf, bch, got)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	return skipAll, oneGroup
+}
+
+// FuzzBlockingGroupsSound checks the greedy's bottleneck-group pruning
+// rule (Evaluator.BlockingGroups) against MinEEIfAbove on random states:
+// a move the rule skips can never beat the scan's threshold, so the
+// pruned scan picks the same winner as a full one.
+func FuzzBlockingGroupsSound(f *testing.F) {
+	for v := uint64(0); v < 5; v++ {
+		f.Add(uint64(20261017)+v, v)
+	}
+	f.Fuzz(func(t *testing.T, seed, knobs uint64) {
+		checkBlockingGroupsSound(t, seed, knobs)
+	})
+}
+
+// TestBlockingGroupsSoundNotVacuous runs the soundness check over every
+// parameter variant and asserts that both pruning verdicts — skip the
+// device, keep one group — occur, so the check exercises real skips.
+func TestBlockingGroupsSoundNotVacuous(t *testing.T) {
+	var skipAll, oneGroup int
+	for knobs := uint64(0); knobs < 5; knobs++ {
+		s, o := checkBlockingGroupsSound(t, 77+knobs, knobs)
+		skipAll += s
+		oneGroup += o
+	}
+	if skipAll == 0 || oneGroup == 0 {
+		t.Errorf("pruning verdicts: %d skip-device, %d one-group; want both > 0", skipAll, oneGroup)
+	}
+}

@@ -1,9 +1,9 @@
 // Package par provides the repository's bounded, deterministic fan-out
 // primitive. Every parallel hot path (gateway replay in sim, trial and
-// data-point fan-out in exp, candidate scans in alloc) funnels through
-// For, so a single knob — a Parallelism field defaulting to
-// runtime.NumCPU() — controls the goroutine budget at each level, and a
-// worker count of 1 degenerates to a plain loop with zero overhead.
+// data-point fan-out in exp, cells of the hierarchical allocator) funnels
+// through For, so a single knob — a Parallelism field defaulting to
+// runtime.GOMAXPROCS(0) — controls the goroutine budget at each level, and
+// a worker count of 1 degenerates to a plain loop with zero overhead.
 //
 // Determinism contract: For only schedules work; callers write results
 // into index-addressed slots and merge them in index order afterward, so
@@ -17,10 +17,12 @@ import (
 )
 
 // Workers normalizes a parallelism knob: values <= 0 select
-// runtime.NumCPU(), anything else is returned unchanged.
+// runtime.GOMAXPROCS(0), the number of goroutines that can actually run at
+// once — more workers than that only add scheduling and per-worker buffer
+// overhead — and anything else is returned unchanged.
 func Workers(n int) int {
 	if n <= 0 {
-		return runtime.NumCPU()
+		return runtime.GOMAXPROCS(0)
 	}
 	return n
 }

@@ -7,15 +7,22 @@ import (
 	"testing"
 )
 
-func TestWorkersDefaultsToNumCPU(t *testing.T) {
-	if got := Workers(0); got != runtime.NumCPU() {
-		t.Errorf("Workers(0) = %d, want %d", got, runtime.NumCPU())
+// TestWorkersDefaultsToGOMAXPROCS pins the default pool size to the
+// goroutines that can run at once, following GOMAXPROCS when it is lowered.
+func TestWorkersDefaultsToGOMAXPROCS(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0)
+	if got := Workers(0); got != procs {
+		t.Errorf("Workers(0) = %d, want %d", got, procs)
 	}
-	if got := Workers(-3); got != runtime.NumCPU() {
-		t.Errorf("Workers(-3) = %d, want %d", got, runtime.NumCPU())
+	if got := Workers(-3); got != procs {
+		t.Errorf("Workers(-3) = %d, want %d", got, procs)
 	}
 	if got := Workers(5); got != 5 {
 		t.Errorf("Workers(5) = %d", got)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	if got := Workers(0); got != 1 {
+		t.Errorf("Workers(0) at GOMAXPROCS 1 = %d, want 1", got)
 	}
 }
 

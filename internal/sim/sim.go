@@ -64,7 +64,7 @@ type Config struct {
 	// means the 6 dB default; point it at 0 for a pure strongest-wins
 	// rule (any power advantage captures).
 	CaptureThresholdDB *float64
-	// Parallelism bounds the gateway-replay goroutines (0 = NumCPU).
+	// Parallelism bounds the gateway-replay goroutines (0 = GOMAXPROCS).
 	// Results are bit-identical at any value; it only trades wall-clock
 	// time for cores.
 	Parallelism int
