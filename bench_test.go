@@ -202,23 +202,6 @@ func benchSimulator(b *testing.B, workers int) {
 	}
 }
 
-// BenchmarkSimulatorStreaming is BenchmarkSimulatorSequential in
-// time-windowed streaming mode (60 s windows): same bit-identical
-// results, O(devices + active window) resident schedule memory instead of
-// the whole materialized schedule.
-func BenchmarkSimulatorStreaming(b *testing.B) {
-	net, p, a := benchNetwork(1000, 9)
-	sc := new(sim.Scratch)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cfg := sim.Config{PacketsPerDevice: 20, Seed: uint64(i), Parallelism: 1,
-			StreamWindowS: 60, Scratch: sc}
-		if _, err := sim.Run(net, p, a, cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // Hierarchical-allocator scale benchmarks. The 1k and 10k sizes run in
 // seconds; the 100k size and the exact-greedy 10k reference take minutes
 // and only run with EFLORA_HEAVY_BENCH=1 (cmd/eflora-bench records them

@@ -47,7 +47,6 @@ func run(args []string, out *os.File) error {
 		halfDuplex = fs.Bool("halfduplex", false, "with -confirmed: gateways cannot receive while transmitting ACKs")
 		captureDB  = fs.Float64("capture-db", sim.DefaultCaptureThresholdDB, "with -capture: power advantage in dB needed to capture (0 = strongest wins)")
 		parallel   = fs.Int("parallel", 0, "worker goroutines for gateway replay (0 = all CPUs); results are identical at any value")
-		streamWin  = fs.Float64("stream-window", 0, "streaming window in seconds: generate the schedule window by window with O(devices+window) memory, bit-identical results (0 = batch)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -99,7 +98,6 @@ func run(args []string, out *os.File) error {
 		Trace:              *traceFile != "",
 		CaptureThresholdDB: captureDB,
 		Parallelism:        *parallel,
-		StreamWindowS:      *streamWin,
 	}
 	if *confirmed {
 		cres, err := sim.RunConfirmed(netw.Net, netw.Params, a, sim.ConfirmedConfig{

@@ -129,9 +129,10 @@ func (n *Network) Evaluate(a model.Allocation) (*Evaluation, error) {
 	return out, nil
 }
 
-// Simulate runs the packet-level simulator on an allocation. cfg passes
-// through unchanged, so sim.Config.StreamWindowS selects the
-// memory-bounded streaming mode (bit-identical to batch) from here too.
+// Simulate runs the packet-level simulator on an allocation with cfg
+// passed through unchanged: the schedule streams through time windows in
+// O(devices + window) memory, with results bit-identical at any
+// cfg.Parallelism.
 func (n *Network) Simulate(a model.Allocation, cfg sim.Config) (*sim.Result, error) {
 	return sim.Run(n.Net, n.Params, a, cfg)
 }

@@ -3,8 +3,8 @@
 // parallel columns and produces the same verdicts, counters and
 // carry-over state the scalar Arrive/FinishUpTo loop would — bit for
 // bit. The scalar API stays for the confirmed and live drivers, whose
-// events arrive one at a time; the batch drivers (sim.Run and the
-// streaming window loop) trade it for two passes over columns:
+// events arrive one at a time; sim.Run's window loop trades it for two
+// passes over columns:
 //
 //  1. a fused sequential sweep in arrival order — sensitivity,
 //     half-duplex, the collision scan against the in-flight set and

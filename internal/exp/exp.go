@@ -42,12 +42,6 @@ type Config struct {
 	// per-trial seed and partial results merge in trial order, so
 	// experiment output is bit-identical at any setting.
 	Parallelism int
-	// StreamWindowS, when positive, runs every trial's simulation in
-	// time-windowed streaming mode (sim.Config.StreamWindowS): resident
-	// schedule memory per trial drops to O(devices + active window) with
-	// bit-identical results, so 0 (batch) and any window produce the same
-	// figures.
-	StreamWindowS float64
 }
 
 func (c Config) withDefaults() Config {
@@ -296,7 +290,6 @@ func runMethodTrialsR(cfg Config, devices, gateways int, radiusM float64, params
 			PacketsPerDevice: cfg.PacketsPerDevice,
 			Seed:             seed + 13,
 			Parallelism:      cfg.Parallelism,
-			StreamWindowS:    cfg.StreamWindowS,
 			Scratch:          sc,
 		})
 		if err != nil {

@@ -2,6 +2,7 @@ package model
 
 import (
 	"fmt"
+	"math"
 
 	"eflora/internal/geo"
 	"eflora/internal/lora"
@@ -116,10 +117,10 @@ func (p Params) Validate() error {
 		return fmt.Errorf("model: app payload %dB exceeds PHY payload %dB",
 			p.AppPayloadBytes, p.PHYPayloadBytes)
 	}
-	if p.PacketIntervalS <= 0 {
-		return fmt.Errorf("model: packet interval must be positive")
+	if !positiveFinite(p.PacketIntervalS) {
+		return fmt.Errorf("model: packet interval %v must be positive and finite", p.PacketIntervalS)
 	}
-	if p.TrafficDutyCycle < 0 || p.TrafficDutyCycle > 0.5 {
+	if !(p.TrafficDutyCycle >= 0 && p.TrafficDutyCycle <= 0.5) {
 		return fmt.Errorf("model: traffic duty cycle %v outside [0, 0.5]", p.TrafficDutyCycle)
 	}
 	if p.Objective != ObjectiveEnergyEfficiency && p.Objective != ObjectiveThroughput {
@@ -251,13 +252,17 @@ func (n *Network) Validate(p Params) error {
 			return fmt.Errorf("model: IntervalS length %d != devices %d", len(n.IntervalS), len(n.Devices))
 		}
 		for i, iv := range n.IntervalS {
-			if iv <= 0 {
-				return fmt.Errorf("model: device %d has non-positive interval", i)
+			if !positiveFinite(iv) {
+				return fmt.Errorf("model: device %d interval %v must be positive and finite", i, iv)
 			}
 		}
 	}
 	return nil
 }
+
+// positiveFinite reports whether v is a usable duration: above zero and
+// neither NaN nor infinite.
+func positiveFinite(v float64) bool { return v > 0 && !math.IsInf(v, 1) }
 
 // Allocation assigns each device its spreading factor, transmission power
 // and channel — the (S, P, C) of the paper's optimization problem (Eq. 1).

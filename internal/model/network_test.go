@@ -1,6 +1,7 @@
 package model
 
 import (
+	"math"
 	"testing"
 
 	"eflora/internal/geo"
@@ -44,5 +45,36 @@ func TestNetworkSubsetNilAttributes(t *testing.T) {
 	}
 	if sub.EnvOf(0) != 0 {
 		t.Fatal("EnvOf on subset with nil Env")
+	}
+}
+
+// TestValidateRejectsNonFiniteIntervals pins the reporting-interval
+// checks: NaN and infinite periods (and a NaN duty cycle) used to pass the
+// `<= 0` comparisons and reach the simulator's horizon arithmetic.
+func TestValidateRejectsNonFiniteIntervals(t *testing.T) {
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, -1} {
+		p := DefaultParams()
+		p.PacketIntervalS = v
+		if err := p.Validate(); err == nil {
+			t.Errorf("PacketIntervalS %v accepted", v)
+		}
+		net := &Network{
+			Devices:   []geo.Point{{X: 1}, {X: 2}},
+			Gateways:  []geo.Point{{}},
+			IntervalS: []float64{60, v},
+		}
+		if err := net.Validate(DefaultParams()); err == nil {
+			t.Errorf("IntervalS %v accepted", v)
+		}
+	}
+	p := DefaultParams()
+	p.TrafficDutyCycle = math.NaN()
+	if err := p.Validate(); err == nil {
+		t.Error("NaN duty cycle accepted")
+	}
+	p = DefaultParams()
+	p.PacketIntervalS = 1e308
+	if err := p.Validate(); err != nil {
+		t.Errorf("finite interval 1e308 rejected by Params.Validate: %v", err)
 	}
 }

@@ -35,7 +35,7 @@ type ConfirmedConfig struct {
 	HalfDuplexAcks bool
 
 	// hooks, when non-nil, replaces the initial schedule's jitter and
-	// fading draws — the in-package seam the differential batch-vs-confirmed
+	// fading draws — the in-package seam the differential Run-vs-confirmed
 	// test uses to replay sim.Run's exact randomness through this event
 	// loop. Retransmission draws always come from the run's own RNG.
 	hooks *confirmedHooks
@@ -307,12 +307,15 @@ func RunConfirmed(net *model.Network, p model.Params, a model.Allocation, cfg Co
 	if sc == nil {
 		sc = new(Scratch)
 	}
+	simEnd, err := deviceSchedule(sc, net, p, a, cfg.PacketsPerDevice)
+	if err != nil {
+		return nil, err
+	}
 	c := &sc.crun
 	r := rng.New(cfg.Seed)
 	gains := model.Gains(net, p)
 	noiseMW := lora.DBmToMilliwatts(p.NoiseDBm)
 	captureLin := lora.DBToLinear(*cfg.CaptureThresholdDB)
-	simEnd, _ := deviceSchedule(sc, net, p, a, cfg.PacketsPerDevice)
 
 	c.g = g
 	c.r = r
@@ -359,10 +362,6 @@ func RunConfirmed(net *model.Network, p model.Params, a model.Allocation, cfg Co
 	// device never overlaps itself. RNG order (jitter, then per-gateway
 	// fading, device-major) is pinned by the confirmed golden digest.
 	for i := 0; i < n; i++ {
-		slack := sc.interval[i] - sc.toa[i]
-		if slack < 0 {
-			slack = 0
-		}
 		for m := 0; m < sc.packets[i]; m++ {
 			res.Generated[i]++
 			var j float64
@@ -371,7 +370,7 @@ func RunConfirmed(net *model.Network, p model.Params, a model.Allocation, cfg Co
 			} else {
 				j = r.Float64()
 			}
-			t := c.newTx(i, 1, m, float64(m)*sc.interval[i]+j*slack)
+			t := c.newTx(i, 1, m, float64(m)*sc.interval[i]+j*sc.slack[i])
 			c.starts = c.heapPush(c.starts, false, t)
 		}
 	}

@@ -10,6 +10,11 @@ import (
 	"eflora/internal/rng"
 )
 
+// zeroSlackKnob, set in fuzzScenario's knobs, makes the reporting period
+// shorter than the longest time-on-air: the devices with the longest air
+// time get no jitter span and start at exactly the same instants.
+const zeroSlackKnob = 1 << 8
+
 // fuzzScenario derives a bounded random topology, parameter variant and
 // allocation from (seed, knobs) — the shared generator behind the native
 // fuzz targets below. All sizes are clamped so one fuzz iteration stays in
@@ -33,6 +38,10 @@ func fuzzScenario(seed, knobs uint64) (*model.Network, model.Params, model.Alloc
 		a.SF[i] = lora.SF7 + lora.SF(r.Intn(6))
 		a.TPdBm[i] = tpLevels[r.Intn(len(tpLevels))]
 		a.Channel[i] = r.Intn(p.Plan.NumChannels())
+	}
+	if knobs&zeroSlackKnob != 0 {
+		p.TrafficDutyCycle = 0
+		p.PacketIntervalS = (0.3 + 0.7*r.Float64()) * streamMaxToA(p, a)
 	}
 	return net, p, a
 }
@@ -85,11 +94,14 @@ func checkRunInvariants(t *testing.T, net *model.Network, res *Result) {
 
 // FuzzSimInvariants drives the simulator across fuzz-chosen topologies,
 // allocations and traffic settings, checking the physical invariants that
-// must hold in every run, and that a scratch-reusing run is bit-identical
-// to a cold one.
+// must hold in every run, that a scratch-reusing run is bit-identical to
+// a cold one, and that a run at the derived window is bit-identical to
+// one whose windows are half the longest time-on-air (so the longest
+// receptions always straddle a window boundary).
 func FuzzSimInvariants(f *testing.F) {
 	for trial := uint64(0); trial < 12; trial++ {
 		f.Add(uint64(77001)+trial, trial)
+		f.Add(uint64(78001)+trial, trial|zeroSlackKnob)
 	}
 	sc := new(Scratch)
 	f.Fuzz(func(t *testing.T, seed, knobs uint64) {
@@ -114,6 +126,13 @@ func FuzzSimInvariants(f *testing.F) {
 		}
 		if warm := resultDigest(res2); warm != cold {
 			t.Fatalf("scratch run digest %s != cold run digest %s", warm, cold)
+		}
+		res3, err := run(net, p, a, cfg.withDefaults(), 0.5*streamMaxToA(p, a))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if short := resultDigest(res3); short != cold {
+			t.Fatalf("half-ToA window digest %s != derived window digest %s", short, cold)
 		}
 	})
 }

@@ -66,27 +66,84 @@ func resultDigest(res *Result) string {
 	)
 }
 
+// goldenVariant is one pinned simulator input: a deployment, its
+// parameters and allocation, and the run configuration (Parallelism is
+// set by the caller).
+type goldenVariant struct {
+	name string
+	net  *model.Network
+	p    model.Params
+	a    model.Allocation
+	cfg  Config
+}
+
+// goldenVariants lists the inputs whose digests testdata/
+// golden_determinism.txt pins, in file order. Beyond the two collision
+// rules on the duty-cycle network:
+//
+//   - zero-slack reports every period below the longest time-on-air, so
+//     the devices whose air time exceeds it have no jitter span and start
+//     at exactly the same instants: their order is the (start, device)
+//     tie-break alone;
+//   - per-device-interval gives every device its own reporting period,
+//     so devices send different packet counts over the shared horizon;
+//   - zero-slack-groups ties smaller groups of devices, each on its own
+//     period below its air time.
+func goldenVariants() []goldenVariant {
+	net, p, a := goldenNetwork(120, 4)
+	base := Config{PacketsPerDevice: 12, Seed: 7, Trace: true, MeasureSNR: true}
+	capture := base
+	capture.Capture = true
+
+	// Every SF in turn, reporting just below SF12's air time: the SF12
+	// devices have no jitter span and tie at every period start.
+	za := model.NewAllocation(net.N(), p.Plan)
+	for i := range za.SF {
+		za.SF[i] = lora.SF7 + lora.SF(i%6)
+		za.TPdBm[i] = a.TPdBm[i]
+		za.Channel[i] = a.Channel[i]
+	}
+	zp := p
+	zp.TrafficDutyCycle = 0
+	zp.PacketIntervalS = 0.9 * streamMaxToA(p, za)
+
+	// Every device below its air time on one of ten periods: groups of
+	// about twelve devices tie, few enough that a group fits the bucket
+	// pass's insertion-sort limit.
+	tieNet := *net
+	tieNet.IntervalS = make([]float64, net.N())
+	for i := range tieNet.IntervalS {
+		tieNet.IntervalS[i] = 0.5*streamMaxToA(p, a) + 0.002*float64(i%10)
+	}
+
+	ivNet := *net
+	ivNet.IntervalS = make([]float64, net.N())
+	r := rng.New(99)
+	for i := range ivNet.IntervalS {
+		ivNet.IntervalS[i] = 20 + 180*r.Float64()
+	}
+	return []goldenVariant{
+		{"base", net, p, a, base},
+		{"capture", net, p, a, capture},
+		{"zero-slack", net, zp, za, base},
+		{"per-device-interval", &ivNet, p, a, capture},
+		{"zero-slack-groups", &tieNet, p, a, base},
+	}
+}
+
 // TestGoldenDeterminism pins the simulator's full output — every
 // per-device statistic, counter and trace record — to digests checked
 // into testdata/. It proves two properties at once: results are
 // bit-identical at Parallelism 1 and 0 (all CPUs), and hot-path
 // refactors cannot change outputs without failing this test.
 func TestGoldenDeterminism(t *testing.T) {
-	net, p, a := goldenNetwork(120, 4)
-	variants := []struct {
-		name string
-		cfg  Config
-	}{
-		{"base", Config{PacketsPerDevice: 12, Seed: 7, Trace: true, MeasureSNR: true}},
-		{"capture", Config{PacketsPerDevice: 12, Seed: 7, Capture: true, Trace: true, MeasureSNR: true}},
-	}
 	var out strings.Builder
-	for _, v := range variants {
+	for _, v := range goldenVariants() {
 		var digests []string
 		for _, par := range []int{1, 0} {
 			cfg := v.cfg
 			cfg.Parallelism = par
-			res, err := Run(net, p, a, cfg)
+			res, err := Run(v.net, v.p, v.a, cfg)
 			if err != nil {
 				t.Fatalf("%s parallelism=%d: %v", v.name, par, err)
 			}

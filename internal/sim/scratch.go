@@ -7,10 +7,12 @@ import (
 
 // Scratch holds every buffer a Run or RunConfirmed invocation needs, so
 // repeated runs — the repeated packet-level trials behind each figure —
-// reuse one arena instead of re-allocating the schedule, the fading
-// matrix, the per-gateway replay buffers and the Result slices each
-// time. A zero Scratch is ready to use; buffers grow to the high-water
-// mark of the runs they serve and stay there (the slab.Grow contract).
+// reuse one arena instead of re-allocating the per-device generator
+// state, the window buffers, the per-gateway receivers and the Result
+// slices each time. A zero Scratch is ready to use; buffers grow to the
+// high-water mark of the runs they serve and stay there (the slab.Grow
+// contract). Apart from the Result and an optional Trace, every buffer
+// is O(devices + gateways + one window), never O(run length).
 //
 // Ownership contract: the *Result (or *ConfirmedResult) returned by a
 // run with a Scratch aliases the scratch's buffers. It is valid until
@@ -19,31 +21,32 @@ import (
 // time (gateway replay inside that run still fans out across cores);
 // concurrent trials need one Scratch each, e.g. from a sync.Pool.
 type Scratch struct {
-	// Per-device schedule-building buffers.
-	toa, tpMW, interval []float64
-	packets             []int
+	// Per-device schedule columns.
+	toa, tpMW, interval, slack []float64
+	packets                    []int
 
-	// The shared transmission schedule in struct-of-arrays form (the
-	// columnar window the batch kernel consumes), the unsorted
-	// schedule-build columns plus their (start, dev) argsort
-	// permutation, and the flattened per-transmission×gateway fading
-	// matrix (row t, column k at fading[t*g+k]). The streaming path
-	// leaves all of these untouched — that is the whole point — and
-	// uses the window buffers below instead.
-	win    engine.Window
-	ustart []float64
-	udev   []int32
-	perm   []int32
-	fading []float64
+	// Per-device generator state: a jitter RNG snapshot, the next
+	// unemitted start and its packet index.
+	devRng    []rng.RNG
+	nextStart []float64
+	nextM     []int
 
-	// Per-gateway replay state, one slot per gateway; each slot's
-	// buffers are owned by that gateway's goroutine during the fan-out.
+	// The current window: the device scan's entries, the same entries in
+	// (start, device) order with their bucket offsets, the columnar
+	// window the batch kernel consumes, its flattened fading (entry t,
+	// gateway k at fading[t*g+k]) and the gateways' cut.
+	scan, order []txEntry
+	bucketEnd   []int32
+	win         engine.Window
+	fading      []float64
+	cut         float64
+
+	// Transmissions whose cross-gateway verdict is still open.
+	pend []pendTx
+
+	// Per-gateway receiver state, one slot per gateway; each slot is
+	// owned by whichever goroutine replays that gateway.
 	replays []gwReplay
-
-	// Network-server merge buffers.
-	delivered []bool
-	outcome   []Outcome
-	outGw     []int
 
 	// Backing arrays for the optional Result fields, kept here because
 	// Run nils the Result fields out when the options are off.
@@ -51,18 +54,6 @@ type Scratch struct {
 	maxSNR []float64
 
 	res Result
-
-	// Streaming-mode state: per-device generator streams (an RNG
-	// snapshot, the next emission and a merge heap) plus the current
-	// window's transmission columns/fading and the pending-verdict
-	// ring. All O(devices + active window).
-	devRng    []rng.RNG
-	nextStart []float64
-	nextM     []int
-	devHeap   []int32
-	wwin      engine.Window
-	wfading   []float64
-	pend      []pendTx
 
 	// Confirmed-path event-loop state (RunConfirmed).
 	crun confirmedRun

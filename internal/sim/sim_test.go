@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"testing"
+	"time"
 
 	"eflora/internal/geo"
 	"eflora/internal/lora"
@@ -397,6 +399,55 @@ func TestRunValidatesInputs(t *testing.T) {
 	empty := &model.Network{}
 	if _, err := Run(empty, p, a, Config{}); err == nil {
 		t.Error("empty network accepted")
+	}
+}
+
+// TestRunRejectsUnusableIntervals feeds reporting intervals that are not
+// finite, or finite but so long that the horizon overflows, or so mixed
+// that one device would send more packets than an int can count. Each
+// must be refused by Run and RunConfirmed — not hang (the windowed
+// schedule stepping towards an infinite horizon) or return an infinite
+// SimTimeS and NaN powers.
+func TestRunRejectsUnusableIntervals(t *testing.T) {
+	net, p, a := lonePair()
+	two := &model.Network{Devices: []geo.Point{{X: 300}, {X: 400}}, Gateways: net.Gateways}
+	a2 := model.NewAllocation(2, p.Plan)
+	type input struct {
+		name string
+		net  *model.Network
+		p    model.Params
+		a    model.Allocation
+	}
+	var inputs []input
+	for _, iv := range []float64{math.NaN(), math.Inf(1), 1e308} {
+		pp := p
+		pp.PacketIntervalS = iv
+		inputs = append(inputs, input{fmt.Sprintf("PacketIntervalS=%g", iv), net, pp, a})
+		ivNet := *net
+		ivNet.IntervalS = []float64{iv}
+		inputs = append(inputs, input{fmt.Sprintf("IntervalS=%g", iv), &ivNet, p, a})
+	}
+	mixed := *two
+	mixed.IntervalS = []float64{1, 1e300}
+	inputs = append(inputs, input{"IntervalS=1,1e300", &mixed, p, a2})
+	for _, in := range inputs {
+		errs := make(chan [2]error, 1)
+		go func() {
+			_, errRun := Run(in.net, in.p, in.a, Config{PacketsPerDevice: 10, Seed: 1})
+			_, errConf := RunConfirmed(in.net, in.p, in.a, ConfirmedConfig{Config: Config{PacketsPerDevice: 10, Seed: 1}})
+			errs <- [2]error{errRun, errConf}
+		}()
+		select {
+		case e := <-errs:
+			if e[0] == nil {
+				t.Errorf("%s: Run accepted it", in.name)
+			}
+			if e[1] == nil {
+				t.Errorf("%s: RunConfirmed accepted it", in.name)
+			}
+		case <-time.After(20 * time.Second):
+			t.Fatalf("%s: no answer after 20 s", in.name)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"slices"
 
 	"eflora/internal/engine"
 	"eflora/internal/lora"
@@ -11,33 +12,35 @@ import (
 	"eflora/internal/slab"
 )
 
-// The streaming path replays exactly the batch schedule without ever
-// materializing it. Two observations make that possible:
+// Run's schedule is every transmission sorted by (start, device): device
+// i sends packet m at m·interval_i + u·slack_i, with the jitter draws u
+// taken from the master RNG device by device, packet by packet, and the
+// fading draws (one per transmission and gateway) following them in
+// schedule order. Run never materializes that schedule. Three
+// observations let it stream it window by window, bit-identically at any
+// window length:
 //
-//  1. A device's transmission starts strictly increase (the jitter stays
-//     below one reporting interval), so the batch schedule — all
-//     transmissions sorted by (start, device) — is the n-way merge of n
-//     sorted per-device streams. One RNG snapshot per device replays that
-//     device's jitter draws lazily, and a merge heap yields transmissions
-//     one at a time in the batch order; the master RNG skips the jitter
-//     block up front and then draws each transmission's fading at the
-//     moment the merge emits it, which is the batch fading order.
+//  1. A device's starts strictly increase (the jitter stays within one
+//     reporting interval), so a window is the union of per-device runs.
+//     One RNG snapshot per device replays that device's jitter draws
+//     lazily; the master RNG skips the whole jitter block up front and
+//     then draws each window's fading in window order, which is schedule
+//     order. The device scan emits each window's starts device by
+//     device; orderWindow sorts them into schedule order in linear time.
 //  2. Completing a reception at a window boundary W instead of at the
 //     next arrival cannot change its verdict: any later arrival starts at
 //     or after W, hence at or after the reception's end, and therefore
 //     never overlaps it. So in-flight receptions carry over inside the
 //     per-gateway engine state and everything ending at or before W is
-//     flushed, letting the window's transmission buffer be recycled.
-//
-// Verdicts are merged in ascending gateway order into a pending ring
-// ordered by token (= batch schedule order) and resolved from the head,
-// so counters, per-device deliveries, traces and SNR measurements come
-// out bit-identical to the batch path at any window size.
+//     flushed, letting the window's buffers be recycled.
+//  3. Verdicts are merged in ascending gateway order into a pending ring
+//     ordered by token (= schedule order) and resolved from the head, so
+//     counters, per-device deliveries, traces and SNR measurements
+//     accumulate in schedule order whatever the window boundaries.
 
 // pendTx is one transmission whose cross-gateway verdict is still being
-// assembled: the streaming counterpart of the batch path's
-// delivered/outcome/outGw merge arrays, bounded by the active window
-// instead of the schedule length.
+// assembled; the ring of them is bounded by the windows a reception can
+// span.
 type pendTx struct {
 	dev       int
 	outGw     int
@@ -47,195 +50,171 @@ type pendTx struct {
 	delivered bool
 }
 
-// scheduleSource streams the batch transmission schedule in ascending
-// (start, device) order with O(devices) state, implementing
-// engine.Source. Tokens are consecutive from 0.
-type scheduleSource struct {
-	sc   *Scratch
-	sf   []lora.SF
-	ch   []int
-	next int
+// gwReplay is one gateway's share of a run: its receiver state machine
+// plus the received-power column and verdict list of the current window.
+type gwReplay struct {
+	eng  engine.Gateway
+	rxMW []float64
+	done []engine.Done
 }
 
-// newScheduleSource positions the per-device jitter streams and the
-// master RNG. After it returns, r sits exactly where the batch path
-// starts drawing fading.
-func newScheduleSource(sc *Scratch, a model.Allocation, r *rng.RNG, n int) *scheduleSource {
-	devRng := slab.Grow(sc.devRng, n)
-	nextStart := slab.Grow(sc.nextStart, n)
-	nextM := slab.GrowZero(sc.nextM, n)
-	sc.devRng, sc.nextStart, sc.nextM = devRng, nextStart, nextM
+// windowFactor scales the harmonic-mean reporting interval into the
+// derived window length. A window then holds about one transmission per
+// device, so the device scan costs about one check per transmission; the
+// sweep that chose it is in DESIGN.md ("Unified receiver engine &
+// streaming windows").
+const windowFactor = 1.0
+
+// deriveWindow picks the window length from the schedule columns: the
+// larger of windowFactor times the harmonic-mean reporting interval
+// n / Σ 1/interval_i and twice the longest time-on-air, so most
+// receptions complete in the window they start in.
+func deriveWindow(sc *Scratch) float64 {
+	maxToA, rate := 0.0, 0.0
+	for i, iv := range sc.interval {
+		maxToA = max(maxToA, sc.toa[i])
+		rate += 1 / iv
+	}
+	return max(2*maxToA, windowFactor*float64(len(sc.interval))/rate)
+}
+
+// startSchedule positions the per-device jitter streams at their first
+// packet and returns the number of devices with transmissions to send.
+// After it returns, r sits where the fading draws begin.
+func startSchedule(sc *Scratch, r *rng.RNG) int {
+	n := len(sc.packets)
+	sc.devRng = slab.Grow(sc.devRng, n)
+	sc.nextStart = slab.Grow(sc.nextStart, n)
+	sc.nextM = slab.GrowZero(sc.nextM, n)
 	for i := 0; i < n; i++ {
-		devRng[i] = *r
+		sc.devRng[i] = *r
 		for m := 0; m < sc.packets[i]; m++ {
 			r.Float64()
 		}
 	}
-	s := &scheduleSource{sc: sc, sf: a.SF, ch: a.Channel}
-	h := sc.devHeap[:0]
 	for i := 0; i < n; i++ {
-		nextStart[i] = devRng[i].Float64() * s.slack(i)
-		h = append(h, int32(i))
-		s.up(h, len(h)-1)
+		sc.nextStart[i] = sc.devRng[i].Float64() * sc.slack[i]
 	}
-	sc.devHeap = h
-	return s
+	return n
 }
 
-// slack is the jitter span: a device never overlaps its own next packet.
-func (s *scheduleSource) slack(i int) float64 {
-	sl := s.sc.interval[i] - s.sc.toa[i]
-	if sl < 0 {
-		sl = 0
-	}
-	return sl
-}
-
-// less orders the merge heap by (next start, device) — the batch sort key.
-func (s *scheduleSource) less(a, b int32) bool {
-	sa, sb := s.sc.nextStart[a], s.sc.nextStart[b]
-	if sa != sb {
-		return sa < sb
-	}
-	return a < b
-}
-
-func (s *scheduleSource) up(h []int32, j int) {
-	for j > 0 {
-		i := (j - 1) / 2
-		if !s.less(h[j], h[i]) {
-			break
-		}
-		h[i], h[j] = h[j], h[i]
-		j = i
-	}
-}
-
-func (s *scheduleSource) down(h []int32, i, n int) {
-	for {
-		j := 2*i + 1
-		if j >= n {
-			break
-		}
-		if j+1 < n && s.less(h[j+1], h[j]) {
-			j++
-		}
-		if !s.less(h[j], h[i]) {
-			break
-		}
-		h[i], h[j] = h[j], h[i]
-		i = j
-	}
-}
-
-// NextWindow implements engine.Source.
+// nextWindow fills sc.win with every unsent transmission starting below
+// cut, in schedule order with tokens from tok0, and returns how many
+// devices still have transmissions left (left is the count before).
 //
 //eflora:hotpath
-func (s *scheduleSource) NextWindow(untilS float64, w *engine.Window) bool {
-	sc := s.sc
-	w.Reset(s.next)
-	h := sc.devHeap
-	for len(h) > 0 && sc.nextStart[h[0]] < untilS {
-		i := h[0]
-		start := sc.nextStart[i]
-		w.Append(int(i), s.sf[i], s.ch[i], start, start+sc.toa[i], sc.tpMW[i])
-		s.next++
-		sc.nextM[i]++
-		if m := sc.nextM[i]; m < sc.packets[i] {
-			// Per-device starts strictly increase, so a sift-down
-			// restores the heap after the key grows.
-			sc.nextStart[i] = float64(m)*sc.interval[i] + sc.devRng[i].Float64()*s.slack(int(i))
-			s.down(h, 0, len(h))
-		} else {
-			n := len(h) - 1
-			h[0] = h[n]
-			h = h[:n]
-			s.down(h, 0, n)
+func (sc *Scratch) nextWindow(a model.Allocation, tok0 int, cut float64, left int) int {
+	scan := sc.scan[:0]
+	for i, s := range sc.nextStart {
+		if s >= cut {
+			continue
 		}
+		m := sc.nextM[i]
+		for s < cut {
+			scan = append(scan, txEntry{start: s, dev: int32(i)})
+			if m++; m == sc.packets[i] {
+				s = math.Inf(1)
+				left--
+				break
+			}
+			s = float64(m)*sc.interval[i] + sc.devRng[i].Float64()*sc.slack[i]
+		}
+		sc.nextStart[i], sc.nextM[i] = s, m
 	}
-	sc.devHeap = h
-	return len(h) > 0
+	sc.scan = scan
+	sc.order, sc.bucketEnd = orderWindow(sc.order, scan, sc.bucketEnd)
+	w := &sc.win
+	w.Reset(tok0)
+	w.Grow(len(sc.order))
+	for _, e := range sc.order {
+		d := e.dev
+		w.Append(int(d), a.SF[d], a.Channel[d], e.start, e.start+sc.toa[d], sc.tpMW[d])
+	}
+	return left
 }
 
-// runStreaming is Run's time-windowed mode: same validation, same
-// results, O(devices + active window) resident schedule memory.
+// run is Run after validation and defaults, with the window length as a
+// parameter: window <= 0 derives it from the inputs (deriveWindow). The
+// result does not depend on it; tests sweep it.
 //
 //eflora:hotpath
-func runStreaming(net *model.Network, p model.Params, a model.Allocation, cfg Config) (*Result, error) {
+func run(net *model.Network, p model.Params, a model.Allocation, cfg Config, window float64) (*Result, error) {
 	n, g := net.N(), net.G()
-	r := rng.New(cfg.Seed)
 	sc := cfg.Scratch
 	if sc == nil {
 		sc = new(Scratch)
 	}
-
+	simEnd, err := deviceSchedule(sc, net, p, a, cfg.PacketsPerDevice)
+	if err != nil {
+		return nil, err
+	}
+	if window <= 0 {
+		window = deriveWindow(sc)
+	}
 	gains := model.Gains(net, p)
 	noiseMW := lora.DBmToMilliwatts(p.NoiseDBm)
 	captureLin := lora.DBToLinear(*cfg.CaptureThresholdDB)
 	engCfg := engineConfig(p, captureLin, noiseMW, cfg.Capture, false)
 
-	simEnd, _ := deviceSchedule(sc, net, p, a, cfg.PacketsPerDevice)
 	res := initResult(sc, n, simEnd, cfg.MeasureSNR)
 	if cfg.Trace {
-		sc.trace = sc.trace[:0]
+		// The trace is the one output of run length: size it once.
+		total := 0
+		for _, m := range sc.packets {
+			total += m
+		}
+		sc.trace = slices.Grow(sc.trace[:0], total)
 	}
-
 	replays := slab.Grow(sc.replays, g)
 	sc.replays = replays
 	for k := range replays {
 		replays[k].eng.Reset(engCfg)
-		replays[k].done = replays[k].done[:0]
-		replays[k].delivered, replays[k].outcome, replays[k].snrDB = nil, nil, nil
 	}
 
-	var src engine.Source = newScheduleSource(sc, a, r, n)
-	pend := sc.pend[:0]
-	pendBase := 0
-	wwin := &sc.wwin
-	wfading := sc.wfading[:0]
-	var cut float64
+	r := rng.New(cfg.Seed)
+	left := startSchedule(sc, r)
 	// Each gateway consumes the current window against its persistent
 	// engine state (the cross-window carry-over) and reports verdicts into
-	// its private event list; the fan-out barrier makes the merge below
-	// identical to a sequential k = 0..g-1 loop. The batch kernel emits
-	// the failure verdicts (NoSignal, Capacity) itself, so the event list
-	// is the one Done stream. Hoisted out of the window loop (capturing
-	// the per-window state by reference) so the closure allocates once
-	// per run, not once per window.
-	gwWindow := func(k int) {
+	// its private list. The batch kernel emits the failure verdicts
+	// (NoSignal, Capacity) itself, so the list is the one Done stream.
+	gateway := func(k int) {
 		rp := &replays[k]
-		wn := wwin.Len()
-		rx := slab.Grow(rp.rxBuf, wn)
-		rp.rxBuf = rx
+		w := &sc.win
+		wn := w.Len()
+		rx := slab.Grow(rp.rxMW, wn)
+		rp.rxMW = rx
 		for t := 0; t < wn; t++ {
-			rx[t] = wwin.TpMW[t] * gains[wwin.Dev[t]][k] * wfading[t*g+k]
+			rx[t] = w.TpMW[t] * gains[w.Dev[t]][k] * sc.fading[t*g+k]
 		}
-		rp.done = rp.eng.Batch(wwin, rx, cut, rp.done[:0])
+		rp.done = rp.eng.Batch(w, rx, sc.cut, rp.done[:0])
 	}
-	more := true
-	for w1 := cfg.StreamWindowS; ; w1 += cfg.StreamWindowS {
-		cut = w1
-		if !more {
-			// The source is drained; one final +Inf window flushes the
-			// carried-over receptions.
+	team := par.Start(cfg.Parallelism, g, gateway)
+	pend := sc.pend[:0]
+	pendBase := 0
+	for j := 1; ; j++ {
+		cut := float64(j) * window
+		if left == 0 {
+			// The schedule is drained; one final +Inf window flushes
+			// the carried-over receptions.
 			cut = math.Inf(1)
 		}
-		more = src.NextWindow(cut, wwin)
-		// Fading draws happen at emission, in merge order — the batch
-		// fading order — flattened like the batch matrix (t*g+k): one
-		// bulk draw per window.
-		wfading = slab.Grow(wfading, wwin.Len()*g)
-		r.RayleighPowerGains(wfading)
-		for t := 0; t < wwin.Len(); t++ {
+		left = sc.nextWindow(a, pendBase+len(pend), cut, left)
+		sc.cut = cut
+		// Fading in window order — schedule order — flattened (t*g+k):
+		// one bulk draw per window.
+		wn := sc.win.Len()
+		sc.fading = slab.Grow(sc.fading, wn*g)
+		r.RayleighPowerGains(sc.fading)
+		for t := 0; t < wn; t++ {
 			pend = append(pend, pendTx{
-				dev: int(wwin.Dev[t]), outGw: -1,
-				start: wwin.StartS[t], end: wwin.EndS[t],
+				dev: int(sc.win.Dev[t]), outGw: -1,
+				start: sc.win.StartS[t], end: sc.win.EndS[t],
 			})
 		}
-		//eflora:alloc-ok worker goroutine spawn is amortized over a whole gateway window, not per packet
-		par.For(cfg.Parallelism, g, gwWindow)
-		// Merge the gateways' verdicts in ascending gateway order — the
-		// same precedence walk as the batch merge.
+		team.Run()
+		// Merge the gateways' verdicts in ascending gateway order: a
+		// delivery anywhere delivers, the most informative outcome wins
+		// and the lowest delivering gateway is the one recorded.
 		for k := 0; k < g; k++ {
 			rp := &replays[k]
 			for _, d := range rp.done {
@@ -255,11 +234,10 @@ func runStreaming(net *model.Network, p model.Params, a model.Allocation, cfg Co
 					}
 				}
 			}
-			rp.done = rp.done[:0]
 		}
 		// Resolve fully-decided transmissions from the ring head in token
-		// order (= batch schedule order): everything ending at or before
-		// the cut has its final verdict at every gateway.
+		// order: everything ending at or before the cut has its final
+		// verdict at every gateway.
 		h := 0
 		for h < len(pend) && pend[h].end <= cut {
 			pt := &pend[h]
@@ -276,12 +254,12 @@ func runStreaming(net *model.Network, p model.Params, a model.Allocation, cfg Co
 		}
 		pend = pend[:copy(pend, pend[h:])]
 		pendBase += h
-		if !more && len(pend) == 0 {
+		if left == 0 && len(pend) == 0 {
 			break
 		}
 	}
-	sc.pend = pend[:0]
-	sc.wfading = wfading[:0]
+	team.Stop()
+	sc.pend = pend
 
 	for k := 0; k < g; k++ {
 		c := replays[k].eng.Counters

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"os"
+	"strings"
 	"testing"
 
 	"eflora/internal/model"
@@ -20,86 +22,90 @@ func streamMaxToA(p model.Params, a model.Allocation) float64 {
 	return max
 }
 
-// TestStreamingMatchesBatch proves the tentpole bit-identity claim: the
-// time-windowed streaming path reproduces the batch path's full digest —
-// every per-device statistic, counter, trace record and SNR measurement —
-// at every window size, for both collision rules, at any parallelism.
-func TestStreamingMatchesBatch(t *testing.T) {
-	net, p, a := goldenNetwork(120, 4)
-	maxToA := streamMaxToA(p, a)
-	variants := []struct {
-		name string
-		cfg  Config
-	}{
-		{"base", Config{PacketsPerDevice: 12, Seed: 7, Trace: true, MeasureSNR: true}},
-		{"capture", Config{PacketsPerDevice: 12, Seed: 7, Capture: true, Trace: true, MeasureSNR: true}},
+// goldenDigests reads testdata/golden_determinism.txt into a variant →
+// digest map.
+func goldenDigests(t *testing.T) map[string]string {
+	t.Helper()
+	raw, err := os.ReadFile("testdata/golden_determinism.txt")
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, v := range variants {
-		batchCfg := v.cfg
-		batchCfg.Parallelism = 1
-		batch, err := Run(net, p, a, batchCfg)
-		if err != nil {
-			t.Fatalf("%s batch: %v", v.name, err)
+	out := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
+		name, digest, ok := strings.Cut(line, " ")
+		if !ok {
+			t.Fatalf("malformed golden line %q", line)
 		}
-		want := resultDigest(batch)
-		for _, win := range []float64{0.5 * maxToA, 3 * maxToA, 60} {
+		out[name] = digest
+	}
+	return out
+}
+
+// TestStreamingMatchesBatch sweeps the window length: every golden
+// variant — both collision rules, coinciding starts, per-device intervals
+// — must reproduce its pinned digest (every per-device statistic,
+// counter, trace record and SNR measurement) at windows below and above
+// the longest time-on-air, at 60 s and at the derived default, at any
+// parallelism. The digests were recorded from the materialized
+// whole-schedule simulator this streaming driver replaced.
+func TestStreamingMatchesBatch(t *testing.T) {
+	want := goldenDigests(t)
+	for _, v := range goldenVariants() {
+		maxToA := streamMaxToA(v.p, v.a)
+		for _, win := range []float64{0.5 * maxToA, 3 * maxToA, 60, 0} {
 			for _, par := range []int{1, 0} {
 				cfg := v.cfg
 				cfg.Parallelism = par
-				cfg.StreamWindowS = win
-				res, err := Run(net, p, a, cfg)
+				res, err := run(v.net, v.p, v.a, cfg.withDefaults(), win)
 				if err != nil {
 					t.Fatalf("%s window=%g parallelism=%d: %v", v.name, win, par, err)
 				}
-				if got := resultDigest(res); got != want {
-					t.Errorf("%s window=%g parallelism=%d: digest %s != batch %s",
-						v.name, win, par, got, want)
+				if got := resultDigest(res); got != want[v.name] {
+					t.Errorf("%s window=%g parallelism=%d: digest %s != golden %s",
+						v.name, win, par, got, want[v.name])
 				}
 			}
 		}
 	}
 }
 
-// TestStreamingWindowMemory pins the memory claim: a streaming run never
-// touches the whole-schedule buffers (txs, fading) and its window buffers
-// stay far below the total transmission count.
+// TestStreamingWindowMemory pins the memory claim: at a sub-ToA window
+// and at the derived one, every window buffer stays far below the total
+// transmission count.
 func TestStreamingWindowMemory(t *testing.T) {
 	net, p, a := goldenNetwork(120, 4)
-	sc := &Scratch{}
-	cfg := Config{PacketsPerDevice: 12, Seed: 7, Parallelism: 1, Scratch: sc}
-	cfg.StreamWindowS = 0.5 * streamMaxToA(p, a)
-	if _, err := Run(net, p, a, cfg); err != nil {
-		t.Fatal(err)
-	}
-	total := 0
-	for _, m := range sc.packets {
-		total += m
-	}
-	if cap(sc.win.StartS) != 0 || cap(sc.fading) != 0 {
-		t.Errorf("streaming run materialized the batch schedule: cap(win)=%d cap(fading)=%d",
-			cap(sc.win.StartS), cap(sc.fading))
-	}
-	if lim := total / 10; cap(sc.wwin.StartS) > lim || cap(sc.pend) > lim {
-		t.Errorf("window buffers not O(window): cap(wwin)=%d cap(pend)=%d, total=%d",
-			cap(sc.wwin.StartS), cap(sc.pend), total)
+	for _, win := range []float64{0.5 * streamMaxToA(p, a), 0} {
+		sc := &Scratch{}
+		cfg := Config{PacketsPerDevice: 12, Seed: 7, Parallelism: 1, Scratch: sc}.withDefaults()
+		if _, err := run(net, p, a, cfg, win); err != nil {
+			t.Fatal(err)
+		}
+		total := 0
+		for _, m := range sc.packets {
+			total += m
+		}
+		lim := total / 10
+		if cap(sc.win.StartS) > lim || cap(sc.order) > lim || cap(sc.pend) > lim || cap(sc.fading) > lim*net.G() {
+			t.Errorf("window=%g: buffers not O(window): cap(win)=%d cap(order)=%d cap(pend)=%d cap(fading)=%d, total=%d",
+				win, cap(sc.win.StartS), cap(sc.order), cap(sc.pend), cap(sc.fading), total)
+		}
 	}
 }
 
-// TestStreamingRejectsNothingNewOnScratchReuse re-runs streaming on a warm
-// scratch and checks the digest is stable — buffer reuse must not leak
-// state across runs.
+// TestStreamingScratchReuseIsStable re-runs on a warm scratch and checks
+// the digest is stable — buffer reuse must not leak state across runs.
 func TestStreamingScratchReuseIsStable(t *testing.T) {
 	net, p, a := goldenNetwork(60, 2)
 	sc := &Scratch{}
 	cfg := Config{PacketsPerDevice: 8, Seed: 3, Trace: true, MeasureSNR: true,
-		Parallelism: 1, Scratch: sc, StreamWindowS: 45}
-	first, err := Run(net, p, a, cfg)
+		Parallelism: 1, Scratch: sc}.withDefaults()
+	first, err := run(net, p, a, cfg, 45)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := resultDigest(first)
 	for i := 0; i < 3; i++ {
-		res, err := Run(net, p, a, cfg)
+		res, err := run(net, p, a, cfg, 45)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,15 +115,14 @@ func TestStreamingScratchReuseIsStable(t *testing.T) {
 	}
 }
 
-// BenchmarkRunStreaming measures the streaming path on a warm scratch and
-// asserts — every benchmark iteration — that the resident schedule
-// buffers stay O(window), so a regression that silently re-materializes
-// the schedule fails the benchmark rather than just slowing it down.
-func BenchmarkRunStreaming(b *testing.B) {
+// BenchmarkRun measures Run on a warm scratch and asserts — every
+// benchmark iteration — that the window buffers stay O(window), so a
+// regression that silently re-materializes the schedule fails the
+// benchmark rather than just slowing it down.
+func BenchmarkRun(b *testing.B) {
 	net, p, a := goldenNetwork(120, 4)
 	sc := &Scratch{}
-	cfg := Config{PacketsPerDevice: 12, Seed: 7, Parallelism: 1, Scratch: sc,
-		StreamWindowS: 3 * streamMaxToA(p, a)}
+	cfg := Config{PacketsPerDevice: 12, Seed: 7, Parallelism: 1, Scratch: sc}
 	if _, err := Run(net, p, a, cfg); err != nil {
 		b.Fatal(err)
 	}
@@ -131,9 +136,8 @@ func BenchmarkRunStreaming(b *testing.B) {
 		if _, err := Run(net, p, a, cfg); err != nil {
 			b.Fatal(err)
 		}
-		if cap(sc.win.StartS) != 0 || cap(sc.wwin.StartS) > total/4 {
-			b.Fatalf("streaming memory not O(window): cap(win)=%d cap(wwin)=%d total=%d",
-				cap(sc.win.StartS), cap(sc.wwin.StartS), total)
+		if cap(sc.win.StartS) > total/4 {
+			b.Fatalf("window memory not O(window): cap(win)=%d total=%d", cap(sc.win.StartS), total)
 		}
 	}
 }
