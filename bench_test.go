@@ -161,14 +161,11 @@ func BenchmarkSimulatorNoScratch(b *testing.B) {
 	}
 }
 
-// Parallel-vs-sequential benchmarks: same workloads pinned to one worker
-// and fanned out across all CPUs. Results are bit-identical either way;
-// the spread measures the deterministic parallel engine's speedup (near
-// 1x on a single-core host, where only the structure is exercised).
-
-// BenchmarkFig5Sequential and BenchmarkFig5Parallel fan the (gateway
-// count x method) grid and the trials inside each cell out across
-// workers.
+// BenchmarkFig5Sequential and BenchmarkFig5Parallel run one figure with
+// its (gateway count, method, trial) jobs pinned to one worker and fanned
+// out across all CPUs. Results are bit-identical either way; the spread
+// measures exp's fan-out speedup (near 1x on a single-core host, where
+// only the structure is exercised).
 func BenchmarkFig5Sequential(b *testing.B) { benchFig5(b, 1) }
 func BenchmarkFig5Parallel(b *testing.B)   { benchFig5(b, 0) }
 
@@ -184,18 +181,14 @@ func benchFig5(b *testing.B, workers int) {
 	}
 }
 
-// BenchmarkSimulatorSequential / Parallel replay nine gateways serially
-// vs concurrently.
-func BenchmarkSimulatorSequential(b *testing.B) { benchSimulator(b, 1) }
-func BenchmarkSimulatorParallel(b *testing.B)   { benchSimulator(b, 0) }
-
-func benchSimulator(b *testing.B, workers int) {
-	b.Helper()
+// BenchmarkSimulator9GW replays nine gateways on a warm scratch. A run
+// is single-threaded, so its -cpu curve stays flat.
+func BenchmarkSimulator9GW(b *testing.B) {
 	net, p, a := benchNetwork(1000, 9)
 	sc := new(sim.Scratch)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cfg := sim.Config{PacketsPerDevice: 20, Seed: uint64(i), Parallelism: workers, Scratch: sc}
+		cfg := sim.Config{PacketsPerDevice: 20, Seed: uint64(i), Scratch: sc}
 		if _, err := sim.Run(net, p, a, cfg); err != nil {
 			b.Fatal(err)
 		}

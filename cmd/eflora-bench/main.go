@@ -2,7 +2,7 @@
 //
 // Record mode (the default) shells out to `go test -bench`, parses the
 // standard benchmark output and writes a JSON recording in the same schema
-// as BENCH_parallel.json:
+// as BENCH_sim.json:
 //
 //	eflora-bench -bench 'Sequential|Parallel' -benchtime 3x -o BENCH_sim.json
 //
@@ -17,7 +17,7 @@
 // non-zero when any shared benchmark regressed beyond the threshold ratio
 // on time, bytes or allocations:
 //
-//	eflora-bench -diff -threshold 1.3 BENCH_parallel.json BENCH_sim.json
+//	eflora-bench -diff -threshold 1.3 old.json BENCH_sim.json
 //
 // When both recordings carry multi-proc entries for a benchmark family,
 // diff mode also compares the parallel speedup (1-proc ns/op over N-proc
@@ -44,7 +44,7 @@ import (
 	"time"
 )
 
-// Recording mirrors the schema of BENCH_parallel.json.
+// Recording mirrors the schema of BENCH_sim.json.
 type Recording struct {
 	Description string      `json:"description"`
 	Date        string      `json:"date"`
@@ -279,7 +279,7 @@ func readRecording(path string) (Recording, error) {
 }
 
 // writeRecording marshals the recording with one benchmark per line,
-// matching the hand-formatted style of BENCH_parallel.json closely enough
+// matching the hand-formatted style of BENCH_sim.json closely enough
 // to diff comfortably.
 func writeRecording(w io.Writer, rec Recording) error {
 	head, err := json.Marshal(struct {

@@ -114,15 +114,16 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	}
 }
 
-// TestParseExistingRecording guards the schema against drift: the checked-in
-// PR-1 recording must stay readable.
+// TestParseExistingRecording guards the schema against drift: the
+// checked-in recording the CI scaling gate diffs against must stay
+// readable.
 func TestParseExistingRecording(t *testing.T) {
-	recFile, err := readRecording("../../BENCH_parallel.json")
+	recFile, err := readRecording("../../BENCH_sim.json")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(recFile.Benchmarks) == 0 || recFile.Host.GOOS == "" {
-		t.Errorf("BENCH_parallel.json parsed to %+v", recFile)
+		t.Errorf("BENCH_sim.json parsed to %+v", recFile)
 	}
 }
 

@@ -35,7 +35,7 @@ func run(args []string, out *os.File) error {
 		packets  = fs.Int("packets", 40, "packets per device per simulation")
 		seed     = fs.Uint64("seed", 1, "random seed")
 		asJSON   = fs.Bool("json", false, "emit each experiment's headline values as JSON instead of text")
-		parallel = fs.Int("parallel", 0, "worker goroutines per fan-out level (0 = all CPUs); results are identical at any value")
+		parallel = fs.Int("parallel", 0, "worker goroutines over each figure's (data point, method, trial) jobs (0 = all CPUs); results are identical at any value")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err

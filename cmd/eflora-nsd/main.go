@@ -84,7 +84,6 @@ type config struct {
 	seed         uint64
 	verify       bool
 	allocator    string
-	parallelism  int
 	driftDevices int
 	driftSNRdB   float64
 	// crashAt runs the crash/restart drill in -replay mode: ingest up to
@@ -166,7 +165,6 @@ func parseArgs(args []string) (config, error) {
 	fs.Uint64Var(&cfg.seed, "seed", 1, "with -replay: simulation / traffic seed")
 	fs.BoolVar(&cfg.verify, "verify", true, "with -replay: re-ingest sequentially on one shard and require bit-exact counters")
 	fs.StringVar(&cfg.allocator, "allocator", "eflora", "allocator used when the scenario file carries no allocation")
-	fs.IntVar(&cfg.parallelism, "parallel", 0, "simulator worker goroutines in -replay (0 = all CPUs)")
 	fs.IntVar(&cfg.driftDevices, "drift-devices", 0, "with -replay: degrade the reported SNR of this many devices so the re-allocator moves them")
 	fs.Float64Var(&cfg.driftSNRdB, "drift-snr", 10, "with -replay: dB of SNR degradation injected per drifting device")
 	fs.Float64Var(&cfg.crashAt, "crash-at", 0, "with -replay and -state-dir: crash/restart drill — snapshot and abandon the run at this fraction of the trace, recover, and verify bit-exactness against a no-crash oracle (0 = off)")
@@ -218,7 +216,7 @@ func loadScenario(cfg config) (*core.Network, model.Allocation, error) {
 	netw := &core.Network{Net: sc.Network(), Params: model.DefaultParams(), Seed: cfg.seed}
 	a, ok := sc.AllocationOf()
 	if !ok {
-		if a, err = netw.Allocate(cfg.allocator, alloc.Options{Parallelism: cfg.parallelism}); err != nil {
+		if a, err = netw.Allocate(cfg.allocator, alloc.Options{}); err != nil {
 			return nil, model.Allocation{}, err
 		}
 	}
@@ -1237,7 +1235,6 @@ func runReplay(cfg config, netw *core.Network, a model.Allocation, out io.Writer
 		Packets:      cfg.packets,
 		Seed:         cfg.seed,
 		DedupWindowS: cfg.dedupWindowS,
-		Parallelism:  cfg.parallelism,
 		DriftDevices: cfg.driftDevices,
 		DriftSNRdB:   cfg.driftSNRdB,
 	})

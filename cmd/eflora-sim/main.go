@@ -46,7 +46,6 @@ func run(args []string, out *os.File) error {
 		traceFile  = fs.String("trace", "", "write a per-packet outcome trace as CSV to this file")
 		halfDuplex = fs.Bool("halfduplex", false, "with -confirmed: gateways cannot receive while transmitting ACKs")
 		captureDB  = fs.Float64("capture-db", sim.DefaultCaptureThresholdDB, "with -capture: power advantage in dB needed to capture (0 = strongest wins)")
-		parallel   = fs.Int("parallel", 0, "worker goroutines for gateway replay (0 = all CPUs); results are identical at any value")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -70,7 +69,7 @@ func run(args []string, out *os.File) error {
 		netw = &core.Network{Net: sc.Network(), Params: p, Seed: *seed}
 		var ok bool
 		if a, ok = sc.AllocationOf(); !ok {
-			if a, err = netw.Allocate(*allocator, alloc.Options{Parallelism: *parallel}); err != nil {
+			if a, err = netw.Allocate(*allocator, alloc.Options{}); err != nil {
 				return err
 			}
 		}
@@ -85,7 +84,7 @@ func run(args []string, out *os.File) error {
 		if err != nil {
 			return err
 		}
-		if a, err = netw.Allocate(*allocator, alloc.Options{Parallelism: *parallel}); err != nil {
+		if a, err = netw.Allocate(*allocator, alloc.Options{}); err != nil {
 			return err
 		}
 	}
@@ -97,7 +96,6 @@ func run(args []string, out *os.File) error {
 		Capture:            *capture,
 		Trace:              *traceFile != "",
 		CaptureThresholdDB: captureDB,
-		Parallelism:        *parallel,
 	}
 	if *confirmed {
 		cres, err := sim.RunConfirmed(netw.Net, netw.Params, a, sim.ConfirmedConfig{

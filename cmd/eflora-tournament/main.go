@@ -1,8 +1,7 @@
 // Command eflora-tournament runs every registered allocator strategy over
 // a scenario grid and reports fairness versus wall clock. Quality metrics
 // come from the analytical model, are averaged over trials, and are
-// bit-identical for a given seed at any -parallel value; wall clocks are
-// diagnostic.
+// bit-identical for a given seed; wall clocks are diagnostic.
 //
 // Usage:
 //
@@ -29,7 +28,7 @@ import (
 	"eflora/internal/exp"
 )
 
-// recording mirrors the eflora-bench / BENCH_parallel.json schema.
+// recording mirrors the eflora-bench / BENCH_sim.json schema.
 type recording struct {
 	Description string      `json:"description"`
 	Date        string      `json:"date"`
@@ -110,7 +109,6 @@ func run(args []string, out *os.File) error {
 		radius     = fs.Float64("radius", 5000, "deployment disc radius in meters")
 		trials     = fs.Int("trials", 3, "independent topologies averaged per cell")
 		seed       = fs.Uint64("seed", 1, "random seed")
-		parallel   = fs.Int("parallel", 0, "cell goroutines of the hier strategy (0 = all CPUs); the other strategies run sequentially; metrics identical at any value")
 		strategies = fs.String("strategies", "all", "comma-separated registry keys, or 'all'")
 		asJSON     = fs.Bool("json", false, "emit the full grid as JSON instead of text")
 		benchOut   = fs.String("bench-out", "", "also write wall clocks as an eflora-bench recording to this path")
@@ -123,13 +121,12 @@ func run(args []string, out *os.File) error {
 		return err
 	}
 	t, err := exp.RunTournament(exp.TournamentConfig{
-		Sizes:       sz,
-		Gateways:    *gateways,
-		RadiusM:     *radius,
-		Trials:      *trials,
-		Seed:        *seed,
-		Parallelism: *parallel,
-		Strategies:  parseStrategies(*strategies),
+		Sizes:      sz,
+		Gateways:   *gateways,
+		RadiusM:    *radius,
+		Trials:     *trials,
+		Seed:       *seed,
+		Strategies: parseStrategies(*strategies),
 	})
 	if err != nil {
 		return err

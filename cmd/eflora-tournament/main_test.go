@@ -30,7 +30,7 @@ func capture(t *testing.T, args []string) string {
 
 func TestTournamentText(t *testing.T) {
 	out := capture(t, []string{"-sizes", "20", "-gateways", "2", "-trials", "1",
-		"-strategies", "legacy,eflora", "-parallel", "1"})
+		"-strategies", "legacy,eflora"})
 	for _, want := range []string{"n=20 devices", "legacy", "eflora", "wall-clock"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
@@ -40,7 +40,7 @@ func TestTournamentText(t *testing.T) {
 
 func TestTournamentJSON(t *testing.T) {
 	out := capture(t, []string{"-sizes", "20", "-gateways", "2", "-trials", "1",
-		"-strategies", "legacy,eflora", "-parallel", "1", "-json"})
+		"-strategies", "legacy,eflora", "-json"})
 	var tour exp.Tournament
 	if err := json.Unmarshal([]byte(out), &tour); err != nil {
 		t.Fatalf("invalid JSON: %v\n%s", err, out)
@@ -53,7 +53,7 @@ func TestTournamentJSON(t *testing.T) {
 func TestTournamentBenchOut(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "BENCH_tournament.json")
 	capture(t, []string{"-sizes", "20", "-gateways", "2", "-trials", "1",
-		"-strategies", "legacy,eflora", "-parallel", "1", "-bench-out", path})
+		"-strategies", "legacy,eflora", "-bench-out", path})
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)

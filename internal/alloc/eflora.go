@@ -32,13 +32,6 @@ type Options struct {
 	// in a seeded random order instead (the ablation behind the paper's
 	// 10.3% execution-delay claim).
 	RandomOrder bool
-	// Parallelism bounds the fan-out of allocators that split the network
-	// into independent pieces: the registry hands it to the hierarchical
-	// allocator's cell goroutines (HierOptions.Parallelism). The flat
-	// greedy ignores it — its candidate scan is sequential, because the
-	// bottleneck-group pruning leaves too little work per device to
-	// share — so its allocation does not depend on it.
-	Parallelism int
 	// Starts caps the multi-start initial allocations the greedy refines:
 	// 0 runs all four, 1..4 keeps a prefix of [minimal-SF/max-power,
 	// balanced/max-power, balanced/min-power, RS-LoRa]. The hierarchical

@@ -67,7 +67,7 @@ func Strategies() []Strategy {
 			Aliases:     []string{"hierarchical"},
 			Description: "hierarchical: quadtree cells + exact greedy + seam reconcile",
 			New: func(opts Options) Allocator {
-				return NewHierarchical(HierOptions{Cell: opts, Parallelism: opts.Parallelism})
+				return NewHierarchical(HierOptions{Cell: opts})
 			},
 		},
 		{

@@ -49,7 +49,7 @@ func TestStrategiesAllocateSmall(t *testing.T) {
 	net := testNetwork(3, 1, 11)
 	p := model.DefaultParams()
 	for _, s := range Strategies() {
-		a, err := s.New(Options{Parallelism: 1}).Allocate(net, p, rng.New(12))
+		a, err := s.New(Options{}).Allocate(net, p, rng.New(12))
 		if err != nil {
 			t.Errorf("%s: %v", s.Key, err)
 			continue

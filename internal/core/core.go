@@ -131,8 +131,7 @@ func (n *Network) Evaluate(a model.Allocation) (*Evaluation, error) {
 
 // Simulate runs the packet-level simulator on an allocation with cfg
 // passed through unchanged: the schedule streams through time windows in
-// O(devices + window) memory, with results bit-identical at any
-// cfg.Parallelism.
+// O(devices + window) memory on the calling goroutine.
 func (n *Network) Simulate(a model.Allocation, cfg sim.Config) (*sim.Result, error) {
 	return sim.Run(n.Net, n.Params, a, cfg)
 }

@@ -36,11 +36,11 @@ type Config struct {
 	PacketsPerDevice int
 	// Seed drives deployment and simulation randomness.
 	Seed uint64
-	// Parallelism bounds the worker goroutines at each fan-out level —
-	// independent trials, figure data points and gateway replay inside the
-	// simulator (0 = GOMAXPROCS). Every trial derives its own RNG from a
-	// per-trial seed and partial results merge in trial order, so
-	// experiment output is bit-identical at any setting.
+	// Parallelism bounds the worker goroutines of the one fan-out level:
+	// every figure's flat list of (data point, method, trial) jobs
+	// (0 = GOMAXPROCS). Every trial derives its own RNG from a per-trial
+	// seed and partial results merge in trial order, so experiment output
+	// is bit-identical at any setting.
 	Parallelism int
 }
 
@@ -233,104 +233,23 @@ func experimentBattery() radio.Battery {
 	return radio.NewBatteryFromMilliampHours(2400, 3.3)
 }
 
-// runMethodTrials builds cfg.Trials topologies of the given size, applies
-// the method's allocator, simulates packet traffic and aggregates. It uses
-// the paper's 5 km deployment disc; runMethodTrialsR takes the radius
-// explicitly.
+// runMethodTrials builds cfg.Trials topologies of the given size on the
+// paper's 5 km deployment disc, applies the method's allocator, simulates
+// packet traffic and aggregates: a one-task trial grid.
 func runMethodTrials(cfg Config, devices, gateways int, params *model.Params, method string, opts alloc.Options) (trialStats, error) {
-	return runMethodTrialsR(cfg, devices, gateways, 5000, params, method, opts)
+	grid, err := runTrialGrid(cfg, []trialTask{{
+		devices: devices, gateways: gateways, radiusM: 5000,
+		params: params, method: method, opts: opts,
+	}})
+	if err != nil {
+		return trialStats{}, err
+	}
+	return grid[0], nil
 }
 
-// scratchPool recycles simulator arenas across trials: each in-flight
-// trial checks one out for its Simulate call, so a figure's hundreds of
-// trials share a handful of arenas (one per worker) instead of
-// re-allocating schedules, fading matrices and result slices per trial.
-var scratchPool = sync.Pool{New: func() any { return new(sim.Scratch) }}
-
-func runMethodTrialsR(cfg Config, devices, gateways int, radiusM float64, params *model.Params, method string, opts alloc.Options) (trialStats, error) {
-	ts := trialStats{Method: method}
-	p := cfg.params(params)
-	// Trials are independent by construction — each derives deployment,
-	// allocation and simulation RNGs from its own seed — so they fan out
-	// across workers; per-trial results land in trial-indexed slots and
-	// merge below in trial order, keeping every float accumulation in the
-	// exact order of a sequential run.
-	type trialOut struct {
-		ee                    []float64
-		min, mean, jain, life float64
-	}
-	outs := make([]trialOut, cfg.Trials)
-	errs := make([]error, cfg.Trials)
-	par.For(cfg.Parallelism, cfg.Trials, func(trial int) {
-		seed := cfg.Seed + uint64(trial)*1000003
-		netw, err := core.Build(core.Scenario{
-			Devices:  devices,
-			Gateways: gateways,
-			RadiusM:  radiusM,
-			Seed:     seed,
-			Params:   &p,
-		})
-		if err != nil {
-			errs[trial] = err
-			return
-		}
-		al, err := core.AllocatorByName(method, opts, netw.Params.Plan.MaxTxPowerDBm)
-		if err != nil {
-			errs[trial] = err
-			return
-		}
-		a, err := al.Allocate(netw.Net, netw.Params, rng.New(seed+7))
-		if err != nil {
-			errs[trial] = err
-			return
-		}
-		sc := scratchPool.Get().(*sim.Scratch)
-		defer scratchPool.Put(sc)
-		res, err := netw.Simulate(a, sim.Config{
-			PacketsPerDevice: cfg.PacketsPerDevice,
-			Seed:             seed + 13,
-			Parallelism:      cfg.Parallelism,
-			Scratch:          sc,
-		})
-		if err != nil {
-			errs[trial] = err
-			return
-		}
-		lt, err := lifetime.Compute(res.RetxAvgPowerW, experimentBattery(), lifetime.DefaultDeadFraction)
-		if err != nil {
-			errs[trial] = err
-			return
-		}
-		outs[trial] = trialOut{
-			// res aliases the pooled scratch; copy what outlives this trial.
-			ee:   append([]float64(nil), res.EE...),
-			min:  stats.Percentile(res.EE, 0.02),
-			mean: stats.Mean(res.EE),
-			jain: stats.JainIndex(res.EE),
-			life: lt.NetworkS,
-		}
-	})
-	if err := par.FirstErr(errs); err != nil {
-		return ts, err
-	}
-	var sumMin, sumMean, sumLife, sumJain float64
-	for _, o := range outs {
-		ts.AllEE = append(ts.AllEE, o.ee...)
-		sumMin += o.min
-		sumMean += o.mean
-		sumJain += o.jain
-		sumLife += o.life
-	}
-	tf := float64(cfg.Trials)
-	ts.MinEE = sumMin / tf
-	ts.MeanEE = sumMean / tf
-	ts.LifetimeS = sumLife / tf
-	ts.Jain = sumJain / tf
-	return ts, nil
-}
-
-// trialTask names one runMethodTrialsR invocation inside a figure's grid
-// of independent data points.
+// trialTask names one data point and method of a figure: cfg.Trials
+// independent topologies of the given size, allocated by the method and
+// simulated.
 type trialTask struct {
 	devices, gateways int
 	radiusM           float64
@@ -339,21 +258,101 @@ type trialTask struct {
 	opts              alloc.Options
 }
 
-// runTrialGrid evaluates a figure's (data point x method) grid, fanning
-// the independent tasks out across cfg.Parallelism workers, and returns
-// the results in task order. Errors surface lowest-index first, matching
-// what a sequential loop over the same tasks would have returned.
+// trialOut is one trial's contribution to its task's trialStats.
+type trialOut struct {
+	ee                    []float64
+	min, mean, jain, life float64
+}
+
+// scratchPool recycles simulator arenas across trials: each in-flight
+// trial checks one out for its Simulate call, so a figure's hundreds of
+// trials share a handful of arenas (one per worker) instead of
+// re-allocating schedules, fading matrices and result slices per trial.
+var scratchPool = sync.Pool{New: func() any { return new(sim.Scratch) }}
+
+// runTrialGrid evaluates a figure's (data point x method) tasks and
+// returns their statistics in task order. Every (task, trial) pair is an
+// independent job — each derives its deployment, allocation and
+// simulation RNGs from its own seed — so the whole grid fans out once,
+// across cfg.Parallelism workers, and nothing under a job fans out again.
+// Each job writes its own slot; each task then folds its slots in trial
+// order, keeping every float accumulation in the order of a sequential
+// run. Errors surface lowest index first, matching what a sequential loop
+// over the same jobs would have returned.
 func runTrialGrid(cfg Config, tasks []trialTask) ([]trialStats, error) {
-	out := make([]trialStats, len(tasks))
-	errs := make([]error, len(tasks))
-	par.For(cfg.Parallelism, len(tasks), func(i int) {
-		t := tasks[i]
-		out[i], errs[i] = runMethodTrialsR(cfg, t.devices, t.gateways, t.radiusM, t.params, t.method, t.opts)
+	outs := make([]trialOut, len(tasks)*cfg.Trials)
+	errs := make([]error, len(outs))
+	par.For(cfg.Parallelism, len(outs), func(j int) {
+		outs[j], errs[j] = runTrial(cfg, tasks[j/cfg.Trials], j%cfg.Trials)
 	})
 	if err := par.FirstErr(errs); err != nil {
 		return nil, err
 	}
-	return out, nil
+	grid := make([]trialStats, len(tasks))
+	tf := float64(cfg.Trials)
+	for i, t := range tasks {
+		ts := trialStats{Method: t.method}
+		var sumMin, sumMean, sumLife, sumJain float64
+		for _, o := range outs[i*cfg.Trials : (i+1)*cfg.Trials] {
+			ts.AllEE = append(ts.AllEE, o.ee...)
+			sumMin += o.min
+			sumMean += o.mean
+			sumJain += o.jain
+			sumLife += o.life
+		}
+		ts.MinEE = sumMin / tf
+		ts.MeanEE = sumMean / tf
+		ts.LifetimeS = sumLife / tf
+		ts.Jain = sumJain / tf
+		grid[i] = ts
+	}
+	return grid, nil
+}
+
+// runTrial builds, allocates and simulates one trial of a task.
+func runTrial(cfg Config, t trialTask, trial int) (trialOut, error) {
+	p := cfg.params(t.params)
+	seed := cfg.Seed + uint64(trial)*1000003
+	netw, err := core.Build(core.Scenario{
+		Devices:  t.devices,
+		Gateways: t.gateways,
+		RadiusM:  t.radiusM,
+		Seed:     seed,
+		Params:   &p,
+	})
+	if err != nil {
+		return trialOut{}, err
+	}
+	al, err := core.AllocatorByName(t.method, t.opts, netw.Params.Plan.MaxTxPowerDBm)
+	if err != nil {
+		return trialOut{}, err
+	}
+	a, err := al.Allocate(netw.Net, netw.Params, rng.New(seed+7))
+	if err != nil {
+		return trialOut{}, err
+	}
+	sc := scratchPool.Get().(*sim.Scratch)
+	defer scratchPool.Put(sc)
+	res, err := netw.Simulate(a, sim.Config{
+		PacketsPerDevice: cfg.PacketsPerDevice,
+		Seed:             seed + 13,
+		Scratch:          sc,
+	})
+	if err != nil {
+		return trialOut{}, err
+	}
+	lt, err := lifetime.Compute(res.RetxAvgPowerW, experimentBattery(), lifetime.DefaultDeadFraction)
+	if err != nil {
+		return trialOut{}, err
+	}
+	return trialOut{
+		// res aliases the pooled scratch; copy what outlives this trial.
+		ee:   append([]float64(nil), res.EE...),
+		min:  stats.Percentile(res.EE, 0.02),
+		mean: stats.Mean(res.EE),
+		jain: stats.JainIndex(res.EE),
+		life: lt.NetworkS,
+	}, nil
 }
 
 // methodTasks builds one task per evaluation method for a deployment on

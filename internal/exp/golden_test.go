@@ -15,7 +15,8 @@ var update = flag.Bool("update", false, "rewrite golden files")
 // rendered text and every headline value, floats at bit precision — to
 // digests in testdata/. A hot-path refactor that changes results (not
 // just speed) anywhere in the build → allocate → simulate → aggregate
-// pipeline fails here, at Parallelism 1 and 0 alike.
+// pipeline fails here, at Parallelism 1 and 0 alike (the figure's job
+// grid run in order and fanned out).
 func TestGoldenExperiments(t *testing.T) {
 	cfg := Config{Scale: 0.02, Trials: 2, PacketsPerDevice: 10, Seed: 3}
 	var out strings.Builder

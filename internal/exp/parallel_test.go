@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"strings"
 	"testing"
 )
 
@@ -37,6 +38,28 @@ func TestExperimentBitIdenticalAcrossParallelism(t *testing.T) {
 		}
 		if seq.Text != par.Text {
 			t.Errorf("%s: rendered text diverged between parallelism settings", id)
+		}
+	}
+}
+
+// TestTrialGridReturnsLowestTaskError fails two tasks of a flat grid —
+// unknown methods at indexes 1 and 3, each failing in every trial — and
+// requires the error a sequential loop would have met first, task 1's,
+// whether the jobs run in order or fan out.
+func TestTrialGridReturnsLowestTaskError(t *testing.T) {
+	ok := methodTasks(12, 1, nil)
+	bad := func(method string) trialTask {
+		return trialTask{devices: 12, gateways: 1, radiusM: 5000, method: method}
+	}
+	tasks := []trialTask{ok[0], bad("no-such-method-1"), ok[1], bad("no-such-method-3"), ok[2]}
+	for _, workers := range []int{1, 0} {
+		cfg := Config{Trials: 3, PacketsPerDevice: 5, Seed: 2, Parallelism: workers}.withDefaults()
+		grid, err := runTrialGrid(cfg, tasks)
+		if err == nil || grid != nil {
+			t.Fatalf("parallelism=%d: grid=%v err=%v, want task 1's error", workers, grid, err)
+		}
+		if !strings.Contains(err.Error(), "no-such-method-1") {
+			t.Errorf("parallelism=%d: error %q is not task 1's", workers, err)
 		}
 	}
 }

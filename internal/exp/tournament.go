@@ -32,10 +32,6 @@ type TournamentConfig struct {
 	// Seed drives deployment placement and allocator randomness; all
 	// strategies see identical deployments per (size, trial).
 	Seed uint64
-	// Parallelism is handed to each allocator's Options (0 = GOMAXPROCS); of
-	// the registered strategies only hier fans out, over its cells.
-	// Metrics are bit-identical at any value; wall-clock obviously not.
-	Parallelism int
 	// Strategies selects registry keys or aliases (empty = every
 	// registered strategy).
 	Strategies []string
@@ -125,7 +121,7 @@ func RunTournament(cfg TournamentConfig) (*Tournament, error) {
 				if cells[si].Skipped {
 					continue
 				}
-				al := s.New(alloc.Options{Parallelism: cfg.Parallelism})
+				al := s.New(alloc.Options{})
 				//eflora:nondeterminism-ok wall-clock diagnostic; quality metrics below are seed-deterministic
 				start := time.Now()
 				a, err := al.Allocate(netw.Net, netw.Params, rng.New(seed+7))

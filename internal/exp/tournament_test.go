@@ -10,12 +10,11 @@ var fastStrategies = []string{"legacy", "rslora", "eflora", "hier"}
 
 func TestTournamentGridShape(t *testing.T) {
 	tour, err := RunTournament(TournamentConfig{
-		Sizes:       []int{20, 40},
-		Gateways:    2,
-		Trials:      2,
-		Seed:        3,
-		Parallelism: 1,
-		Strategies:  fastStrategies,
+		Sizes:      []int{20, 40},
+		Gateways:   2,
+		Trials:     2,
+		Seed:       3,
+		Strategies: fastStrategies,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -44,7 +43,8 @@ func TestTournamentGridShape(t *testing.T) {
 }
 
 // TestTournamentMetricsDeterministic pins the harness's core promise: the
-// quality columns are bit-identical across runs (wall clocks are not).
+// quality columns are bit-identical across two runs of the same
+// configuration (wall clocks are not).
 func TestTournamentMetricsDeterministic(t *testing.T) {
 	cfg := TournamentConfig{
 		Sizes:      []int{30},
@@ -57,7 +57,6 @@ func TestTournamentMetricsDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Parallelism = 1
 	b, err := RunTournament(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -68,7 +67,7 @@ func TestTournamentMetricsDeterministic(t *testing.T) {
 			t.Fatalf("cell %d order diverged: %s/%d vs %s/%d", i, ca.Strategy, ca.Devices, cb.Strategy, cb.Devices)
 		}
 		if ca.MinEE != cb.MinEE || ca.MeanEE != cb.MeanEE || ca.Jain != cb.Jain {
-			t.Errorf("%s/n=%d metrics diverged across parallelism: (%v,%v,%v) vs (%v,%v,%v)",
+			t.Errorf("%s/n=%d metrics diverged between runs: (%v,%v,%v) vs (%v,%v,%v)",
 				ca.Strategy, ca.Devices, ca.MinEE, ca.MeanEE, ca.Jain, cb.MinEE, cb.MeanEE, cb.Jain)
 		}
 	}

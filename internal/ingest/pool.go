@@ -2,12 +2,12 @@ package ingest
 
 import (
 	"math"
-	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"eflora/internal/netserver"
+	"eflora/internal/stats"
 )
 
 // PoolConfig sizes a sharded ingest pool.
@@ -58,7 +58,10 @@ type shard struct {
 	srv   *netserver.Server
 	inbox chan queued
 	depth atomic.Int64
-	hist  latencyHist
+	// hist is the enqueue-to-handled latency of the shard's uplinks,
+	// written by its worker and read by LatencyQuantile under histMu.
+	histMu sync.Mutex
+	hist   stats.LatencyHistogram
 	// maxSeenS is the newest uplink timestamp the shard has processed —
 	// the replay clock for virtual-time flushing (math.Float64bits).
 	maxSeenS atomic.Uint64
@@ -121,7 +124,10 @@ func (p *Pool) work(sh *shard) {
 		if ts := q.up.ReceivedAtS; ts > floatFromBits(sh.maxSeenS.Load()) {
 			sh.maxSeenS.Store(floatToBits(ts))
 		}
-		sh.hist.observe(time.Since(q.enq))
+		lat := time.Since(q.enq)
+		sh.histMu.Lock()
+		sh.hist.Observe(lat)
+		sh.histMu.Unlock()
 		sh.depth.Add(-1)
 		p.inflight.Add(-1)
 	}
@@ -226,62 +232,19 @@ func (p *Pool) Shard(k int) *netserver.Server { return p.shards[k].srv }
 // Shards returns the shard count.
 func (p *Pool) Shards() int { return len(p.shards) }
 
-// LatencyQuantile reports the q-quantile (0 < q <= 1) of ingest latency —
-// enqueue to handled — across all shards. ok is false before any uplink
-// has been processed.
+// LatencyQuantile reports the nearest-rank q-quantile (0 < q <= 1) of
+// ingest latency — enqueue to handled — across all shards, as the upper
+// bound of its power-of-two bucket (stats.LatencyHistogram). ok is false
+// before any uplink has been processed. It is safe to call while the
+// workers run.
 func (p *Pool) LatencyQuantile(q float64) (time.Duration, bool) {
-	var merged latencyHist
+	var merged stats.LatencyHistogram
 	for _, sh := range p.shards {
-		merged.merge(&sh.hist)
+		sh.histMu.Lock()
+		merged.Add(&sh.hist)
+		sh.histMu.Unlock()
 	}
-	return merged.quantile(q)
-}
-
-// latencyHist is a lock-free power-of-two-bucketed latency histogram:
-// bucket i counts observations with nanoseconds in [2^(i-1), 2^i).
-type latencyHist struct {
-	buckets [40]atomic.Uint64
-}
-
-func (h *latencyHist) observe(d time.Duration) {
-	ns := d.Nanoseconds()
-	if ns < 0 {
-		ns = 0
-	}
-	i := bits.Len64(uint64(ns))
-	if i >= len(h.buckets) {
-		i = len(h.buckets) - 1
-	}
-	h.buckets[i].Add(1)
-}
-
-func (h *latencyHist) merge(other *latencyHist) {
-	for i := range h.buckets {
-		h.buckets[i].Add(other.buckets[i].Load())
-	}
-}
-
-// quantile returns the upper bound of the bucket holding the q-quantile.
-func (h *latencyHist) quantile(q float64) (time.Duration, bool) {
-	var total uint64
-	for i := range h.buckets {
-		total += h.buckets[i].Load()
-	}
-	if total == 0 {
-		return 0, false
-	}
-	rank := uint64(q * float64(total))
-	if rank >= total {
-		rank = total - 1
-	}
-	var cum uint64
-	for i := range h.buckets {
-		cum += h.buckets[i].Load()
-		if cum > rank {
-			return time.Duration(uint64(1) << uint(i)), true
-		}
-	}
-	return time.Duration(uint64(1) << uint(len(h.buckets)-1)), true
+	return merged.Quantile(q)
 }
 
 // Non-negative IEEE 754 floats order like their bit patterns, so the

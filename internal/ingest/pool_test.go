@@ -73,6 +73,44 @@ func TestPoolRoutesAndAggregates(t *testing.T) {
 	}
 }
 
+// TestPoolLatencyQuantileWhileWorking reads the latency quantiles on a
+// second goroutine while the shard workers record into their histograms —
+// the daemon's /metrics handler against live ingest. Under -race any
+// unsynchronized histogram access fails it.
+func TestPoolLatencyQuantileWhileWorking(t *testing.T) {
+	devs := ProvisionDevices(16)
+	p := NewPool(devs, PoolConfig{Shards: 4})
+	p.Start()
+	defer p.Close()
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if q, ok := p.LatencyQuantile(0.5); ok && q <= 0 {
+				t.Errorf("p50 latency = %v", q)
+				return
+			}
+		}
+	}()
+	for fcnt := uint32(1); fcnt <= 20; fcnt++ {
+		for _, d := range devs {
+			p.Dispatch(netserver.Uplink{ReceivedAtS: float64(fcnt), PHYPayload: encodeFrame(t, d, fcnt, nil)})
+		}
+	}
+	p.Drain()
+	close(stop)
+	<-done
+	if _, ok := p.LatencyQuantile(0.99); !ok {
+		t.Error("no latency recorded after 320 uplinks")
+	}
+}
+
 func TestPoolVirtualClockFlush(t *testing.T) {
 	devs := ProvisionDevices(4)
 	p := NewPool(devs, PoolConfig{Shards: 2})

@@ -34,8 +34,6 @@ type ReplayConfig struct {
 	// after a newer one was accepted — the replay-rejection path
 	// (default 0.03).
 	StaleReplayProb float64
-	// Parallelism is passed through to the simulator.
-	Parallelism int
 	// DriftDevices injects link drift: the first DriftDevices devices
 	// report SNRs DriftSNRdB below their true link budget, so the online
 	// re-allocator sees them as drifting. Only the reported metadata is
@@ -158,7 +156,6 @@ func BuildReplay(net *model.Network, p model.Params, a model.Allocation, cfg Rep
 		PacketsPerDevice: cfg.Packets,
 		Seed:             cfg.Seed,
 		Trace:            true,
-		Parallelism:      cfg.Parallelism,
 	})
 	if err != nil {
 		return nil, err

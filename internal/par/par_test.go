@@ -62,69 +62,20 @@ func TestForEmptyAndNegative(t *testing.T) {
 	}
 }
 
-// TestTeamRunsEveryIndexOncePerRun reuses one team across many fan-outs,
-// the way the simulator runs one per schedule window.
-func TestTeamRunsEveryIndexOncePerRun(t *testing.T) {
-	for _, workers := range []int{1, 2, 3, 8} {
-		const n, runs = 5, 200
-		counts := make([]int32, n)
-		team := Start(workers, n, func(i int) {
-			atomic.AddInt32(&counts[i], 1)
-		})
-		for r := 1; r <= runs; r++ {
-			team.Run()
-			// Run is a barrier: every index of this run has completed.
-			for i := range counts {
-				if c := atomic.LoadInt32(&counts[i]); c != int32(r) {
-					t.Fatalf("workers=%d run %d: index %d ran %d times", workers, r, i, c)
-				}
-			}
-		}
-		team.Stop()
-	}
-}
-
-// TestTeamStopWaitsForWorkers shows, under -race, that Stop returns only
-// after every worker goroutine has exited: each worker writes its own slot
-// as it exits, and the test reads the slots after Stop with no other
-// synchronization — a Stop that returned early would be a data race (and
+// TestForIsABarrier shows, under -race, that For returns only after every
+// call has completed: fn writes plain, non-atomic slots and the caller
+// reads them after For with no other synchronization, so a For that
+// returned early — or a helper still running — would be a data race (and
 // would leave slots unset).
-func TestTeamStopWaitsForWorkers(t *testing.T) {
-	const workers = 4
-	for trial := 0; trial < 50; trial++ {
-		exited := make([]bool, workers-1)
-		var ran atomic.Int64
-		team := start(workers, 16, func(int) { ran.Add(1) }, func(w int) { exited[w] = true })
-		team.Run()
-		team.Run()
-		team.Stop()
-		for w, ok := range exited {
-			if !ok {
-				t.Fatalf("trial %d: Stop returned before worker %d exited", trial, w)
-			}
-		}
-		if got := ran.Load(); got != 32 {
-			t.Fatalf("trial %d: %d calls, want 32", trial, got)
-		}
-	}
-}
-
-// TestTeamStartsNoGoroutinesInline pins the sequential degenerate case:
-// one worker (or one index) starts nothing, and Stop is a no-op.
-func TestTeamStartsNoGoroutinesInline(t *testing.T) {
-	for _, c := range []struct{ workers, n int }{{1, 10}, {8, 1}, {8, 0}} {
-		var order []int
-		team := start(c.workers, c.n, func(i int) { order = append(order, i) }, func(int) {
-			t.Errorf("workers=%d n=%d: a worker goroutine was started", c.workers, c.n)
-		})
-		team.Run()
-		team.Stop()
-		if len(order) != c.n {
-			t.Fatalf("workers=%d n=%d: ran %v", c.workers, c.n, order)
-		}
-		for i, v := range order {
-			if v != i {
-				t.Fatalf("workers=%d n=%d: inline order = %v", c.workers, c.n, order)
+func TestForIsABarrier(t *testing.T) {
+	for _, workers := range []int{1, 2, 8} {
+		for n := 0; n <= 100; n++ {
+			slots := make([]int, n)
+			For(workers, n, func(i int) { slots[i] = i + 1 })
+			for i, v := range slots {
+				if v != i+1 {
+					t.Fatalf("workers=%d n=%d: slot %d = %d after For returned", workers, n, i, v)
+				}
 			}
 		}
 	}

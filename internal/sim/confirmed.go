@@ -279,11 +279,12 @@ func (c *confirmedRun) handleEnd(t int32) {
 }
 
 // RunConfirmed simulates confirmed uplink traffic with retransmissions.
-// Unlike Run, the event loop is inherently sequential — every delivery
-// outcome feeds back into the future schedule through retransmission
-// timing — so Config.Parallelism is ignored here. Reception physics lives
-// in the shared engine.Gateway (one per gateway, half-duplex mode); this
-// loop owns the schedule, the retransmission policy and the ACK windows.
+// Unlike Run, it cannot stream the schedule window by window: every
+// delivery outcome feeds back into the future schedule through
+// retransmission timing, so it runs one scalar event loop. Reception
+// physics lives in the shared engine.Gateway (one per gateway,
+// half-duplex mode); this loop owns the schedule, the retransmission
+// policy and the ACK windows.
 //
 // Config.Trace is honoured: one record per transmission attempt, appended
 // in completion order (sort by StartS to recover schedule order). With a

@@ -67,8 +67,7 @@ func resultDigest(res *Result) string {
 }
 
 // goldenVariant is one pinned simulator input: a deployment, its
-// parameters and allocation, and the run configuration (Parallelism is
-// set by the caller).
+// parameters and allocation, and the run configuration.
 type goldenVariant struct {
 	name string
 	net  *model.Network
@@ -133,27 +132,16 @@ func goldenVariants() []goldenVariant {
 
 // TestGoldenDeterminism pins the simulator's full output — every
 // per-device statistic, counter and trace record — to digests checked
-// into testdata/. It proves two properties at once: results are
-// bit-identical at Parallelism 1 and 0 (all CPUs), and hot-path
-// refactors cannot change outputs without failing this test.
+// into testdata/, so hot-path refactors cannot change outputs without
+// failing this test.
 func TestGoldenDeterminism(t *testing.T) {
 	var out strings.Builder
 	for _, v := range goldenVariants() {
-		var digests []string
-		for _, par := range []int{1, 0} {
-			cfg := v.cfg
-			cfg.Parallelism = par
-			res, err := Run(v.net, v.p, v.a, cfg)
-			if err != nil {
-				t.Fatalf("%s parallelism=%d: %v", v.name, par, err)
-			}
-			digests = append(digests, resultDigest(res))
+		res, err := Run(v.net, v.p, v.a, v.cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", v.name, err)
 		}
-		if digests[0] != digests[1] {
-			t.Errorf("%s: Parallelism=1 digest %s != Parallelism=0 digest %s",
-				v.name, digests[0], digests[1])
-		}
-		fmt.Fprintf(&out, "%s %s\n", v.name, digests[0])
+		fmt.Fprintf(&out, "%s %s\n", v.name, resultDigest(res))
 	}
 	golden.Check(t, "testdata/golden_determinism.txt", out.String(), *update)
 }

@@ -17,9 +17,9 @@ import (
 // Ownership contract: the *Result (or *ConfirmedResult) returned by a
 // run with a Scratch aliases the scratch's buffers. It is valid until
 // the next run with the same scratch; callers that keep per-device
-// slices across runs must copy them first. A Scratch serves one run at a
-// time (gateway replay inside that run still fans out across cores);
-// concurrent trials need one Scratch each, e.g. from a sync.Pool.
+// slices across runs must copy them first. A run is single-threaded and a
+// Scratch serves one run at a time; concurrent trials need one Scratch
+// each, e.g. from a sync.Pool.
 type Scratch struct {
 	// Per-device schedule columns.
 	toa, tpMW, interval, slack []float64
@@ -34,19 +34,20 @@ type Scratch struct {
 	// The current window: the device scan's entries, the same entries in
 	// (start, device) order with their bucket offsets, the columnar
 	// window the batch kernel consumes, its flattened fading (entry t,
-	// gateway k at fading[t*g+k]) and the gateways' cut.
+	// gateway k at fading[t*g+k]), and one gateway's received-power
+	// column and verdicts, reused gateway by gateway.
 	scan, order []txEntry
 	bucketEnd   []int32
 	win         engine.Window
 	fading      []float64
-	cut         float64
+	rxMW        []float64
+	done        []engine.Done
 
 	// Transmissions whose cross-gateway verdict is still open.
 	pend []pendTx
 
-	// Per-gateway receiver state, one slot per gateway; each slot is
-	// owned by whichever goroutine replays that gateway.
-	replays []gwReplay
+	// Per-gateway receiver state, carried across windows.
+	gws []engine.Gateway
 
 	// Backing arrays for the optional Result fields, kept here because
 	// Run nils the Result fields out when the options are off.

@@ -16,13 +16,14 @@
 //
 // Run streams the transmission schedule through time windows: a scan of
 // the devices emits each window's transmissions, a linear-time bucket
-// pass puts them in (start, device) order, and every gateway replays the
-// window against its own receiver state while in-flight receptions carry
-// over to the next one. Resident schedule memory is O(devices + window)
-// whatever the run length. All randomness is drawn on the calling
-// goroutine in schedule order, each gateway writes only its own buffers,
-// and verdicts merge in gateway order, so Run produces bit-identical
-// results at any Parallelism setting and any window length.
+// pass puts them in (start, device) order, and the gateways replay the
+// window in ascending order, each against its own receiver state, while
+// in-flight receptions carry over to the next one. Resident schedule
+// memory is O(devices + window) whatever the run length. A run is
+// single-threaded — the figures fan out over whole runs instead (package
+// exp) — and draws all randomness in schedule order and merges verdicts
+// in gateway order, so it produces bit-identical results at any window
+// length.
 //
 // The reception physics itself — lock, overlap/capture, capacity,
 // half-duplex blocking, the SNR decision — lives in the shared
@@ -63,10 +64,6 @@ type Config struct {
 	// means the 6 dB default; point it at 0 for a pure strongest-wins
 	// rule (any power advantage captures).
 	CaptureThresholdDB *float64
-	// Parallelism bounds the gateway-replay goroutines (0 = GOMAXPROCS).
-	// Results are bit-identical at any value; it only trades wall-clock
-	// time for cores.
-	Parallelism int
 	// Scratch, when non-nil, supplies the reusable buffer arena for this
 	// run, making repeated runs (the trials behind every figure)
 	// allocation-free. See Scratch for the aliasing contract. nil keeps

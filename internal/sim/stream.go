@@ -4,10 +4,8 @@ import (
 	"math"
 	"slices"
 
-	"eflora/internal/engine"
 	"eflora/internal/lora"
 	"eflora/internal/model"
-	"eflora/internal/par"
 	"eflora/internal/rng"
 	"eflora/internal/slab"
 )
@@ -48,14 +46,6 @@ type pendTx struct {
 	end       float64
 	outcome   Outcome
 	delivered bool
-}
-
-// gwReplay is one gateway's share of a run: its receiver state machine
-// plus the received-power column and verdict list of the current window.
-type gwReplay struct {
-	eng  engine.Gateway
-	rxMW []float64
-	done []engine.Done
 }
 
 // windowFactor scales the harmonic-mean reporting interval into the
@@ -165,30 +155,14 @@ func run(net *model.Network, p model.Params, a model.Allocation, cfg Config, win
 		}
 		sc.trace = slices.Grow(sc.trace[:0], total)
 	}
-	replays := slab.Grow(sc.replays, g)
-	sc.replays = replays
-	for k := range replays {
-		replays[k].eng.Reset(engCfg)
+	gws := slab.Grow(sc.gws, g)
+	sc.gws = gws
+	for k := range gws {
+		gws[k].Reset(engCfg)
 	}
 
 	r := rng.New(cfg.Seed)
 	left := startSchedule(sc, r)
-	// Each gateway consumes the current window against its persistent
-	// engine state (the cross-window carry-over) and reports verdicts into
-	// its private list. The batch kernel emits the failure verdicts
-	// (NoSignal, Capacity) itself, so the list is the one Done stream.
-	gateway := func(k int) {
-		rp := &replays[k]
-		w := &sc.win
-		wn := w.Len()
-		rx := slab.Grow(rp.rxMW, wn)
-		rp.rxMW = rx
-		for t := 0; t < wn; t++ {
-			rx[t] = w.TpMW[t] * gains[w.Dev[t]][k] * sc.fading[t*g+k]
-		}
-		rp.done = rp.eng.Batch(w, rx, sc.cut, rp.done[:0])
-	}
-	team := par.Start(cfg.Parallelism, g, gateway)
 	pend := sc.pend[:0]
 	pendBase := 0
 	for j := 1; ; j++ {
@@ -199,30 +173,39 @@ func run(net *model.Network, p model.Params, a model.Allocation, cfg Config, win
 			cut = math.Inf(1)
 		}
 		left = sc.nextWindow(a, pendBase+len(pend), cut, left)
-		sc.cut = cut
 		// Fading in window order — schedule order — flattened (t*g+k):
 		// one bulk draw per window.
-		wn := sc.win.Len()
+		w := &sc.win
+		wn := w.Len()
 		sc.fading = slab.Grow(sc.fading, wn*g)
 		r.RayleighPowerGains(sc.fading)
 		for t := 0; t < wn; t++ {
 			pend = append(pend, pendTx{
-				dev: int(sc.win.Dev[t]), outGw: -1,
-				start: sc.win.StartS[t], end: sc.win.EndS[t],
+				dev: int(w.Dev[t]), outGw: -1,
+				start: w.StartS[t], end: w.EndS[t],
 			})
 		}
-		team.Run()
-		// Merge the gateways' verdicts in ascending gateway order: a
-		// delivery anywhere delivers, the most informative outcome wins
-		// and the lowest delivering gateway is the one recorded.
-		for k := 0; k < g; k++ {
-			rp := &replays[k]
-			for _, d := range rp.done {
+		// The gateways replay the window in ascending order, each against
+		// its persistent engine state (the cross-window carry-over), and
+		// each gateway's verdicts merge into the ring before the next
+		// replays: a delivery anywhere delivers, the most informative
+		// outcome wins and the lowest delivering gateway is the one
+		// recorded. The batch kernel emits the failure verdicts
+		// (NoSignal, Capacity) itself, so its list is the one Done stream.
+		rx := slab.Grow(sc.rxMW, wn)
+		sc.rxMW = rx
+		for k := range gws {
+			eng := &gws[k]
+			for t := 0; t < wn; t++ {
+				rx[t] = w.TpMW[t] * gains[w.Dev[t]][k] * sc.fading[t*g+k]
+			}
+			sc.done = eng.Batch(w, rx, cut, sc.done[:0])
+			for _, d := range sc.done {
 				pt := &pend[d.Tok-pendBase]
 				if d.Outcome == OutcomeDelivered {
 					pt.delivered = true
 					if res.MaxSNRdB != nil {
-						if snr := rp.eng.SNRdB(d.RxMW); snr > res.MaxSNRdB[pt.dev] {
+						if snr := eng.SNRdB(d.RxMW); snr > res.MaxSNRdB[pt.dev] {
 							res.MaxSNRdB[pt.dev] = snr
 						}
 					}
@@ -258,11 +241,10 @@ func run(net *model.Network, p model.Params, a model.Allocation, cfg Config, win
 			break
 		}
 	}
-	team.Stop()
 	sc.pend = pend
 
-	for k := 0; k < g; k++ {
-		c := replays[k].eng.Counters
+	for k := range gws {
+		c := gws[k].Counters
 		res.CollisionLosses += c.CollisionLosses
 		res.CapacityDrops += c.CapacityDrops
 		res.SensitivityMisses += c.SensitivityMisses

@@ -45,25 +45,20 @@ func goldenDigests(t *testing.T) map[string]string {
 // variant — both collision rules, coinciding starts, per-device intervals
 // — must reproduce its pinned digest (every per-device statistic,
 // counter, trace record and SNR measurement) at windows below and above
-// the longest time-on-air, at 60 s and at the derived default, at any
-// parallelism. The digests were recorded from the materialized
-// whole-schedule simulator this streaming driver replaced.
+// the longest time-on-air, at 60 s and at the derived default. The
+// digests were recorded from the materialized whole-schedule simulator
+// this streaming driver replaced.
 func TestStreamingMatchesBatch(t *testing.T) {
 	want := goldenDigests(t)
 	for _, v := range goldenVariants() {
 		maxToA := streamMaxToA(v.p, v.a)
 		for _, win := range []float64{0.5 * maxToA, 3 * maxToA, 60, 0} {
-			for _, par := range []int{1, 0} {
-				cfg := v.cfg
-				cfg.Parallelism = par
-				res, err := run(v.net, v.p, v.a, cfg.withDefaults(), win)
-				if err != nil {
-					t.Fatalf("%s window=%g parallelism=%d: %v", v.name, win, par, err)
-				}
-				if got := resultDigest(res); got != want[v.name] {
-					t.Errorf("%s window=%g parallelism=%d: digest %s != golden %s",
-						v.name, win, par, got, want[v.name])
-				}
+			res, err := run(v.net, v.p, v.a, v.cfg.withDefaults(), win)
+			if err != nil {
+				t.Fatalf("%s window=%g: %v", v.name, win, err)
+			}
+			if got := resultDigest(res); got != want[v.name] {
+				t.Errorf("%s window=%g: digest %s != golden %s", v.name, win, got, want[v.name])
 			}
 		}
 	}
@@ -76,7 +71,7 @@ func TestStreamingWindowMemory(t *testing.T) {
 	net, p, a := goldenNetwork(120, 4)
 	for _, win := range []float64{0.5 * streamMaxToA(p, a), 0} {
 		sc := &Scratch{}
-		cfg := Config{PacketsPerDevice: 12, Seed: 7, Parallelism: 1, Scratch: sc}.withDefaults()
+		cfg := Config{PacketsPerDevice: 12, Seed: 7, Scratch: sc}.withDefaults()
 		if _, err := run(net, p, a, cfg, win); err != nil {
 			t.Fatal(err)
 		}
@@ -98,7 +93,7 @@ func TestStreamingScratchReuseIsStable(t *testing.T) {
 	net, p, a := goldenNetwork(60, 2)
 	sc := &Scratch{}
 	cfg := Config{PacketsPerDevice: 8, Seed: 3, Trace: true, MeasureSNR: true,
-		Parallelism: 1, Scratch: sc}.withDefaults()
+		Scratch: sc}.withDefaults()
 	first, err := run(net, p, a, cfg, 45)
 	if err != nil {
 		t.Fatal(err)
@@ -122,7 +117,7 @@ func TestStreamingScratchReuseIsStable(t *testing.T) {
 func BenchmarkRun(b *testing.B) {
 	net, p, a := goldenNetwork(120, 4)
 	sc := &Scratch{}
-	cfg := Config{PacketsPerDevice: 12, Seed: 7, Parallelism: 1, Scratch: sc}
+	cfg := Config{PacketsPerDevice: 12, Seed: 7, Scratch: sc}
 	if _, err := Run(net, p, a, cfg); err != nil {
 		b.Fatal(err)
 	}

@@ -75,5 +75,6 @@ func (s *Store) Recover() (*Recovered, error) {
 			s.nextSeq = out.Snapshot.Seq + 1
 		}
 	}
+	s.publish()
 	return out, nil
 }

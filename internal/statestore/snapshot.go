@@ -86,6 +86,7 @@ func (s *Store) WriteSnapshot(st *State) error {
 	s.metrics.Snapshots++
 	s.metrics.SnapshotBytes = uint64(len(img))
 	s.metrics.SnapshotSeconds = time.Since(start).Seconds() //eflora:nondeterminism-ok snapshot latency diagnostic only
+	s.publish()
 	// Anchor the WAL: close the open segment so replay-from-snapshot
 	// starts at a segment boundary, then drop whatever the snapshot made
 	// redundant. Pruning failures are reported but the snapshot itself is

@@ -39,7 +39,10 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
+
+	"eflora/internal/stats"
 )
 
 // DefaultSnapshotInterval is the periodic snapshot cadence when Options
@@ -102,8 +105,10 @@ func (o Options) withDefaults() Options {
 }
 
 // Store manages one state directory: an append-only WAL plus rotating
-// snapshots. A Store is not safe for concurrent use; the daemon serializes
-// appends and snapshots on its control-loop goroutine.
+// snapshots. A Store is not safe for concurrent use — the daemon
+// serializes appends, syncs, snapshots and recovery on its control-loop
+// goroutine — with one exception: Metrics may be called from any
+// goroutine at any time.
 type Store struct {
 	dir  string
 	opts Options
@@ -120,7 +125,13 @@ type Store struct {
 	// scratch is the reused record-render buffer (single-writer).
 	scratch []byte
 
+	// metrics is the writer's own accounting. After every mutation the
+	// writer publishes a copy into pub, under pubMu, which guards nothing
+	// else and is held only for that copy — never across a write or an
+	// fsync — so Metrics can read pub from another goroutine.
 	metrics Metrics
+	pubMu   sync.Mutex
+	pub     Metrics
 }
 
 // Metrics is the store's operational accounting, exposed on /metrics by
@@ -150,7 +161,7 @@ type Metrics struct {
 	RecoverySnapshotsSkipped uint64
 	RecoveryDiscardedBytes   uint64
 	// FsyncSeconds is the power-of-two latency histogram of WAL fsyncs.
-	FsyncSeconds Histogram
+	FsyncSeconds stats.LatencyHistogram
 }
 
 // Open attaches to (creating if needed) the state directory. Existing WAL
@@ -190,6 +201,7 @@ func Open(dir string, opts Options) (*Store, error) {
 		segs = segs[:len(segs)-1]
 	}
 	s.snapSeq = s.nextSeq - 1 // until told otherwise, no replay debt
+	s.publish()
 	return s, nil
 }
 
@@ -199,15 +211,26 @@ func (s *Store) Dir() string { return s.dir }
 // NextSeq returns the sequence number the next Append will use.
 func (s *Store) NextSeq() uint64 { return s.nextSeq }
 
-// Metrics returns a copy of the operational accounting.
+// Metrics returns a copy of the operational accounting as of the last
+// completed Open, Append, Sync, WriteSnapshot or Recover. It is the one
+// method that is safe to call concurrently with the others.
 func (s *Store) Metrics() Metrics {
-	m := s.metrics
-	m.WALSeq = s.nextSeq
+	s.pubMu.Lock()
+	defer s.pubMu.Unlock()
+	return s.pub
+}
+
+// publish copies the writer's accounting, with the derived WAL fields
+// filled in, to where Metrics reads it. It does not allocate.
+func (s *Store) publish() {
+	s.pubMu.Lock()
+	s.pub = s.metrics
+	s.pub.WALSeq = s.nextSeq
 	if s.nextSeq-1 >= s.snapSeq {
-		m.WALLagRecords = s.nextSeq - 1 - s.snapSeq
+		s.pub.WALLagRecords = s.nextSeq - 1 - s.snapSeq
 	}
-	m.RecoveryDiscardedBytes = s.repairDiscardedBytes
-	return m
+	s.pub.RecoveryDiscardedBytes = s.repairDiscardedBytes
+	s.pubMu.Unlock()
 }
 
 // Close flushes and closes the open WAL segment.

@@ -494,15 +494,18 @@ func TestAtomicWriteLeavesNoTemp(t *testing.T) {
 	}
 }
 
+// TestHistogramQuantile pins the fsync histogram's reading: a p50 in the
+// bulk's bucket and a p100 that does not hide the outlier.
 func TestHistogramQuantile(t *testing.T) {
-	var h Histogram
+	var m Metrics
+	h := &m.FsyncSeconds
 	if _, ok := h.Quantile(0.5); ok {
 		t.Fatalf("empty histogram reported a quantile")
 	}
 	for i := 0; i < 100; i++ {
-		h.Observe(0.001) // ~1ms
+		h.Observe(time.Millisecond)
 	}
-	h.Observe(1.0) // one outlier
+	h.Observe(time.Second) // one outlier
 	if h.Count() != 101 {
 		t.Fatalf("Count = %d", h.Count())
 	}
@@ -542,6 +545,58 @@ func TestMetricsAccounting(t *testing.T) {
 	}
 	if m.Snapshots != 1 || m.SnapshotBytes == 0 {
 		t.Fatalf("snapshot metrics = %+v", m)
+	}
+}
+
+// TestMetricsConcurrentWithWriter reads Metrics on a second goroutine
+// while the writer appends, syncs and snapshots — the daemon's /metrics
+// handler against its serve loop. Under -race any field Metrics reads
+// without synchronization fails it.
+func TestMetricsConcurrentWithWriter(t *testing.T) {
+	s := mustOpen(t, t.TempDir(), Options{})
+	defer s.Close()
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		var last Metrics
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			m := s.Metrics()
+			if m.WALSeq < last.WALSeq || m.WALAppends < last.WALAppends || m.Snapshots < last.Snapshots {
+				t.Errorf("metrics went backwards: %+v after %+v", m, last)
+				return
+			}
+			last = m
+		}
+	}()
+	const appends, every = 60, 20
+	for i := 0; i < appends; i++ {
+		if i%3 == 0 {
+			mustAppendSync(t, s, delta(float64(i), i%5, 9), float64(i))
+		} else if _, err := s.Append(delta(float64(i), i%5, 9), float64(i)); err != nil {
+			t.Fatalf("Append: %v", err)
+		}
+		if i%every == every-1 {
+			if err := s.Sync(); err != nil {
+				t.Fatalf("Sync: %v", err)
+			}
+			st := testState()
+			st.Seq = s.NextSeq() - 1
+			if err := s.WriteSnapshot(st); err != nil {
+				t.Fatalf("WriteSnapshot: %v", err)
+			}
+		}
+	}
+	close(stop)
+	<-done
+	m := s.Metrics()
+	if m.WALAppends != appends || m.WALSeq != appends+1 || m.Snapshots != appends/every || m.WALLagRecords != 0 {
+		t.Fatalf("final metrics = %+v", m)
 	}
 }
 

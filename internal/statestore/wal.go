@@ -137,6 +137,7 @@ func (s *Store) Append(delta *scenario.Delta, nowS float64) (uint64, error) {
 	s.nextSeq++
 	s.metrics.WALAppends++
 	s.metrics.WALBytes += uint64(len(buf))
+	s.publish()
 	return seq, nil
 }
 
@@ -164,7 +165,8 @@ func (s *Store) Sync() error {
 		return fmt.Errorf("statestore: wal fsync: %w", err)
 	}
 	s.metrics.WALFsyncs++
-	s.metrics.FsyncSeconds.Observe(time.Since(start).Seconds()) //eflora:nondeterminism-ok fsync latency diagnostic only
+	s.metrics.FsyncSeconds.Observe(time.Since(start)) //eflora:nondeterminism-ok fsync latency diagnostic only
+	s.publish()
 	return nil
 }
 

@@ -1,6 +1,7 @@
 // Package stats provides the descriptive statistics the experiments
-// report: summaries, empirical CDFs, quantiles, Jain's fairness index and
-// histogram binning.
+// report — summaries, empirical CDFs, quantiles, Jain's fairness index and
+// histogram binning — and the power-of-two latency histogram the network
+// server's metrics share.
 package stats
 
 import (
