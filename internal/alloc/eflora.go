@@ -268,10 +268,11 @@ type candidate struct {
 func greedyStep(ev *model.Evaluator, gains [][]float64, i int, tpLevels []float64, nch int, cur float64, keepCurrent bool, rep *Report) (candidate, bool) {
 	curSF, curTP, curCh := ev.Assignment(i)
 	blocking, onlySF, onlyCh := ev.BlockingGroups(i, cur)
+	gainDB := model.BestGainDB(gains, i)
 	best, bestEE, found := candidate{sf: curSF, tp: curTP, ch: curCh}, cur, false
 	for _, sf := range lora.SFs() {
 		for _, tp := range tpLevels {
-			if !model.Feasible(gains, i, sf, tp) {
+			if !model.FeasibleDB(gainDB, sf, tp) {
 				continue
 			}
 			for ch := 0; ch < nch; ch++ {

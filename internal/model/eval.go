@@ -26,8 +26,10 @@ const (
 
 // group aggregates the devices sharing one (SF, channel) pair.
 type group struct {
-	count   int
-	members map[int]struct{}
+	// head is the group's first member, or -1 when it is empty; the rest
+	// follow through Evaluator.next. count is the number of members.
+	head  int32
+	count int
 	// sumPG[k] = Σ_{j in group} p_j·gain_{j,k} (mW): the mean co-channel
 	// power used by the inter-SF soft-interference extension.
 	sumPG []float64
@@ -44,23 +46,32 @@ type group struct {
 // network under an allocation, with O(G)-per-device incremental updates so
 // the greedy allocator can evaluate candidate re-allocations cheaply.
 //
-// An Evaluator is not safe for concurrent mutation, but the read-only
-// methods — EE, EEAll, PRR, MinEE, MinEEIf, MinEEIfAbove, BlockingGroups,
-// Assignment, Allocation — never write to the evaluator and may be called
-// from multiple goroutines at once, as long as no SetDevice or
-// RecomputeAll runs concurrently.
+// Every device keeps a committed row: its per-gateway factors that depend
+// on the committed allocation alone and on no candidate move. vis, q and
+// fade depend only on the device's own assignment, so SetDevice rewrites
+// the moved device's row at once. θ depends on every device's trial
+// probability, so SetDevice and RecomputeAll bump an epoch instead, and a
+// row's θ is recomputed on its first read under a new epoch.
+//
+// An Evaluator is not safe for concurrent use: besides SetDevice and
+// RecomputeAll, the read paths MinEEIf, MinEEIfAbove and Explain refresh
+// θ rows and reuse scratch buffers.
 type Evaluator struct {
 	net  *Network
 	p    Params
 	mode Mode
+	// interSF is set when the inter-SF extension enters the PDR: ModeExact
+	// with a positive rejection factor.
+	interSF bool
 
 	n, g, nch int
 
-	// Static caches.
+	// Static caches; the per-SF arrays are indexed by sfIndex.
 	gain    [][]float64 // [device][gateway] linear attenuation
-	toaBySF map[lora.SF]float64
-	thLin   map[lora.SF]float64 // linear SNR threshold
-	ssMW    map[lora.SF]float64 // sensitivity in mW
+	toaBySF [6]float64
+	thLin   [6]float64 // linear SNR threshold
+	ssMW    [6]float64 // sensitivity in mW
+	floorMW [6]float64 // max(thLin·noise, ss): the binding reception floor
 	noiseMW float64
 	lbits   float64
 	density float64 // devices per m² (for ModePPP)
@@ -70,18 +81,71 @@ type Evaluator struct {
 	tpDBm []float64
 	tpMW  []float64
 	ch    []int
-	alpha []float64   // duty cycle T_i / T_g
-	es    []float64   // energy per transmission attempt (J)
-	vis   [][]float64 // [device][gateway] P{signal clears sensitivity}
-	q     [][]float64 // [device][gateway] α·vis, the capacity trial prob
+	alpha []float64 // duty cycle T_i / T_g
+	es    []float64 // energy per transmission attempt (J)
 
-	groups [][]*group // [sfIndex][channel]
+	// Committed rows, [device][gateway], sharing one backing array.
+	vis  [][]float64 // P{signal clears sensitivity} = exp(-ss/pa)
+	q    [][]float64 // α·vis, the capacity trial prob
+	fade [][]float64 // exp(-floor/pa): the fading PDR without inter-SF power
+	// theta is the capacity factor θ (paper Eq. 12); row j is valid while
+	// thetaEpoch[j] == epoch (see thetaRow).
+	theta      [][]float64
+	thetaEpoch []uint64
+	epoch      uint64
+
+	groups []group // [sfIndex*nch + channel]
 	chSum  [][]float64
 	capDP  []*mathx.PoissonBinomial
+
+	// next[j] and prev[j] are device j's neighbours in its group's member
+	// list, -1 at either end: a move unlinks and links in O(1) and never
+	// allocates.
+	next, prev []int32
 
 	interSFRej float64 // linear rejection factor; 0 disables
 
 	ee []float64
+
+	// MinEEIfAbove scratch: the last candidate's prologue, and the
+	// exposure sums and other-SF power of the group being scanned.
+	cand               prologue
+	visX, qX, otherSFX []float64
+}
+
+// setting is one device's (SF, power) choice together with the factors
+// that depend on that choice alone.
+type setting struct {
+	sf              lora.SF
+	tpmw, alpha, es float64
+	vis, fade       []float64 // per gateway, as in the committed rows
+}
+
+// prologue is a candidate move's own setting plus its per-gateway trial
+// probabilities, kept for the next MinEEIfAbove call with the same device,
+// SF and power. When BlockingGroups finds no group blocking a device, the
+// greedy evaluates every channel of one (SF, TP) in a row, and every call
+// after the first reuses the prologue.
+type prologue struct {
+	i     int
+	tpDBm float64
+	setting
+	q []float64
+}
+
+// exposure is what the members of one (SF, channel) group face under the
+// committed allocation or a candidate move.
+type exposure struct {
+	// total is the group's device count.
+	total int
+	// visSum[k] and qSum[k] sum vis and α·vis at gateway k over the
+	// group. With withSelf set they include the evaluated device's
+	// committed row, which eeCompute subtracts.
+	visSum, qSum []float64
+	withSelf     bool
+	// otherSF[k] is the co-channel other-SF mean power (mW) at gateway k;
+	// set only when the inter-SF extension is on.
+	otherSF []float64
 }
 
 // NewEvaluator builds an evaluator for the given network, parameters and
@@ -112,13 +176,13 @@ func NewEvaluator(net *Network, p Params, alloc Allocation, mode Mode) (*Evaluat
 	if p.InterSFRejectionDB > 0 {
 		e.interSFRej = lora.DBToLinear(-p.InterSFRejectionDB)
 	}
-	e.toaBySF = make(map[lora.SF]float64, 6)
-	e.thLin = make(map[lora.SF]float64, 6)
-	e.ssMW = make(map[lora.SF]float64, 6)
+	e.interSF = mode == ModeExact && e.interSFRej > 0
 	for _, s := range lora.SFs() {
-		e.toaBySF[s] = p.TimeOnAir(s)
-		e.thLin[s] = lora.DBToLinear(lora.SNRThresholdDB(s))
-		e.ssMW[s] = lora.DBmToMilliwatts(lora.SensitivityDBm(s))
+		si := sfIndex(s)
+		e.toaBySF[si] = p.TimeOnAir(s)
+		e.thLin[si] = lora.DBToLinear(lora.SNRThresholdDB(s))
+		e.ssMW[si] = lora.DBmToMilliwatts(lora.SensitivityDBm(s))
+		e.floorMW[si] = math.Max(e.thLin[si]*e.noiseMW, e.ssMW[si])
 	}
 	e.gain = Gains(net, p)
 	e.density = deviceDensity(net)
@@ -129,54 +193,59 @@ func NewEvaluator(net *Network, p Params, alloc Allocation, mode Mode) (*Evaluat
 	e.ch = make([]int, e.n)
 	e.alpha = make([]float64, e.n)
 	e.es = make([]float64, e.n)
+	e.ee = make([]float64, e.n)
+	e.thetaEpoch = make([]uint64, e.n)
+	// One backing array for every per-gateway row and buffer: the
+	// committed rows, the groups' and channels' sums, and the scratch.
+	ng := len(lora.SFs()) * e.nch
+	buf := make([]float64, (4*e.n+3*ng+e.nch+6)*e.g)
+	row := func() []float64 {
+		r := buf[:e.g:e.g]
+		buf = buf[e.g:]
+		return r
+	}
 	e.vis = make([][]float64, e.n)
 	e.q = make([][]float64, e.n)
-	// One backing array for all vis/q rows: per-row make calls were half
-	// the allocator's per-evaluator allocation count.
-	visq := make([]float64, 2*e.n*e.g)
+	e.fade = make([][]float64, e.n)
+	e.theta = make([][]float64, e.n)
 	for i := 0; i < e.n; i++ {
-		e.vis[i] = visq[2*i*e.g : (2*i+1)*e.g : (2*i+1)*e.g]
-		e.q[i] = visq[(2*i+1)*e.g : (2*i+2)*e.g : (2*i+2)*e.g]
+		e.vis[i], e.q[i], e.fade[i], e.theta[i] = row(), row(), row(), row()
 	}
-	e.ee = make([]float64, e.n)
-	copy(e.sf, alloc.SF)
-	copy(e.tpDBm, alloc.TPdBm)
-	copy(e.ch, alloc.Channel)
-
-	e.groups = make([][]*group, 6)
-	for si := range e.groups {
-		e.groups[si] = make([]*group, e.nch)
-		for c := range e.groups[si] {
-			e.groups[si][c] = &group{
-				members:  make(map[int]struct{}),
-				sumPG:    make([]float64, e.g),
-				visSum:   make([]float64, e.g),
-				qSum:     make([]float64, e.g),
-				minEE:    math.Inf(1),
-				minIndex: -1,
-			}
+	e.groups = make([]group, ng)
+	for gi := range e.groups {
+		e.groups[gi] = group{
+			head:     -1,
+			sumPG:    row(),
+			visSum:   row(),
+			qSum:     row(),
+			minEE:    math.Inf(1),
+			minIndex: -1,
 		}
 	}
 	e.chSum = make([][]float64, e.nch)
 	for c := range e.chSum {
-		e.chSum[c] = make([]float64, e.g)
+		e.chSum[c] = row()
 	}
+	e.next = make([]int32, e.n)
+	e.prev = make([]int32, e.n)
+	e.cand = prologue{i: -1, setting: setting{vis: row(), fade: row()}, q: row()}
+	e.visX, e.qX, e.otherSFX = row(), row(), row()
+	copy(e.sf, alloc.SF)
+	copy(e.tpDBm, alloc.TPdBm)
+	copy(e.ch, alloc.Channel)
 
 	for i := 0; i < e.n; i++ {
 		e.tpMW[i] = lora.DBmToMilliwatts(e.tpDBm[i])
-		toa := e.toaBySF[e.sf[i]]
+		toa := e.toaBySF[sfIndex(e.sf[i])]
 		interval := p.IntervalFor(net, i, e.sf[i])
 		e.alpha[i] = math.Min(1, toa/interval)
 		e.es[i] = p.Profile.TransmissionEnergy(e.tpDBm[i], toa)
+		e.linkFactors(i, e.sf[i], e.tpMW[i], e.alpha[i], e.vis[i], e.q[i], e.fade[i])
 		gr := e.groupOf(e.sf[i], e.ch[i])
-		gr.count++
-		gr.members[i] = struct{}{}
+		e.link(gr, i)
 		for k := 0; k < e.g; k++ {
-			v := e.visibility(i, k, e.sf[i], e.tpMW[i])
-			e.vis[i][k] = v
-			e.q[i][k] = e.alpha[i] * v
 			gr.sumPG[k] += e.tpMW[i] * e.gain[i][k]
-			gr.visSum[k] += v
+			gr.visSum[k] += e.vis[i][k]
 			gr.qSum[k] += e.q[i][k]
 			e.chSum[e.ch[i]][k] += e.tpMW[i] * e.gain[i][k]
 		}
@@ -185,7 +254,6 @@ func NewEvaluator(net *Network, p Params, alloc Allocation, mode Mode) (*Evaluat
 	for k := 0; k < e.g; k++ {
 		e.capDP[k] = mathx.NewPoissonBinomial(e.p.GatewayCapacity)
 	}
-	e.rebuildCapacity()
 	e.RecomputeAll()
 	return e, nil
 }
@@ -213,16 +281,89 @@ func deviceDensity(net *Network) float64 {
 
 func sfIndex(s lora.SF) int { return int(s) - int(lora.SF7) }
 
-func (e *Evaluator) groupOf(s lora.SF, c int) *group { return e.groups[sfIndex(s)][c] }
+func (e *Evaluator) groupOf(s lora.SF, c int) *group { return &e.groups[sfIndex(s)*e.nch+c] }
 
-// visibility returns P{device i's signal clears gateway k's sensitivity
-// for SF s under Rayleigh fading} = exp(-ss_s/(p·a)).
-func (e *Evaluator) visibility(i, k int, s lora.SF, tpmw float64) float64 {
-	pa := tpmw * e.gain[i][k]
-	if pa <= 0 {
-		return 0
+// link puts device i at the head of gr's member list.
+func (e *Evaluator) link(gr *group, i int) {
+	e.prev[i], e.next[i] = -1, gr.head
+	if gr.head >= 0 {
+		e.prev[gr.head] = int32(i)
 	}
-	return math.Exp(-e.ssMW[s] / pa)
+	gr.head = int32(i)
+	gr.count++
+}
+
+// unlink takes device i, a member, out of gr's member list.
+func (e *Evaluator) unlink(gr *group, i int) {
+	prev, next := e.prev[i], e.next[i]
+	if prev >= 0 {
+		e.next[prev] = next
+	} else {
+		gr.head = next
+	}
+	if next >= 0 {
+		e.prev[next] = prev
+	}
+	gr.count--
+}
+
+// linkFactors fills device i's per-gateway factors for SF s at tpmw mW
+// with duty cycle alpha: vis[k] = P{the signal clears the sensitivity
+// under Rayleigh fading} = exp(-ss_s/(p·a)), q[k] = alpha·vis[k] and
+// fade[k] = exp(-floor_s/(p·a)). All three are 0 where p·a <= 0.
+func (e *Evaluator) linkFactors(i int, s lora.SF, tpmw, alpha float64, vis, q, fade []float64) {
+	si := sfIndex(s)
+	for k, g := range e.gain[i] {
+		pa := tpmw * g
+		if pa <= 0 {
+			vis[k], q[k], fade[k] = 0, 0, 0
+			continue
+		}
+		vis[k] = math.Exp(-e.ssMW[si] / pa)
+		q[k] = alpha * vis[k]
+		fade[k] = math.Exp(-e.floorMW[si] / pa)
+	}
+}
+
+// thetaRow returns device j's committed capacity factors θ_jk (paper
+// Eq. 12): the probability that at most C−1 of the other devices' trials
+// at gateway k succeed. The row is recomputed on its first read after a
+// commit or flush has changed the capacity distributions.
+//
+//eflora:hotpath
+func (e *Evaluator) thetaRow(j int) []float64 {
+	row := e.theta[j]
+	if e.thetaEpoch[j] != e.epoch {
+		for k := range row {
+			row[k] = e.capDP[k].ProbAtMostExcluding(e.q[j][k], e.p.GatewayCapacity-1)
+		}
+		e.thetaEpoch[j] = e.epoch
+	}
+	return row
+}
+
+// committed returns device j's committed setting.
+func (e *Evaluator) committed(j int) setting {
+	return setting{sf: e.sf[j], tpmw: e.tpMW[j], alpha: e.alpha[j], es: e.es[j], vis: e.vis[j], fade: e.fade[j]}
+}
+
+// otherSF returns the other-SF mean power (mW) that the members of group
+// gr on channel ch see at each gateway: the channel's total minus the
+// group's own, plus pg·gain_i when device i's power pg joins that
+// remainder (negative when it leaves; 0 for no change). It returns nil
+// unless the inter-SF extension is on.
+func (e *Evaluator) otherSF(ch int, gr *group, i int, pg float64) []float64 {
+	if !e.interSF {
+		return nil
+	}
+	for k := range e.otherSFX {
+		s := e.chSum[ch][k] - gr.sumPG[k]
+		if pg != 0 {
+			s += pg * e.gain[i][k]
+		}
+		e.otherSFX[k] = s
+	}
+	return e.otherSFX
 }
 
 // rebuildCapacity recomputes every per-gateway Poisson-binomial capacity
@@ -240,24 +381,27 @@ func (e *Evaluator) rebuildCapacity() {
 	}
 }
 
-// eeCompute returns the energy efficiency of device i if it used (sf,
-// tpmw) in a group of `total` devices, where collExposure(k) returns the
-// group's (visSum, qSum) at gateway k excluding i's own contribution, and
-// interSum(k) the co-channel other-SF mean power excluding i (used only
-// when the inter-SF extension is on). The gateway-capacity factor excludes
-// i's currently registered trial probability.
+// eeCompute returns the energy efficiency of device i using setting s in
+// a group whose exposure is x. The gateway-capacity factor is i's
+// committed θ row, which excludes i's currently registered trial
+// probability.
 //
 //eflora:hotpath
-func (e *Evaluator) eeCompute(
-	i int, sf lora.SF, tpmw float64, total int,
-	collExposure func(k int) (visEx, qEx float64),
-	interSum func(k int) float64, es float64,
-) float64 {
-	interval := e.p.IntervalFor(e.net, i, sf)
-	alpha := math.Min(1, e.toaBySF[sf]/interval)
-	th := e.thLin[sf]
-	ss := e.ssMW[sf]
-	floorMW := math.Max(th*e.noiseMW, ss)
+func (e *Evaluator) eeCompute(i int, s *setting, x *exposure) float64 {
+	si := sfIndex(s.sf)
+	th, ss := e.thLin[si], e.ssMW[si]
+	theta := e.thetaRow(i)
+	// h is the paper's Eq. 14 contention factor.
+	var h float64
+	if e.mode == ModePPP || e.interSF {
+		h = 1 - math.Exp(-s.alpha*float64(x.total))
+	}
+	var env PathLoss
+	var lambdaSC float64
+	if e.mode == ModePPP {
+		env = e.p.Environments[e.net.EnvOf(i)]
+		lambdaSC = e.density * float64(x.total) / float64(e.n)
+	}
 	prodFail := 1.0
 	// Collision survival is a SHARED event across gateways: an
 	// overlapping co-group transmission occupies the same time slice at
@@ -266,8 +410,8 @@ func (e *Evaluator) eeCompute(
 	// diversity gain. We apply one survival factor, weighting each
 	// gateway's exposure by how much this device relies on it.
 	var wSum, wExposure float64
-	for k := 0; k < e.g; k++ {
-		pa := tpmw * e.gain[i][k]
+	for k, g := range e.gain[i] {
+		pa := s.tpmw * g
 		if pa <= 0 {
 			continue
 		}
@@ -275,12 +419,9 @@ func (e *Evaluator) eeCompute(
 		if e.mode == ModePPP {
 			// Paper Eq. 18: the Laplace transform of PPP interference of
 			// the group's density takes the place of the explicit
-			// collision term. h is the paper's Eq. 14 contention factor.
-			h := 1 - math.Exp(-alpha*float64(total))
-			lambdaSC := e.density * float64(total) / float64(e.n)
-			env := e.p.Environments[e.net.EnvOf(i)]
-			l := mathx.LaplacePPPInterference(th*h/pa, tpmw*env.Amplitude(), lambdaSC, env.Exponent)
-			pdr = l * math.Exp(-floorMW/pa)
+			// collision term.
+			l := mathx.LaplacePPPInterference(th*h/pa, s.tpmw*env.Amplitude(), lambdaSC, env.Exponent)
+			pdr = l * s.fade[k]
 		} else {
 			// Hard-collision model matching the simulator (and the
 			// paper's stated rule): the packet survives only if no
@@ -288,23 +429,24 @@ func (e *Evaluator) eeCompute(
 			// vulnerable window of ≈ T_i + T_j, i.e. per peer
 			// probability (α_i + α_j)·vis_j, aggregated as
 			// exp(-(α_i·Σvis + Σα_j·vis_j)).
-			visEx, qEx := collExposure(k)
-			visOwn := math.Exp(-ss / pa)
-			wSum += visOwn
-			wExposure += visOwn * (alpha*visEx + qEx)
-			snrFloor := floorMW
-			if e.interSFRej > 0 {
+			visEx, qEx := x.visSum[k], x.qSum[k]
+			if x.withSelf {
+				visEx -= e.vis[i][k]
+				qEx -= e.q[i][k]
+			}
+			wSum += s.vis[k]
+			wExposure += s.vis[k] * (s.alpha*visEx + qEx)
+			pdr = s.fade[k]
+			if e.interSF {
 				// Imperfect-orthogonality extension: co-channel other-SF
 				// power leaks into the SNR denominator, attenuated by
 				// the rejection factor and scaled by the overlap
 				// fraction.
-				h := 1 - math.Exp(-alpha*float64(total))
-				snrFloor = math.Max(th*(e.noiseMW+e.interSFRej*h*interSum(k)), ss)
+				floor := math.Max(th*(e.noiseMW+e.interSFRej*h*x.otherSF[k]), ss)
+				pdr = math.Exp(-floor / pa)
 			}
-			pdr = math.Exp(-snrFloor / pa)
 		}
-		theta := e.capDP[k].ProbAtMostExcluding(e.q[i][k], e.p.GatewayCapacity-1)
-		prodFail *= 1 - theta*pdr
+		prodFail *= 1 - theta[k]*pdr
 	}
 	prr := 1 - prodFail
 	if e.mode == ModeExact && wSum > 0 {
@@ -312,65 +454,39 @@ func (e *Evaluator) eeCompute(
 	}
 	if e.p.Objective == ObjectiveThroughput {
 		// Future-work variant: delivered bits per second.
-		return e.lbits * prr / interval
+		return e.lbits * prr / e.p.IntervalFor(e.net, i, s.sf)
 	}
-	return e.lbits * prr / es
-}
-
-// eeOf computes device i's EE under the committed allocation.
-//
-//eflora:hotpath
-func (e *Evaluator) eeOf(i int) float64 {
-	gr := e.groupOf(e.sf[i], e.ch[i])
-	c := e.ch[i]
-	return e.eeCompute(i, e.sf[i], e.tpMW[i], gr.count,
-		func(k int) (float64, float64) {
-			return gr.visSum[k] - e.vis[i][k], gr.qSum[k] - e.q[i][k]
-		},
-		func(k int) float64 {
-			return e.chSum[c][k] - gr.sumPG[k]
-		},
-		e.es[i])
+	return e.lbits * prr / s.es
 }
 
 // RecomputeAll refreshes every cached quantity: the capacity
-// distributions, every device's EE and every group's minimum. Call it at
-// allocator pass boundaries to flush the second-order staleness that
-// incremental updates leave in the capacity factor.
+// distributions, every device's θ row and EE, and every group's minimum.
+// Call it at allocator pass boundaries to flush the second-order
+// staleness that incremental updates leave in the capacity factor.
 func (e *Evaluator) RecomputeAll() {
 	e.rebuildCapacity()
-	for si := range e.groups {
-		for _, gr := range e.groups[si] {
-			gr.minEE = math.Inf(1)
-			gr.minIndex = -1
-		}
-	}
-	for i := 0; i < e.n; i++ {
-		e.ee[i] = e.eeOf(i)
-		gr := e.groupOf(e.sf[i], e.ch[i])
-		if e.ee[i] < gr.minEE {
-			gr.minEE = e.ee[i]
-			gr.minIndex = i
-		}
+	e.epoch++
+	for gi := range e.groups {
+		e.refreshGroup(&e.groups[gi], gi%e.nch)
 	}
 }
 
-// refreshGroup recomputes EE for every member of the group and its min.
+// refreshGroup recomputes the EE of every member of gr, a group on
+// channel ch, and the group minimum. Ties on the minimum break toward the
+// lowest device index, so the result does not depend on member order.
 //
 //eflora:hotpath
-func (e *Evaluator) refreshGroup(gr *group) {
+func (e *Evaluator) refreshGroup(gr *group, ch int) {
 	gr.minEE = math.Inf(1)
 	gr.minIndex = -1
-	// Every member is visited exactly once and ties on minEE break toward
-	// the lowest device index, so the outcome does not depend on Go's
-	// randomized map order (RecomputeAll, which iterates devices in
-	// ascending order, must agree with this on exact-EE ties).
-	//eflora:nondeterminism-ok order-independent: all members updated; min tie-broken on device index
-	for i := range gr.members {
-		e.ee[i] = e.eeOf(i)
-		if e.ee[i] < gr.minEE || (e.ee[i] == gr.minEE && i < gr.minIndex) {
-			gr.minEE = e.ee[i]
-			gr.minIndex = i
+	x := exposure{total: gr.count, visSum: gr.visSum, qSum: gr.qSum, withSelf: true,
+		otherSF: e.otherSF(ch, gr, 0, 0)}
+	for j := int(gr.head); j >= 0; j = int(e.next[j]) {
+		s := e.committed(j)
+		e.ee[j] = e.eeCompute(j, &s, &x)
+		if e.ee[j] < gr.minEE || (e.ee[j] == gr.minEE && j < gr.minIndex) {
+			gr.minEE = e.ee[j]
+			gr.minIndex = j
 		}
 	}
 }
@@ -389,11 +505,9 @@ func (e *Evaluator) EEAll() []float64 {
 // attaining it — the objective of the paper's Eq. 1.
 func (e *Evaluator) MinEE() (float64, int) {
 	min, idx := math.Inf(1), -1
-	for si := range e.groups {
-		for _, gr := range e.groups[si] {
-			if gr.minEE < min {
-				min, idx = gr.minEE, gr.minIndex
-			}
+	for gi := range e.groups {
+		if gr := &e.groups[gi]; gr.minEE < min {
+			min, idx = gr.minEE, gr.minIndex
 		}
 	}
 	return min, idx
@@ -427,6 +541,23 @@ func (e *Evaluator) MinEEIf(i int, sf lora.SF, tpDBm float64, ch int) float64 {
 	return e.MinEEIfAbove(i, sf, tpDBm, ch, math.Inf(-1))
 }
 
+// candidate returns device i's prologue for a move to (sf, tpDBm). It
+// reuses the previous call's when that was for the same device, SF and
+// power.
+func (e *Evaluator) candidate(i int, sf lora.SF, tpDBm float64) *prologue {
+	c := &e.cand
+	if c.i == i && c.sf == sf && c.tpDBm == tpDBm {
+		return c
+	}
+	toa := e.toaBySF[sfIndex(sf)]
+	c.i, c.sf, c.tpDBm = i, sf, tpDBm
+	c.tpmw = lora.DBmToMilliwatts(tpDBm)
+	c.es = e.p.Profile.TransmissionEnergy(tpDBm, toa)
+	c.alpha = math.Min(1, toa/e.p.IntervalFor(e.net, i, sf))
+	e.linkFactors(i, sf, c.tpmw, c.alpha, c.vis, c.q, c.fade)
+	return c
+}
+
 // MinEEIfAbove is MinEEIf with an early-abort threshold: as soon as the
 // running minimum falls to the threshold or below, it returns immediately
 // with that value. The greedy allocator only cares whether a candidate
@@ -435,44 +566,26 @@ func (e *Evaluator) MinEEIf(i int, sf lora.SF, tpDBm float64, ch int) float64 {
 //
 //eflora:hotpath
 func (e *Evaluator) MinEEIfAbove(i int, sf lora.SF, tpDBm float64, ch int, threshold float64) float64 {
-	oldGr := e.groupOf(e.sf[i], e.ch[i])
-	newGr := e.groupOf(sf, ch)
-	tpmw := lora.DBmToMilliwatts(tpDBm)
-	toa := e.toaBySF[sf]
-	es := e.p.Profile.TransmissionEnergy(tpDBm, toa)
-	interval := e.p.IntervalFor(e.net, i, sf)
-	alphaNew := math.Min(1, toa/interval)
-	oldCh, newCh := e.ch[i], ch
+	c := e.candidate(i, sf, tpDBm)
+	oldCh := e.ch[i]
+	oldGr, newGr := e.groupOf(e.sf[i], oldCh), e.groupOf(sf, ch)
 	same := oldGr == newGr
 
-	// The candidate's per-gateway visibility under the new assignment.
-	visNew := func(k int) float64 { return e.visibility(i, k, sf, tpmw) }
-	qNew := func(k int) float64 { return alphaNew * visNew(k) }
-	ownPGOld := func(k int) float64 { return e.tpMW[i] * e.gain[i][k] }
-	ownPGNew := func(k int) float64 { return tpmw * e.gain[i][k] }
-
-	// Candidate EE of device i itself: exclude its own (old or new)
-	// contribution from the new group's exposure sums.
-	newCount := newGr.count + 1
-	if same {
-		newCount = newGr.count
-	}
-	collI := func(k int) (float64, float64) {
-		v, q := newGr.visSum[k], newGr.qSum[k]
-		if same {
-			v -= e.vis[i][k]
-			q -= e.q[i][k]
+	// Candidate EE of device i itself: its committed contribution stays
+	// in the new group's exposure sums only if it stays in the group,
+	// and its old power leaves the channel's other-SF remainder when it
+	// changes SF on the same channel.
+	newCount := newGr.count
+	var pgOld float64
+	if !same {
+		newCount++
+		if oldCh == ch {
+			pgOld = -e.tpMW[i]
 		}
-		return v, q
 	}
-	interI := func(k int) float64 {
-		s := e.chSum[newCh][k] - newGr.sumPG[k]
-		if !same && oldCh == newCh {
-			s -= ownPGOld(k)
-		}
-		return s
-	}
-	min := e.eeCompute(i, sf, tpmw, newCount, collI, interI, es)
+	x := exposure{total: newCount, visSum: newGr.visSum, qSum: newGr.qSum, withSelf: same,
+		otherSF: e.otherSF(ch, newGr, i, pgOld)}
+	min := e.eeCompute(i, &c.setting, &x)
 	if min <= threshold {
 		return min
 	}
@@ -484,110 +597,78 @@ func (e *Evaluator) MinEEIfAbove(i int, sf lora.SF, tpDBm float64, ch int, thres
 	// SFs are also perturbed; we accept their cached values here
 	// (second-order, refreshed on commit) to keep candidate evaluation
 	// O(affected).
-	for si := range e.groups {
-		for _, gr := range e.groups[si] {
-			if gr == oldGr || gr == newGr {
-				continue
-			}
-			if gr.minEE < min {
-				min = gr.minEE
-				if min <= threshold {
-					return min
-				}
+	for gi := range e.groups {
+		gr := &e.groups[gi]
+		if gr == oldGr || gr == newGr {
+			continue
+		}
+		if gr.minEE < min {
+			min = gr.minEE
+			if min <= threshold {
+				return min
 			}
 		}
 	}
 
-	if !same {
-		// Members of the old group (i leaves): count-1, exposure minus
-		// i's old contribution. Iterating the member set in map order is
-		// safe here and below: without early abort the full scan computes
-		// an order-independent minimum, and when the threshold aborts the
-		// scan the caller discards the exact value (any return <= its
-		// threshold means "candidate rejected").
-		oldCount := oldGr.count - 1
-		//eflora:nondeterminism-ok order-independent min; early-abort returns are only compared against the threshold
-		for j := range oldGr.members {
-			if j == i {
-				continue
-			}
-			//eflora:alloc-ok non-escaping callback: eeCompute never retains it, proven zero-alloc by TestEvaluatorAllocBudget
-			collJ := func(k int) (float64, float64) {
-				return oldGr.visSum[k] - e.vis[i][k] - e.vis[j][k],
-					oldGr.qSum[k] - e.q[i][k] - e.q[j][k]
-			}
-			// chSum[oldCh] loses i's old power and the group sum loses it
-			// too, so the other-SF remainder keeps its value — except
-			// that when i stays on the same channel with a new SF, its
-			// new power arrives as other-SF interference.
-			//eflora:alloc-ok non-escaping callback: eeCompute never retains it, proven zero-alloc by TestEvaluatorAllocBudget
-			interJ := func(k int) float64 {
-				s := e.chSum[oldCh][k] - oldGr.sumPG[k]
-				if newCh == oldCh {
-					s += ownPGNew(k)
-				}
-				return s
-			}
-			ee := e.eeCompute(j, e.sf[j], e.tpMW[j], oldCount, collJ, interJ, e.es[j])
-			if ee < min {
-				min = ee
-				if min <= threshold {
-					return min
-				}
-			}
-		}
-		// Members of the new group (i joins).
-		//eflora:nondeterminism-ok order-independent min; early-abort returns are only compared against the threshold
-		for j := range newGr.members {
-			//eflora:alloc-ok non-escaping callback: eeCompute never retains it, proven zero-alloc by TestEvaluatorAllocBudget
-			collJ := func(k int) (float64, float64) {
-				return newGr.visSum[k] + visNew(k) - e.vis[j][k],
-					newGr.qSum[k] + qNew(k) - e.q[j][k]
-			}
-			// chSum[newCh] gains i's new power and the group sum gains it
-			// too, cancelling out — but when i left the same channel
-			// (different SF), its old other-SF power disappears.
-			//eflora:alloc-ok non-escaping callback: eeCompute never retains it, proven zero-alloc by TestEvaluatorAllocBudget
-			interJ := func(k int) float64 {
-				s := e.chSum[newCh][k] - newGr.sumPG[k]
-				if oldCh == newCh {
-					s -= ownPGOld(k)
-				}
-				return s
-			}
-			ee := e.eeCompute(j, e.sf[j], e.tpMW[j], newCount, collJ, interJ, e.es[j])
-			if ee < min {
-				min = ee
-				if min <= threshold {
-					return min
-				}
-			}
-		}
-	} else {
+	if same {
 		// Same group, possibly different TP: peers see i's exposure
-		// change.
-		//eflora:nondeterminism-ok order-independent min; early-abort returns are only compared against the threshold
-		for j := range newGr.members {
-			if j == i {
-				continue
-			}
-			//eflora:alloc-ok non-escaping callback: eeCompute never retains it, proven zero-alloc by TestEvaluatorAllocBudget
-			collJ := func(k int) (float64, float64) {
-				return newGr.visSum[k] - e.vis[i][k] + visNew(k) - e.vis[j][k],
-					newGr.qSum[k] - e.q[i][k] + qNew(k) - e.q[j][k]
-			}
-			// chSum gains (new-old) and the group sum gains the same, so
-			// the other-SF remainder is unchanged.
-			//eflora:alloc-ok non-escaping callback: eeCompute never retains it, proven zero-alloc by TestEvaluatorAllocBudget
-			interJ := func(k int) float64 {
-				return e.chSum[newCh][k] - newGr.sumPG[k]
-			}
-			ee := e.eeCompute(j, e.sf[j], e.tpMW[j], newCount, collJ, interJ, e.es[j])
-			if ee < min {
-				min = ee
-				if min <= threshold {
-					return min
-				}
+		// change. chSum gains (new-old) and the group sum gains the
+		// same, so the other-SF remainder is unchanged.
+		for k := 0; k < e.g; k++ {
+			e.visX[k] = newGr.visSum[k] - e.vis[i][k] + c.vis[k]
+			e.qX[k] = newGr.qSum[k] - e.q[i][k] + c.q[k]
+		}
+		x = exposure{total: newCount, visSum: e.visX, qSum: e.qX, withSelf: true,
+			otherSF: e.otherSF(ch, newGr, i, 0)}
+		return e.membersMin(newGr, i, &x, min, threshold)
+	}
+	// Members of the old group (i leaves): count-1, exposure minus i's
+	// old contribution. chSum[oldCh] loses i's old power and the group
+	// sum loses it too, so the other-SF remainder keeps its value —
+	// except that when i stays on the same channel with a new SF, its
+	// new power arrives as other-SF interference.
+	for k := 0; k < e.g; k++ {
+		e.visX[k] = oldGr.visSum[k] - e.vis[i][k]
+		e.qX[k] = oldGr.qSum[k] - e.q[i][k]
+	}
+	var pgNew float64
+	if oldCh == ch {
+		pgNew = c.tpmw
+	}
+	x = exposure{total: oldGr.count - 1, visSum: e.visX, qSum: e.qX, withSelf: true,
+		otherSF: e.otherSF(oldCh, oldGr, i, pgNew)}
+	if min = e.membersMin(oldGr, i, &x, min, threshold); min <= threshold {
+		return min
+	}
+	// Members of the new group (i joins). chSum[ch] gains i's new power
+	// and the group sum gains it too, cancelling out — but when i left
+	// the same channel (different SF), its old other-SF power disappears.
+	for k := 0; k < e.g; k++ {
+		e.visX[k] = newGr.visSum[k] + c.vis[k]
+		e.qX[k] = newGr.qSum[k] + c.q[k]
+	}
+	x = exposure{total: newCount, visSum: e.visX, qSum: e.qX, withSelf: true,
+		otherSF: e.otherSF(ch, newGr, i, pgOld)}
+	return e.membersMin(newGr, i, &x, min, threshold)
+}
+
+// membersMin folds into min the EE of every member of gr other than
+// device i under exposure x, returning as soon as the running minimum
+// falls to threshold or below. The scan order does not matter: a full
+// scan computes an order-independent minimum, and a caller discards the
+// exact value of any return at or below its threshold.
+//
+//eflora:hotpath
+func (e *Evaluator) membersMin(gr *group, i int, x *exposure, min, threshold float64) float64 {
+	for j := int(gr.head); j >= 0; j = int(e.next[j]) {
+		if j == i {
+			continue
+		}
+		s := e.committed(j)
+		if ee := e.eeCompute(j, &s, x); ee < min {
+			min = ee
+			if min <= threshold {
+				return min
 			}
 		}
 	}
@@ -611,16 +692,14 @@ func (e *Evaluator) MinEEIfAbove(i int, sf lora.SF, tpDBm float64, ch int, thres
 //eflora:hotpath
 func (e *Evaluator) BlockingGroups(i int, t float64) (n int, sf lora.SF, ch int) {
 	own := e.groupOf(e.sf[i], e.ch[i])
-	for si := range e.groups {
-		for c, gr := range e.groups[si] {
-			if gr == own || !(gr.minEE <= t) {
-				continue
-			}
-			if n == 1 {
-				return 2, sf, ch
-			}
-			n, sf, ch = 1, lora.SF7+lora.SF(si), c
+	for gi := range e.groups {
+		if gr := &e.groups[gi]; gr == own || !(gr.minEE <= t) {
+			continue
 		}
+		if n == 1 {
+			return 2, sf, ch
+		}
+		n, sf, ch = 1, lora.SF7+lora.SF(gi/e.nch), gi%e.nch
 	}
 	return n, sf, ch
 }
@@ -642,9 +721,8 @@ func (e *Evaluator) SetDevice(i int, sf lora.SF, tpDBm float64, ch int) error {
 	if tpDBm < e.p.Plan.MinTxPowerDBm-1e-9 || tpDBm > e.p.Plan.MaxTxPowerDBm+1e-9 {
 		return fmt.Errorf("model: TP %v outside plan range", tpDBm)
 	}
-	oldGr := e.groupOf(e.sf[i], e.ch[i])
-	newGr := e.groupOf(sf, ch)
 	oldCh := e.ch[i]
+	oldGr, newGr := e.groupOf(e.sf[i], oldCh), e.groupOf(sf, ch)
 	tpmw := lora.DBmToMilliwatts(tpDBm)
 
 	// Remove i's old footprint.
@@ -656,35 +734,33 @@ func (e *Evaluator) SetDevice(i int, sf lora.SF, tpDBm float64, ch int) error {
 		e.chSum[oldCh][k] -= pg
 		e.capDP[k].Remove(e.q[i][k])
 	}
-	oldGr.count--
-	delete(oldGr.members, i)
+	e.unlink(oldGr, i)
 
 	// Apply the new assignment.
 	e.sf[i] = sf
 	e.tpDBm[i] = tpDBm
 	e.tpMW[i] = tpmw
 	e.ch[i] = ch
-	toa := e.toaBySF[sf]
+	toa := e.toaBySF[sfIndex(sf)]
 	interval := e.p.IntervalFor(e.net, i, sf)
 	e.alpha[i] = math.Min(1, toa/interval)
 	e.es[i] = e.p.Profile.TransmissionEnergy(tpDBm, toa)
+	e.linkFactors(i, sf, tpmw, e.alpha[i], e.vis[i], e.q[i], e.fade[i])
 	for k := 0; k < e.g; k++ {
 		pg := tpmw * e.gain[i][k]
-		v := e.visibility(i, k, sf, tpmw)
-		e.vis[i][k] = v
-		e.q[i][k] = e.alpha[i] * v
 		newGr.sumPG[k] += pg
-		newGr.visSum[k] += v
+		newGr.visSum[k] += e.vis[i][k]
 		newGr.qSum[k] += e.q[i][k]
 		e.chSum[ch][k] += pg
 		e.capDP[k].Add(e.q[i][k])
 	}
-	newGr.count++
-	newGr.members[i] = struct{}{}
+	e.link(newGr, i)
 
-	e.refreshGroup(oldGr)
+	// The capacity distributions changed, so every θ row is stale.
+	e.epoch++
+	e.refreshGroup(oldGr, oldCh)
 	if newGr != oldGr {
-		e.refreshGroup(newGr)
+		e.refreshGroup(newGr, ch)
 	}
 	return nil
 }

@@ -56,9 +56,8 @@ type Breakdown struct {
 func (e *Evaluator) Explain(i int) Breakdown {
 	gr := e.groupOf(e.sf[i], e.ch[i])
 	sf := e.sf[i]
-	th := e.thLin[sf]
-	ss := e.ssMW[sf]
-	floorMW := math.Max(th*e.noiseMW, ss)
+	floorMW := e.floorMW[sfIndex(sf)]
+	theta := e.thetaRow(i)
 	b := Breakdown{
 		Device:       i,
 		SF:           sf,
@@ -66,7 +65,7 @@ func (e *Evaluator) Explain(i int) Breakdown {
 		Channel:      e.ch[i],
 		GroupSize:    gr.count,
 		DutyCycle:    e.alpha[i],
-		AirTimeS:     e.toaBySF[sf],
+		AirTimeS:     e.toaBySF[sfIndex(sf)],
 		EnergyPerTxJ: e.es[i],
 		PRR:          e.PRR(i),
 		EE:           e.ee[i],
@@ -81,14 +80,13 @@ func (e *Evaluator) Explain(i int) Breakdown {
 		if pa > 0 {
 			gb.RxPowerDBm = lora.MilliwattsToDBm(pa)
 			gb.FadeMarginDB = gb.RxPowerDBm - lora.MilliwattsToDBm(floorMW)
-			gb.PFade = math.Exp(-floorMW / pa)
-			gb.Theta = e.capDP[k].ProbAtMostExcluding(e.q[i][k], e.p.GatewayCapacity-1)
+			gb.PFade = e.fade[i][k]
+			gb.Theta = theta[k]
 			visEx := gr.visSum[k] - e.vis[i][k]
 			qEx := gr.qSum[k] - e.q[i][k]
 			gb.CollisionExposure = e.alpha[i]*visEx + qEx
-			visOwn := math.Exp(-ss / pa)
-			wSum += visOwn
-			wExp += visOwn * gb.CollisionExposure
+			wSum += e.vis[i][k]
+			wExp += e.vis[i][k] * gb.CollisionExposure
 		} else {
 			gb.RxPowerDBm = math.Inf(-1)
 			gb.FadeMarginDB = math.Inf(-1)

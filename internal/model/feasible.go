@@ -1,6 +1,8 @@
 package model
 
 import (
+	"math"
+
 	"eflora/internal/lora"
 )
 
@@ -70,12 +72,25 @@ func ReachableGateways(gains [][]float64, i int, s lora.SF, tpDBm float64) []int
 	return out
 }
 
+// BestGainDB returns device i's gain toward its best gateway in dB, or
+// -Inf when no gateway hears it at all.
+func BestGainDB(gains [][]float64, i int) float64 {
+	g := bestGain(gains, i)
+	if g <= 0 {
+		return math.Inf(-1)
+	}
+	return lora.LinearToDB(g)
+}
+
+// FeasibleDB is Feasible for a device whose best-gateway gain is
+// bestGainDB (see BestGainDB), so a scan over one device's (SF, TP)
+// pairs takes the logarithm once.
+func FeasibleDB(bestGainDB float64, s lora.SF, tpDBm float64) bool {
+	return tpDBm+bestGainDB >= lora.SensitivityDBm(s)
+}
+
 // Feasible reports whether device i reaches at least one gateway with
 // spreading factor s at power tpDBm.
 func Feasible(gains [][]float64, i int, s lora.SF, tpDBm float64) bool {
-	g := bestGain(gains, i)
-	if g <= 0 {
-		return false
-	}
-	return tpDBm+lora.LinearToDB(g) >= lora.SensitivityDBm(s)
+	return FeasibleDB(BestGainDB(gains, i), s, tpDBm)
 }

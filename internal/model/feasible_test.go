@@ -1,6 +1,7 @@
 package model
 
 import (
+	"math"
 	"testing"
 
 	"eflora/internal/geo"
@@ -123,6 +124,18 @@ func TestFeasibleConsistentWithReachable(t *testing.T) {
 						i, sf, tp, got, want)
 				}
 			}
+		}
+	}
+}
+
+func TestFeasibleDBUnheardDevice(t *testing.T) {
+	gains := [][]float64{{0, 0}}
+	if g := BestGainDB(gains, 0); !math.IsInf(g, -1) {
+		t.Fatalf("BestGainDB of an unheard device = %v, want -Inf", g)
+	}
+	for _, sf := range lora.SFs() {
+		if Feasible(gains, 0, sf, 20) || FeasibleDB(BestGainDB(gains, 0), sf, 20) {
+			t.Errorf("%v: an unheard device is feasible", sf)
 		}
 	}
 }

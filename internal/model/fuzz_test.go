@@ -1,6 +1,7 @@
 package model
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -39,56 +40,182 @@ func fuzzEvalScenario(seed, knobs uint64) (*Network, Params, Allocation) {
 }
 
 // FuzzEvaluatorConsistency drives the incremental evaluator through a
-// random SetDevice burst, then checks every cached metric against a
-// freshly constructed evaluator (after the RecomputeAll flush). This is
-// the strongest guard on the incremental group/exposure/capacity
-// bookkeeping the allocator relies on.
+// random SetDevice burst in both interference modes, then checks every
+// cached metric against a freshly constructed evaluator (after the
+// RecomputeAll flush). This is the strongest guard on the incremental
+// group/exposure/capacity bookkeeping the allocator relies on.
 func FuzzEvaluatorConsistency(f *testing.F) {
 	for v := uint64(0); v < 5; v++ {
 		f.Add(uint64(20260706)+v, v)
 	}
 	f.Fuzz(func(t *testing.T, seed, knobs uint64) {
 		net, p, a := fuzzEvalScenario(seed, knobs)
-		r := rng.New(seed ^ 0xa0761d6478bd642f)
 		tpLevels := p.Plan.TxPowerLevels()
-		ev, err := NewEvaluator(net, p, a, ModeExact)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for op := 0; op < 60; op++ {
-			i := r.Intn(net.N())
-			sf := lora.SF7 + lora.SF(r.Intn(6))
-			tp := tpLevels[r.Intn(len(tpLevels))]
-			ch := r.Intn(p.Plan.NumChannels())
-			// Interleave trials (must not mutate) with commits.
-			if op%3 == 0 {
-				before, _ := ev.MinEE()
-				_ = ev.MinEEIf(i, sf, tp, ch)
-				after, _ := ev.MinEE()
-				if before != after {
-					t.Fatalf("MinEEIf mutated state (%v -> %v)", before, after)
+		for _, mode := range []Mode{ModeExact, ModePPP} {
+			r := rng.New(seed ^ 0xa0761d6478bd642f)
+			ev, err := NewEvaluator(net, p, a, mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for op := 0; op < 60; op++ {
+				i := r.Intn(net.N())
+				sf := lora.SF7 + lora.SF(r.Intn(6))
+				tp := tpLevels[r.Intn(len(tpLevels))]
+				ch := r.Intn(p.Plan.NumChannels())
+				// Interleave trials (must not mutate) with commits.
+				if op%3 == 0 {
+					before, _ := ev.MinEE()
+					_ = ev.MinEEIf(i, sf, tp, ch)
+					after, _ := ev.MinEE()
+					if before != after {
+						t.Fatalf("mode %d: MinEEIf mutated state (%v -> %v)", mode, before, after)
+					}
+					continue
 				}
+				if err := ev.SetDevice(i, sf, tp, ch); err != nil {
+					t.Fatalf("SetDevice: %v", err)
+				}
+			}
+			ev.RecomputeAll()
+			fresh, err := NewEvaluator(net, p, ev.Allocation(), mode)
+			if err != nil {
+				t.Fatalf("fresh: %v", err)
+			}
+			got, want := ev.EEAll(), fresh.EEAll()
+			for i := range got {
+				if math.Abs(got[i]-want[i]) > 1e-9*math.Max(1e-12, math.Abs(want[i])) {
+					t.Fatalf("mode %d: EE[%d] incremental %v vs fresh %v", mode, i, got[i], want[i])
+				}
+			}
+			gm, gi := ev.MinEE()
+			fm, fi := fresh.MinEE()
+			if math.Abs(gm-fm) > 1e-9*math.Max(1e-12, math.Abs(fm)) || gi != fi {
+				t.Fatalf("mode %d: MinEE (%v, %d) vs fresh (%v, %d)", mode, gm, gi, fm, fi)
+			}
+		}
+	})
+}
+
+// freshLink computes device j's (vis, q, fade) at gateway k under (sf,
+// tpDBm) from the parameters, independently of the evaluator's caches.
+func freshLink(ev *Evaluator, j, k int, sf lora.SF, tpDBm float64) (vis, q, fade float64) {
+	p := ev.p
+	pa := lora.DBmToMilliwatts(tpDBm) * ev.gain[j][k]
+	if pa <= 0 {
+		return 0, 0, 0
+	}
+	ss := lora.DBmToMilliwatts(lora.SensitivityDBm(sf))
+	floor := math.Max(lora.DBToLinear(lora.SNRThresholdDB(sf))*lora.DBmToMilliwatts(p.NoiseDBm), ss)
+	alpha := math.Min(1, p.TimeOnAir(sf)/p.IntervalFor(ev.net, j, sf))
+	vis = math.Exp(-ss / pa)
+	return vis, alpha * vis, math.Exp(-floor / pa)
+}
+
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+// checkRowsFresh fails unless every committed row ev would serve equals a
+// fresh computation bit for bit: vis, q and fade from each device's
+// committed SF and power, and θ from the current capacity distributions
+// for every row whose epoch is current (a row behind the epoch is
+// recomputed before it is read). It returns how many θ rows it compared.
+func checkRowsFresh(t *testing.T, ev *Evaluator, step string) (thetaRows int) {
+	t.Helper()
+	for j := 0; j < ev.n; j++ {
+		current := ev.thetaEpoch[j] == ev.epoch
+		if current {
+			thetaRows++
+		}
+		for k := 0; k < ev.g; k++ {
+			vis, q, fade := freshLink(ev, j, k, ev.sf[j], ev.tpDBm[j])
+			if !sameBits(ev.vis[j][k], vis) || !sameBits(ev.q[j][k], q) || !sameBits(ev.fade[j][k], fade) {
+				t.Fatalf("%s: device %d gateway %d: row (vis %v, q %v, fade %v), fresh (%v, %v, %v)",
+					step, j, k, ev.vis[j][k], ev.q[j][k], ev.fade[j][k], vis, q, fade)
+			}
+			if !current {
 				continue
 			}
-			if err := ev.SetDevice(i, sf, tp, ch); err != nil {
-				t.Fatalf("SetDevice: %v", err)
+			if want := ev.capDP[k].ProbAtMostExcluding(q, ev.p.GatewayCapacity-1); !sameBits(ev.theta[j][k], want) {
+				t.Fatalf("%s: device %d gateway %d: θ row %v at epoch %d, fresh %v",
+					step, j, k, ev.theta[j][k], ev.epoch, want)
 			}
 		}
-		ev.RecomputeAll()
-		fresh, err := NewEvaluator(net, p, ev.Allocation(), ModeExact)
-		if err != nil {
-			t.Fatalf("fresh: %v", err)
+	}
+	return thetaRows
+}
+
+// checkPrologue fails unless the prologue ev serves for moving device i
+// to (sf, tpDBm) — kept from an earlier probe or computed now — equals a
+// fresh computation bit for bit.
+func checkPrologue(t *testing.T, ev *Evaluator, i int, sf lora.SF, tpDBm float64, step string) {
+	t.Helper()
+	c := ev.candidate(i, sf, tpDBm)
+	for k := 0; k < ev.g; k++ {
+		vis, q, fade := freshLink(ev, i, k, sf, tpDBm)
+		if !sameBits(c.vis[k], vis) || !sameBits(c.q[k], q) || !sameBits(c.fade[k], fade) {
+			t.Fatalf("%s: prologue of device %d (%v, %v dBm) gateway %d: (vis %v, q %v, fade %v), fresh (%v, %v, %v)",
+				step, i, sf, tpDBm, k, c.vis[k], c.q[k], c.fade[k], vis, q, fade)
 		}
-		got, want := ev.EEAll(), fresh.EEAll()
-		for i := range got {
-			if math.Abs(got[i]-want[i]) > 1e-9*math.Max(1e-12, math.Abs(want[i])) {
-				t.Fatalf("EE[%d] incremental %v vs fresh %v", i, got[i], want[i])
+	}
+}
+
+// FuzzEvaluatorRowsFresh interleaves commits, flushes and candidate
+// probes at random, in both interference modes, and checks after every
+// step that no committed row or candidate prologue the evaluator would
+// serve is stale (checkRowsFresh, checkPrologue). FuzzEvaluatorConsistency compares state only after a
+// RecomputeAll flush, so it cannot see a commit that forgets to bump the
+// epoch; this target can.
+func FuzzEvaluatorRowsFresh(f *testing.F) {
+	for v := uint64(0); v < 5; v++ {
+		f.Add(uint64(20261018)+v, v)
+	}
+	f.Fuzz(func(t *testing.T, seed, knobs uint64) {
+		net, p, a := fuzzEvalScenario(seed, knobs)
+		tpLevels := p.Plan.TxPowerLevels()
+		nch := p.Plan.NumChannels()
+		for _, mode := range []Mode{ModeExact, ModePPP} {
+			ev, err := NewEvaluator(net, p, a, mode)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		gm, gi := ev.MinEE()
-		fm, fi := fresh.MinEE()
-		if math.Abs(gm-fm) > 1e-9*math.Max(1e-12, math.Abs(fm)) || gi != fi {
-			t.Fatalf("MinEE (%v, %d) vs fresh (%v, %d)", gm, gi, fm, fi)
+			checkRowsFresh(t, ev, "NewEvaluator")
+			r := rng.New(seed ^ 0x5851f42d4c957f2d)
+			served := 0
+			for op := 0; op < 80; op++ {
+				i := r.Intn(net.N())
+				sf := lora.SF7 + lora.SF(r.Intn(6))
+				tp := tpLevels[r.Intn(len(tpLevels))]
+				var step string
+				switch r.Intn(8) {
+				case 0, 1, 2:
+					step = fmt.Sprintf("op %d SetDevice(%d)", op, i)
+					if err := ev.SetDevice(i, sf, tp, r.Intn(nch)); err != nil {
+						t.Fatalf("%s: %v", step, err)
+					}
+				case 3:
+					step = fmt.Sprintf("op %d RecomputeAll", op)
+					ev.RecomputeAll()
+				case 4, 5:
+					step = fmt.Sprintf("op %d MinEEIf(%d)", op, i)
+					ev.MinEEIf(i, sf, tp, r.Intn(nch))
+					checkPrologue(t, ev, i, sf, tp, step)
+				default:
+					// Every TP level and channel of one (device, SF) in
+					// the greedy's order, so a kept prologue is reused
+					// across channels and must be replaced across powers.
+					step = fmt.Sprintf("op %d MinEEIfAbove(%d, %v) over all powers and channels", op, i, sf)
+					cur, _ := ev.MinEE()
+					for _, tp := range tpLevels {
+						for ch := 0; ch < nch; ch++ {
+							ev.MinEEIfAbove(i, sf, tp, ch, cur)
+						}
+						checkPrologue(t, ev, i, sf, tp, step)
+					}
+				}
+				served += checkRowsFresh(t, ev, fmt.Sprintf("mode %d %s", mode, step))
+			}
+			if served == 0 {
+				t.Fatalf("mode %d: no θ row was current at any check", mode)
+			}
 		}
 	})
 }
@@ -157,11 +284,9 @@ func checkBlockingGroupsSound(t *testing.T, seed, knobs uint64) (skipAll, oneGro
 		// The runner-up group minimum sits exactly on a second group's
 		// cached value, the boundary of the rule's "at or below".
 		runnerUp := math.Inf(1)
-		for si := range ev.groups {
-			for _, gr := range ev.groups[si] {
-				if gr.minEE > minEE && gr.minEE < runnerUp {
-					runnerUp = gr.minEE
-				}
+		for _, gr := range ev.groups {
+			if gr.minEE > minEE && gr.minEE < runnerUp {
+				runnerUp = gr.minEE
 			}
 		}
 		thresholds := []float64{minEE, minEE + (maxEE-minEE)/2}

@@ -12,11 +12,12 @@ import (
 // every discarded per-trial network's matrix forever.
 const gainsCacheSize = 8
 
-// gainsEntry snapshots everything Gains depends on, so a hit can be
-// validated by content even when a caller (e.g. alloc.Incremental) grows
-// or edits the same *Network between calls.
+// gainsEntry snapshots everything Gains depends on, so a hit is validated
+// by content alone: a caller (e.g. alloc.Incremental) may grow or edit the
+// same *Network between calls, and an entry holds no reference to the
+// network it was computed for, so it never keeps that network's owner
+// alive.
 type gainsEntry struct {
-	net      *Network
 	devices  []geo.Point
 	gateways []geo.Point
 	env      []int // nil when the network had no Env slice
@@ -25,8 +26,7 @@ type gainsEntry struct {
 }
 
 func (e *gainsEntry) matches(net *Network, p Params) bool {
-	if e.net != net ||
-		len(e.devices) != len(net.Devices) ||
+	if len(e.devices) != len(net.Devices) ||
 		len(e.gateways) != len(net.Gateways) ||
 		len(e.envs) != len(p.Environments) {
 		return false
@@ -64,7 +64,7 @@ var gainsCache struct {
 }
 
 // Gains returns the [device][gateway] linear path attenuation matrix.
-// Matrices are cached per (network, params): repeated calls for the same
+// Matrices are cached per (deployment, params): repeated calls for the same
 // deployment — every trial's evaluator, allocator and simulator asks for
 // the same matrix — return one shared computation. The cache validates by
 // content (device and gateway positions, environment assignment and
@@ -98,7 +98,6 @@ func Gains(net *Network, p Params) [][]float64 {
 	}
 
 	e := &gainsEntry{
-		net:      net,
 		devices:  append([]geo.Point(nil), net.Devices...),
 		gateways: append([]geo.Point(nil), net.Gateways...),
 		envs:     append([]PathLoss(nil), p.Environments...),
