@@ -82,15 +82,9 @@ type config struct {
 	replay       bool
 	packets      int
 	seed         uint64
-	verify       bool
 	allocator    string
 	driftDevices int
 	driftSNRdB   float64
-	// crashAt runs the crash/restart drill in -replay mode: ingest up to
-	// this fraction of the trace, snapshot + WAL through -state-dir,
-	// abandon the serving state mid-flight, recover into a fresh pool, and
-	// require the finished run to be bit-exact against a no-crash oracle.
-	crashAt float64
 }
 
 // storeOptions maps the daemon flags onto the statestore configuration.
@@ -163,11 +157,9 @@ func parseArgs(args []string) (config, error) {
 	fs.BoolVar(&cfg.replay, "replay", false, "load-generator mode: synthesize gateway traffic from the scenario + simulator and measure ingest throughput")
 	fs.IntVar(&cfg.packets, "packets", 20, "with -replay: simulated reporting periods per device")
 	fs.Uint64Var(&cfg.seed, "seed", 1, "with -replay: simulation / traffic seed")
-	fs.BoolVar(&cfg.verify, "verify", true, "with -replay: re-ingest sequentially on one shard and require bit-exact counters")
 	fs.StringVar(&cfg.allocator, "allocator", "eflora", "allocator used when the scenario file carries no allocation")
 	fs.IntVar(&cfg.driftDevices, "drift-devices", 0, "with -replay: degrade the reported SNR of this many devices so the re-allocator moves them")
 	fs.Float64Var(&cfg.driftSNRdB, "drift-snr", 10, "with -replay: dB of SNR degradation injected per drifting device")
-	fs.Float64Var(&cfg.crashAt, "crash-at", 0, "with -replay and -state-dir: crash/restart drill — snapshot and abandon the run at this fraction of the trace, recover, and verify bit-exactness against a no-crash oracle (0 = off)")
 	if err := fs.Parse(args); err != nil {
 		return cfg, err
 	}
@@ -187,16 +179,8 @@ func parseArgs(args []string) (config, error) {
 	if cfg.shards <= 0 {
 		return cfg, fmt.Errorf("-shards must be positive")
 	}
-	if cfg.crashAt != 0 {
-		if !cfg.replay {
-			return cfg, fmt.Errorf("-crash-at requires -replay")
-		}
-		if cfg.stateDir == "" {
-			return cfg, fmt.Errorf("-crash-at requires -state-dir")
-		}
-		if cfg.crashAt <= 0 || cfg.crashAt >= 1 {
-			return cfg, fmt.Errorf("-crash-at must be in (0,1), got %g", cfg.crashAt)
-		}
+	if cfg.replay && cfg.stateDir != "" {
+		return cfg, fmt.Errorf("-replay keeps no durable state; drop -state-dir")
 	}
 	return cfg, nil
 }
@@ -223,38 +207,19 @@ func loadScenario(cfg config) (*core.Network, model.Allocation, error) {
 	return netw, a, nil
 }
 
-// applyWALTail folds recovered WAL records into an allocation and a
-// tracker: each record is one control-loop step, so its Changes move the
-// allocation (and clear the moved devices' rolling statistics, exactly as
-// Step did live) and its Resets clear the kept-but-drifting devices.
-// Returns the number of device moves replayed.
-func applyWALTail(tail []statestore.WALRecord, a *model.Allocation, tracker *ingest.Tracker) uint64 {
-	var moves uint64
-	for _, r := range tail {
-		for _, c := range r.Delta.Changes {
-			if c.Device < 0 || c.Device >= len(a.SF) {
-				continue
-			}
-			a.SF[c.Device] = lora.SF(c.SF)
-			a.TPdBm[c.Device] = c.TPdBm
-			a.Channel[c.Device] = c.Channel
-			tracker.Reset(ingest.AddrForIndex(c.Device))
-			moves++
-		}
-		for _, i := range r.Delta.Resets {
-			tracker.Reset(ingest.AddrForIndex(i))
-		}
-	}
-	return moves
-}
-
-// daemon is the live serving path.
-type daemon struct {
+// server is the daemon's socket-free core: the sharded pool and the
+// rolling tracker it feeds, the re-allocator, the receiver frontend, the
+// downlink scheduler and frame counters, the durable-state store and the
+// -deltas file. Live mode puts the UDP reader and the HTTP listener on
+// top of it (daemon); -replay feeds it a synthesized trace instead. Its
+// control-path methods take the server time as nowS: seconds since start
+// in live mode, trace time in replay.
+type server struct {
 	cfg      config
 	start    time.Time
 	pool     *ingest.Pool
 	tracker  *ingest.Tracker
-	realloc  *ingest.Reallocator
+	realloc  *ingest.Reallocator // nil when -realloc-every is 0
 	frontend *ingest.Frontend
 
 	// routes maps gateway EUIs to their PULL_DATA downlink addresses;
@@ -269,68 +234,73 @@ type daemon struct {
 	fcntDown map[uint32]uint32
 
 	// store is the durable-state subsystem (nil when -state-dir is
-	// unset); initAlloc is the allocation the daemon booted with, the
+	// unset); initAlloc is the allocation the server booted with, the
 	// fallback snapshot source when online re-allocation is disabled.
 	store     *statestore.Store
 	initAlloc model.Allocation
 	// dlEncodeErr counts reassignments that could not be encoded as a
 	// LinkADRReq (e.g. power level outside the MAC command's range).
 	dlEncodeErr atomic.Int64
+	// deltaFile receives every control-loop delta (nil without -deltas).
+	deltaFile *os.File
 
-	udp      *net.UDPConn
-	httpLis  net.Listener
-	httpSrv  *http.Server
+	// gateways assigns each gateway EUI a dense index on first sight;
+	// parseErr counts datagrams and payloads that failed to decode.
 	gateways sync.Map // [8]byte EUI -> int index
 	gwCount  atomic.Int64
 	parseErr atomic.Int64
-
-	deltaMu   sync.Mutex
-	deltaFile *os.File
 }
 
-func newDaemon(cfg config, netw *core.Network, a model.Allocation) (*daemon, error) {
-	d := &daemon{
+// newServer assembles the server and recovers its durable state. With
+// -state-dir set, the newest snapshot (if any) seeds the allocation, the
+// tracker, the frame counters and the pool, and the WAL tail is applied
+// on top of it, or on top of the boot allocation a on a cold start.
+func newServer(cfg config, netw *core.Network, a model.Allocation) (*server, error) {
+	n := netw.Net.N()
+	s := &server{
 		cfg:      cfg,
 		start:    time.Now(),
 		tracker:  ingest.NewTracker(0),
 		routes:   downlink.NewRoutes(cfg.routeTTLS),
-		devices:  ingest.ProvisionDevices(netw.Net.N()),
+		devices:  ingest.ProvisionDevices(n),
 		plan:     netw.Params.Plan,
 		fcntDown: make(map[uint32]uint32),
 	}
-	// Durable state: open the directory and recover before anything is
-	// built, so the recovered allocation seeds the re-allocator and the
-	// recovered dedup/tracker state seeds the pool.
-	var recovered *statestore.Recovered
+	// Recover before anything is built, so the recovered allocation seeds
+	// the re-allocator and the recovered dedup state seeds the pool.
+	var snap *statestore.State
+	var recoveredMoves uint64
 	if cfg.stateDir != "" {
 		store, err := statestore.Open(cfg.stateDir, storeOptions(cfg))
 		if err != nil {
 			return nil, err
 		}
-		d.store = store
-		if recovered, err = store.Recover(); err != nil {
+		s.store = store
+		rec, err := store.Recover()
+		if err != nil {
 			return nil, err
 		}
-	}
-	var recoveredMoves uint64
-	if recovered != nil && recovered.Snapshot != nil {
-		snap := recovered.Snapshot
-		if len(snap.Alloc.SF) != netw.Net.N() {
-			return nil, fmt.Errorf("state-dir snapshot covers %d devices, scenario has %d", len(snap.Alloc.SF), netw.Net.N())
+		if snap = rec.Snapshot; snap != nil {
+			if len(snap.Alloc.SF) != n {
+				return nil, fmt.Errorf("state-dir snapshot covers %d devices, scenario has %d", len(snap.Alloc.SF), n)
+			}
+			a = snap.Alloc
+			s.tracker.ImportState(snap.Tracker)
+			recoveredMoves = snap.Reassigned
+			for _, f := range snap.FCntDown {
+				s.fcntDown[f.DevAddr] = f.FCnt
+			}
 		}
-		// The WAL tail carries every control-loop step after the snapshot:
-		// replaying it makes the allocation exact; per-device rolling
+		// The WAL tail carries every control-loop step after the snapshot
+		// (after boot on a cold start): replaying it makes the allocation,
+		// the move count and the frame counters exact; per-device rolling
 		// statistics are as-of-last-snapshot plus the recorded resets (the
 		// documented recovery invariant).
-		a = snap.Alloc.Clone()
-		d.tracker.ImportState(snap.Tracker)
-		recoveredMoves = snap.Reassigned + applyWALTail(recovered.Tail, &a, d.tracker)
-		for _, f := range snap.FCntDown {
-			d.fcntDown[f.DevAddr] = f.FCnt
-		}
+		a = a.Clone()
+		recoveredMoves += s.applyWALTail(rec.Tail, &a)
 	}
-	d.initAlloc = a.Clone()
-	d.sched = downlink.NewScheduler(downlink.Config{
+	s.initAlloc = a.Clone()
+	s.sched = downlink.NewScheduler(downlink.Config{
 		RX1DelayS:  cfg.rx1DelayS,
 		RX2FreqMHz: cfg.rx2FreqMHz,
 		RX2Datr:    cfg.rx2Datr,
@@ -340,26 +310,26 @@ func newDaemon(cfg config, netw *core.Network, a model.Allocation) (*daemon, err
 	// The receiver frontend runs the same engine.Gateway physics as the
 	// simulators over the live RXPK stream, exposing RF-contention
 	// counters the dedup/delivery pipeline cannot see.
-	d.frontend = ingest.NewFrontend(ingest.FrontendConfig{
+	s.frontend = ingest.NewFrontend(ingest.FrontendConfig{
 		Plan:       netw.Params.Plan,
 		NoiseDBm:   netw.Params.NoiseDBm,
 		Capacity:   netw.Params.GatewayCapacity,
 		CodingRate: netw.Params.CodingRate,
 	})
-	d.pool = ingest.NewPool(d.devices, ingest.PoolConfig{
+	s.pool = ingest.NewPool(s.devices, ingest.PoolConfig{
 		Shards:       cfg.shards,
 		QueueDepth:   cfg.queueDepth,
 		DedupWindowS: cfg.dedupWindowS,
 		RetainCap:    cfg.retainCap,
 		OnDelivery: func(_ int, del netserver.Delivery) {
-			d.tracker.Observe(del)
+			s.tracker.Observe(del)
 			if del.FPort == 0 {
-				d.onMACUplink(del)
+				s.onMACUplink(del)
 			}
 		},
 	})
-	if recovered != nil && recovered.Snapshot != nil {
-		if err := d.pool.ImportState(recovered.Snapshot.Pool); err != nil {
+	if snap != nil {
+		if err := s.pool.ImportState(snap.Pool); err != nil {
 			return nil, fmt.Errorf("restore pool (re-run with the shard count the state was written at, or clear -state-dir): %w", err)
 		}
 	}
@@ -368,20 +338,67 @@ func newDaemon(cfg config, netw *core.Network, a model.Allocation) (*daemon, err
 		if err != nil {
 			return nil, err
 		}
-		d.realloc = ingest.NewReallocator(inc, d.tracker, ingest.ReallocConfig{
+		s.realloc = ingest.NewReallocator(inc, s.tracker, ingest.ReallocConfig{
 			SNRMarginDB: cfg.snrMarginDB,
 			MinPRR:      cfg.minPRR,
 			MinFrames:   cfg.minFrames,
 		})
-		d.realloc.RestoreReassigned(int(recoveredMoves))
+		s.realloc.RestoreReassigned(int(recoveredMoves))
 	}
 	if cfg.deltasPath != "" {
 		f, err := os.OpenFile(cfg.deltasPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
 			return nil, err
 		}
-		d.deltaFile = f
+		s.deltaFile = f
 	}
+	return s, nil
+}
+
+// applyWALTail folds recovered WAL records into an allocation, the
+// tracker and the downlink frame counters: each record is one
+// control-loop step, so its Changes move the allocation, clear the moved
+// devices' rolling statistics exactly as Step did live, and advance each
+// moved device's FCntDown past the LinkADRReq queueDownlinks issued for
+// the move; its Resets clear the kept-but-drifting devices. Returns the
+// number of device moves replayed.
+func (s *server) applyWALTail(tail []statestore.WALRecord, a *model.Allocation) uint64 {
+	var moves uint64
+	for _, r := range tail {
+		for _, c := range r.Delta.Changes {
+			if c.Device < 0 || c.Device >= len(a.SF) {
+				continue
+			}
+			a.SF[c.Device] = lora.SF(c.SF)
+			a.TPdBm[c.Device] = c.TPdBm
+			a.Channel[c.Device] = c.Channel
+			addr := ingest.AddrForIndex(c.Device)
+			s.tracker.Reset(addr)
+			s.fcntDown[addr]++
+			moves++
+		}
+		for _, i := range r.Delta.Resets {
+			s.tracker.Reset(ingest.AddrForIndex(i))
+		}
+	}
+	return moves
+}
+
+// daemon is live mode: the server behind the packet-forwarder UDP socket
+// and the HTTP listener.
+type daemon struct {
+	*server
+	udp     *net.UDPConn
+	httpLis net.Listener
+	httpSrv *http.Server
+}
+
+func newDaemon(cfg config, netw *core.Network, a model.Allocation) (*daemon, error) {
+	s, err := newServer(cfg, netw, a)
+	if err != nil {
+		return nil, err
+	}
+	d := &daemon{server: s}
 	udpAddr, err := net.ResolveUDPAddr("udp", cfg.listenAddr)
 	if err != nil {
 		return nil, err
@@ -390,16 +407,10 @@ func newDaemon(cfg config, netw *core.Network, a model.Allocation) (*daemon, err
 		return nil, err
 	}
 	if cfg.httpAddr != "" {
-		if d.httpLis, err = net.Listen("tcp", cfg.httpAddr); err != nil {
+		if d.httpLis, d.httpSrv, err = listenHTTP(cfg.httpAddr, s.handleMetrics); err != nil {
 			d.udp.Close()
 			return nil, err
 		}
-		mux := http.NewServeMux()
-		mux.HandleFunc("/metrics", d.handleMetrics)
-		mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-			fmt.Fprintln(w, "ok")
-		})
-		d.httpSrv = &http.Server{Handler: mux}
 	}
 	return d, nil
 }
@@ -413,8 +424,8 @@ func (d *daemon) HTTPAddr() string {
 	return d.httpLis.Addr().String()
 }
 
-// nowS is the server timescale: seconds since daemon start.
-func (d *daemon) nowS() float64 { return time.Since(d.start).Seconds() }
+// nowS is the live server timescale: seconds since start.
+func (s *server) nowS() float64 { return time.Since(s.start).Seconds() }
 
 // Serve runs until ctx is done.
 func (d *daemon) Serve(ctx context.Context) error {
@@ -429,7 +440,7 @@ func (d *daemon) Serve(ctx context.Context) error {
 	flush := time.NewTicker(d.cfg.flushEvery)
 	defer flush.Stop()
 	var reallocC <-chan time.Time
-	if d.realloc != nil && d.cfg.reallocEvery > 0 {
+	if d.realloc != nil {
 		t := time.NewTicker(d.cfg.reallocEvery)
 		defer t.Stop()
 		reallocC = t.C
@@ -457,13 +468,13 @@ func (d *daemon) Serve(ctx context.Context) error {
 			d.routes.Evict(now)
 			d.sched.Expire(now)
 		case <-reallocC:
-			if err := d.reallocStep(); err != nil {
+			if err := d.step(); err != nil {
 				d.shutdown()
 				wg.Wait()
 				return err
 			}
 		case <-snapC:
-			if err := d.takeSnapshot(); err != nil {
+			if err := d.takeSnapshot(d.nowS()); err != nil {
 				d.shutdown()
 				wg.Wait()
 				return err
@@ -472,54 +483,66 @@ func (d *daemon) Serve(ctx context.Context) error {
 	}
 }
 
-// exportState assembles the daemon's durable state at the current moment.
+// exportState assembles the server's durable state at server time nowS.
 // Each shard is internally consistent; the WAL sequence covers every
 // control-loop delta appended so far (appends and snapshots are both
-// serialized on the Serve loop).
-func (d *daemon) exportState() *statestore.State {
-	a := d.initAlloc
+// serialized on the control path).
+func (s *server) exportState(nowS float64) *statestore.State {
+	a := s.initAlloc
 	var reassigned uint64
-	if d.realloc != nil {
-		a = d.realloc.Allocation()
-		reassigned = uint64(d.realloc.Reassigned())
+	if s.realloc != nil {
+		a = s.realloc.Allocation()
+		reassigned = uint64(s.realloc.Reassigned())
 	}
 	st := &statestore.State{
-		Seq:         d.store.NextSeq() - 1,
-		UplinkCount: uint64(d.pool.Counters().Uplinks),
-		TakenAtS:    d.nowS(),
-		Pool:        d.pool.ExportState(),
-		Tracker:     d.tracker.ExportState(),
+		UplinkCount: uint64(s.pool.Counters().Uplinks),
+		TakenAtS:    nowS,
+		Pool:        s.pool.ExportState(),
+		Tracker:     s.tracker.ExportState(),
 		Alloc:       a,
 		Reassigned:  reassigned,
 	}
-	d.fcntMu.Lock()
-	st.FCntDown = make([]statestore.FCntDownEntry, 0, len(d.fcntDown))
-	for addr, fcnt := range d.fcntDown {
+	if s.store != nil {
+		st.Seq = s.store.NextSeq() - 1
+	}
+	s.fcntMu.Lock()
+	st.FCntDown = make([]statestore.FCntDownEntry, 0, len(s.fcntDown))
+	for addr, fcnt := range s.fcntDown {
 		st.FCntDown = append(st.FCntDown, statestore.FCntDownEntry{DevAddr: addr, FCnt: fcnt})
 	}
-	d.fcntMu.Unlock()
+	s.fcntMu.Unlock()
 	sort.Slice(st.FCntDown, func(i, j int) bool { return st.FCntDown[i].DevAddr < st.FCntDown[j].DevAddr })
 	return st
 }
 
 // takeSnapshot makes the WAL durable, then writes a snapshot covering it.
-func (d *daemon) takeSnapshot() error {
-	if err := d.store.Sync(); err != nil {
+func (s *server) takeSnapshot(nowS float64) error {
+	if err := s.store.Sync(); err != nil {
 		return err
 	}
-	return d.store.WriteSnapshot(d.exportState())
+	return s.store.WriteSnapshot(s.exportState(nowS))
 }
 
 // onMACUplink handles an FPort-0 uplink: the payload is the decrypted MAC
 // command stream, which for this daemon means a LinkADRAns acknowledging
 // (or rejecting) a queued reassignment.
-func (d *daemon) onMACUplink(del netserver.Delivery) {
-	if d.realloc == nil {
+func (s *server) onMACUplink(del netserver.Delivery) {
+	if s.realloc == nil {
 		return
 	}
 	if ans, err := lorawan.ParseLinkADRAns(del.Payload); err == nil {
-		d.realloc.NoteAns(del.DevAddr, ans)
+		s.realloc.NoteAns(del.DevAddr, ans)
 	}
+}
+
+// step runs one control-loop pass now and transmits the downlinks whose
+// RX window is still reachable.
+func (d *daemon) step() error {
+	_, frames, err := d.reallocStep(d.nowS())
+	for _, f := range frames {
+		d.sendDownlink(f)
+	}
+	return err
 }
 
 func (d *daemon) shutdown() {
@@ -533,11 +556,14 @@ func (d *daemon) shutdown() {
 	d.pool.Flush()
 	d.pool.Close() // stops the shard workers; state export still works
 	if d.realloc != nil {
-		_ = d.reallocStep() // final pass so observed drift is not lost
+		// Final pass so observed drift is not lost.
+		if err := d.step(); err != nil {
+			fmt.Fprintln(os.Stderr, "eflora-nsd: final control step:", err)
+		}
 	}
 	// Final snapshot: SIGTERM hands the next process a zero-replay boot.
 	if d.store != nil {
-		if err := d.takeSnapshot(); err != nil {
+		if err := d.takeSnapshot(d.nowS()); err != nil {
 			fmt.Fprintln(os.Stderr, "eflora-nsd: final snapshot:", err)
 		}
 		if err := d.store.Close(); err != nil {
@@ -545,45 +571,48 @@ func (d *daemon) shutdown() {
 		}
 	}
 	if d.deltaFile != nil {
-		d.deltaFile.Close()
+		if err := d.deltaFile.Close(); err != nil {
+			fmt.Fprintln(os.Stderr, "eflora-nsd: deltas close:", err)
+		}
 	}
 }
 
-// reallocStep runs one control-loop pass, appends any delta, and queues
-// the matching LinkADRReq downlinks so the moved devices actually hear
-// about their new assignment. The WAL-first ordering below is what the
-// walorder analyzer enforces.
+// reallocStep runs one control-loop pass at server time nowS, appends any
+// delta to the WAL and the -deltas file, and queues the matching
+// LinkADRReq downlinks so the moved devices actually hear about their new
+// assignment. It returns the delta (nil when nothing changed) and the
+// frames whose RX window was reachable at once, for the caller to
+// transmit. The WAL-first ordering below is what the walorder analyzer
+// enforces.
 //
 //eflora:durable
-func (d *daemon) reallocStep() error {
-	delta, err := d.realloc.Step(d.nowS())
+func (s *server) reallocStep(nowS float64) (*scenario.Delta, []*downlink.Frame, error) {
+	delta, err := s.realloc.Step(nowS)
 	if err != nil || delta == nil {
-		return err
+		return nil, nil, err
 	}
 	// WAL first: the delta must be durable before its downlinks go out, or
 	// a crash between send and append would leave devices on settings the
 	// recovered state does not know about.
-	if d.store != nil {
-		if _, err := d.store.AppendSync(delta, d.nowS()); err != nil {
-			return err
+	if s.store != nil {
+		if _, err := s.store.AppendSync(delta, nowS); err != nil {
+			return nil, nil, err
 		}
 	}
-	d.queueDownlinks(delta)
-	if d.deltaFile == nil {
-		return nil
+	frames := s.queueDownlinks(delta, nowS)
+	if s.deltaFile == nil {
+		return delta, frames, nil
 	}
-	d.deltaMu.Lock()
-	defer d.deltaMu.Unlock()
-	return scenario.AppendDelta(d.deltaFile, delta)
+	return delta, frames, scenario.AppendDelta(s.deltaFile, delta)
 }
 
 // gatewayIndex assigns each gateway EUI a dense index on first sight.
-func (d *daemon) gatewayIndex(eui [8]byte) int {
-	if v, ok := d.gateways.Load(eui); ok {
+func (s *server) gatewayIndex(eui [8]byte) int {
+	if v, ok := s.gateways.Load(eui); ok {
 		return v.(int)
 	}
-	idx := int(d.gwCount.Add(1)) - 1
-	if v, loaded := d.gateways.LoadOrStore(eui, idx); loaded {
+	idx := int(s.gwCount.Add(1)) - 1
+	if v, loaded := s.gateways.LoadOrStore(eui, idx); loaded {
 		return v.(int)
 	}
 	return idx
@@ -682,11 +711,11 @@ func (d *daemon) sendDownlink(f *downlink.Frame) {
 }
 
 // nextFCntDown issues the device's next downlink frame counter.
-func (d *daemon) nextFCntDown(devAddr uint32) uint32 {
-	d.fcntMu.Lock()
-	defer d.fcntMu.Unlock()
-	fcnt := d.fcntDown[devAddr]
-	d.fcntDown[devAddr] = fcnt + 1
+func (s *server) nextFCntDown(devAddr uint32) uint32 {
+	s.fcntMu.Lock()
+	defer s.fcntMu.Unlock()
+	fcnt := s.fcntDown[devAddr]
+	s.fcntDown[devAddr] = fcnt + 1
 	return fcnt
 }
 
@@ -716,329 +745,121 @@ func buildLinkADRPhy(plan lora.Plan, keys lorawan.Keys, devAddr, fcnt uint32, c 
 }
 
 // queueDownlinks turns a re-allocation delta into per-device LinkADRReq
-// downlinks, sending immediately when a device's RX window is still
-// reachable.
-func (d *daemon) queueDownlinks(delta *scenario.Delta) {
+// downlinks, one frame counter per in-range change, and returns the
+// frames whose RX window is still reachable at nowS. The rest wait in the
+// scheduler for the device's next uplink.
+func (s *server) queueDownlinks(delta *scenario.Delta, nowS float64) []*downlink.Frame {
+	var frames []*downlink.Frame
 	for _, c := range delta.Changes {
-		if c.Device < 0 || c.Device >= len(d.devices) {
+		if c.Device < 0 || c.Device >= len(s.devices) {
 			continue
 		}
-		dev := d.devices[c.Device]
-		phy, err := buildLinkADRPhy(d.plan, dev.Keys, dev.DevAddr, d.nextFCntDown(dev.DevAddr), c)
+		dev := s.devices[c.Device]
+		phy, err := buildLinkADRPhy(s.plan, dev.Keys, dev.DevAddr, s.nextFCntDown(dev.DevAddr), c)
 		if err != nil {
-			d.dlEncodeErr.Add(1)
+			s.dlEncodeErr.Add(1)
 			continue
 		}
-		d.realloc.NoteCommandSent(dev.DevAddr)
-		if f := d.sched.Enqueue(dev.DevAddr, phy, d.nowS()); f != nil {
-			d.sendDownlink(f)
+		s.realloc.NoteCommandSent(dev.DevAddr)
+		if f := s.sched.Enqueue(dev.DevAddr, phy, nowS); f != nil {
+			frames = append(frames, f)
 		}
 	}
+	return frames
 }
 
 // handleMetrics renders the Prometheus-style text counters.
-func (d *daemon) handleMetrics(w http.ResponseWriter, r *http.Request) {
+func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	rf := d.frontend.Counters()
-	dl := d.sched.Counters()
-	x := metricsExtra{
-		uptimeS:     d.nowS(),
-		gateways:    int(d.gwCount.Load()),
-		parseErrors: d.parseErr.Load(),
-		tracked:     d.tracker.Len(),
-		reallocated: d.reallocated(),
-		rf:          &rf,
-		dl:          &dl,
-		routes:      d.routes.Len(),
-		dlEncodeErr: d.dlEncodeErr.Load(),
-		ackErrs:     d.sched.AckErrors(),
-	}
-	if d.store != nil {
-		ss := d.store.Metrics()
-		x.ss = &ss
-	}
-	if d.realloc != nil {
-		ans := d.realloc.Ans()
-		x.ans = &ans
-	}
-	writeMetrics(w, d.pool, x)
-}
-
-func (d *daemon) reallocated() int {
-	if d.realloc == nil {
-		return 0
-	}
-	return d.realloc.Reassigned()
-}
-
-type metricsExtra struct {
-	uptimeS     float64
-	gateways    int
-	parseErrors int64
-	tracked     int
-	reallocated int
-	// rf is the receiver frontend's RF-contention accounting (live mode
-	// only; replay traffic has no RXPK stream to observe).
-	rf *ingest.FrontendCounters
-	// dl is the downlink scheduler's accounting; routes the live gateway
-	// route count; ackErrs the per-gateway TX_ACK outcome tallies.
-	dl          *downlink.Counters
-	routes      int
-	dlEncodeErr int64
-	ackErrs     []downlink.AckErrorCount
-	// ss is the durable-state accounting (nil when -state-dir is unset);
-	// ans the LinkADRAns outcome tallies (nil when re-allocation is off).
-	ss  *statestore.Metrics
-	ans *ingest.AnsCounters
-}
-
-// writeMetrics is shared between the live /metrics endpoint and the
-// replay-mode metrics server.
-func writeMetrics(w io.Writer, pool *ingest.Pool, x metricsExtra) {
-	c := pool.Counters()
-	fmt.Fprintf(w, "eflora_nsd_uptime_seconds %.3f\n", x.uptimeS)
+	c := s.pool.Counters()
+	fmt.Fprintf(w, "eflora_nsd_uptime_seconds %.3f\n", s.nowS())
 	fmt.Fprintf(w, "eflora_nsd_uplinks_total %d\n", c.Uplinks)
 	fmt.Fprintf(w, "eflora_nsd_deliveries_total %d\n", c.Delivered)
 	fmt.Fprintf(w, "eflora_nsd_duplicates_total %d\n", c.Duplicates)
 	fmt.Fprintf(w, "eflora_nsd_rejected_total %d\n", c.Rejected)
-	fmt.Fprintf(w, "eflora_nsd_parse_errors_total %d\n", x.parseErrors)
+	fmt.Fprintf(w, "eflora_nsd_parse_errors_total %d\n", s.parseErr.Load())
 	fmt.Fprintf(w, "eflora_nsd_dedup_hit_rate %s\n", ratio(c.Duplicates, c.Uplinks))
 	for _, q := range []float64{0.5, 0.99} {
-		if lat, ok := pool.LatencyQuantile(q); ok {
+		if lat, ok := s.pool.LatencyQuantile(q); ok {
 			fmt.Fprintf(w, "eflora_nsd_ingest_latency_seconds{quantile=%q} %.9f\n", fmt.Sprintf("%g", q), lat.Seconds())
 		}
 	}
-	fmt.Fprintf(w, "eflora_nsd_gateways %d\n", x.gateways)
-	fmt.Fprintf(w, "eflora_nsd_tracked_devices %d\n", x.tracked)
-	fmt.Fprintf(w, "eflora_nsd_realloc_devices_total %d\n", x.reallocated)
-	if x.rf != nil {
-		fmt.Fprintf(w, "eflora_nsd_rf_collision_losses_total %d\n", x.rf.CollisionLosses)
-		fmt.Fprintf(w, "eflora_nsd_rf_capacity_drops_total %d\n", x.rf.CapacityDrops)
-		fmt.Fprintf(w, "eflora_nsd_rf_sensitivity_misses_total %d\n", x.rf.SensitivityMisses)
-		fmt.Fprintf(w, "eflora_nsd_rf_unknown_channel_total %d\n", x.rf.UnknownChannel)
-		fmt.Fprintf(w, "eflora_nsd_rf_bad_datr_total %d\n", x.rf.BadDatr)
+	fmt.Fprintf(w, "eflora_nsd_gateways %d\n", s.gwCount.Load())
+	fmt.Fprintf(w, "eflora_nsd_tracked_devices %d\n", s.tracker.Len())
+	fmt.Fprintf(w, "eflora_nsd_realloc_devices_total %d\n", s.reallocated())
+	rf := s.frontend.Counters()
+	fmt.Fprintf(w, "eflora_nsd_rf_collision_losses_total %d\n", rf.CollisionLosses)
+	fmt.Fprintf(w, "eflora_nsd_rf_capacity_drops_total %d\n", rf.CapacityDrops)
+	fmt.Fprintf(w, "eflora_nsd_rf_sensitivity_misses_total %d\n", rf.SensitivityMisses)
+	fmt.Fprintf(w, "eflora_nsd_rf_unknown_channel_total %d\n", rf.UnknownChannel)
+	fmt.Fprintf(w, "eflora_nsd_rf_bad_datr_total %d\n", rf.BadDatr)
+	dl := s.sched.Counters()
+	fmt.Fprintf(w, "eflora_nsd_downlink_queued_total %d\n", dl.Queued)
+	fmt.Fprintf(w, "eflora_nsd_downlink_sent_total %d\n", dl.Sent)
+	fmt.Fprintf(w, "eflora_nsd_downlink_acked_total %d\n", dl.Acked)
+	fmt.Fprintf(w, "eflora_nsd_downlink_failed_total %d\n", dl.Failed)
+	fmt.Fprintf(w, "eflora_nsd_downlink_retried_total %d\n", dl.Retried)
+	fmt.Fprintf(w, "eflora_nsd_downlink_expired_total %d\n", dl.Expired)
+	fmt.Fprintf(w, "eflora_nsd_downlink_noroute_total %d\n", dl.NoRoute)
+	fmt.Fprintf(w, "eflora_nsd_downlink_dutyblocked_total %d\n", dl.DutyBlocked)
+	fmt.Fprintf(w, "eflora_nsd_downlink_encode_errors_total %d\n", s.dlEncodeErr.Load())
+	fmt.Fprintf(w, "eflora_nsd_gateway_routes %d\n", s.routes.Len())
+	for _, e := range s.sched.AckErrors() {
+		fmt.Fprintf(w, "eflora_nsd_txack_total{gateway=\"%x\",error=%q} %d\n", e.EUI, e.Error, e.Count)
 	}
-	if x.dl != nil {
-		fmt.Fprintf(w, "eflora_nsd_downlink_queued_total %d\n", x.dl.Queued)
-		fmt.Fprintf(w, "eflora_nsd_downlink_sent_total %d\n", x.dl.Sent)
-		fmt.Fprintf(w, "eflora_nsd_downlink_acked_total %d\n", x.dl.Acked)
-		fmt.Fprintf(w, "eflora_nsd_downlink_failed_total %d\n", x.dl.Failed)
-		fmt.Fprintf(w, "eflora_nsd_downlink_retried_total %d\n", x.dl.Retried)
-		fmt.Fprintf(w, "eflora_nsd_downlink_expired_total %d\n", x.dl.Expired)
-		fmt.Fprintf(w, "eflora_nsd_downlink_noroute_total %d\n", x.dl.NoRoute)
-		fmt.Fprintf(w, "eflora_nsd_downlink_dutyblocked_total %d\n", x.dl.DutyBlocked)
-		fmt.Fprintf(w, "eflora_nsd_downlink_encode_errors_total %d\n", x.dlEncodeErr)
-		fmt.Fprintf(w, "eflora_nsd_gateway_routes %d\n", x.routes)
-		for _, e := range x.ackErrs {
-			fmt.Fprintf(w, "eflora_nsd_txack_total{gateway=\"%x\",error=%q} %d\n", e.EUI, e.Error, e.Count)
-		}
+	if s.realloc != nil {
+		ans := s.realloc.Ans()
+		fmt.Fprintf(w, "eflora_nsd_linkadr_sent_total %d\n", ans.Sent)
+		fmt.Fprintf(w, "eflora_nsd_linkadr_applied_total %d\n", ans.Applied)
+		fmt.Fprintf(w, "eflora_nsd_linkadr_rejected_total %d\n", ans.Rejected)
+		fmt.Fprintf(w, "eflora_nsd_linkadr_unsolicited_total %d\n", ans.Unsolicited)
 	}
-	if x.ans != nil {
-		fmt.Fprintf(w, "eflora_nsd_linkadr_sent_total %d\n", x.ans.Sent)
-		fmt.Fprintf(w, "eflora_nsd_linkadr_applied_total %d\n", x.ans.Applied)
-		fmt.Fprintf(w, "eflora_nsd_linkadr_rejected_total %d\n", x.ans.Rejected)
-		fmt.Fprintf(w, "eflora_nsd_linkadr_unsolicited_total %d\n", x.ans.Unsolicited)
-	}
-	if x.ss != nil {
-		fmt.Fprintf(w, "eflora_nsd_state_wal_seq %d\n", x.ss.WALSeq)
-		fmt.Fprintf(w, "eflora_nsd_state_wal_appends_total %d\n", x.ss.WALAppends)
-		fmt.Fprintf(w, "eflora_nsd_state_wal_bytes_total %d\n", x.ss.WALBytes)
-		fmt.Fprintf(w, "eflora_nsd_state_wal_fsyncs_total %d\n", x.ss.WALFsyncs)
-		fmt.Fprintf(w, "eflora_nsd_state_wal_lag_records %d\n", x.ss.WALLagRecords)
+	if s.store != nil {
+		ss := s.store.Metrics()
+		fmt.Fprintf(w, "eflora_nsd_state_wal_seq %d\n", ss.WALSeq)
+		fmt.Fprintf(w, "eflora_nsd_state_wal_appends_total %d\n", ss.WALAppends)
+		fmt.Fprintf(w, "eflora_nsd_state_wal_bytes_total %d\n", ss.WALBytes)
+		fmt.Fprintf(w, "eflora_nsd_state_wal_fsyncs_total %d\n", ss.WALFsyncs)
+		fmt.Fprintf(w, "eflora_nsd_state_wal_lag_records %d\n", ss.WALLagRecords)
 		for _, q := range []float64{0.5, 0.99} {
-			if lat, ok := x.ss.FsyncSeconds.Quantile(q); ok {
+			if lat, ok := ss.FsyncSeconds.Quantile(q); ok {
 				fmt.Fprintf(w, "eflora_nsd_state_fsync_seconds{quantile=%q} %.9f\n", fmt.Sprintf("%g", q), lat.Seconds())
 			}
 		}
-		fmt.Fprintf(w, "eflora_nsd_state_snapshots_total %d\n", x.ss.Snapshots)
-		fmt.Fprintf(w, "eflora_nsd_state_snapshot_bytes %d\n", x.ss.SnapshotBytes)
-		fmt.Fprintf(w, "eflora_nsd_state_snapshot_seconds %.9f\n", x.ss.SnapshotSeconds)
-		fmt.Fprintf(w, "eflora_nsd_state_recovery_replayed_total %d\n", x.ss.RecoveryReplayed)
-		fmt.Fprintf(w, "eflora_nsd_state_recovery_snapshots_skipped_total %d\n", x.ss.RecoverySnapshotsSkipped)
-		fmt.Fprintf(w, "eflora_nsd_state_recovery_discarded_bytes_total %d\n", x.ss.RecoveryDiscardedBytes)
+		fmt.Fprintf(w, "eflora_nsd_state_snapshots_total %d\n", ss.Snapshots)
+		fmt.Fprintf(w, "eflora_nsd_state_snapshot_bytes %d\n", ss.SnapshotBytes)
+		fmt.Fprintf(w, "eflora_nsd_state_snapshot_seconds %.9f\n", ss.SnapshotSeconds)
+		fmt.Fprintf(w, "eflora_nsd_state_recovery_replayed_total %d\n", ss.RecoveryReplayed)
+		fmt.Fprintf(w, "eflora_nsd_state_recovery_snapshots_skipped_total %d\n", ss.RecoverySnapshotsSkipped)
+		fmt.Fprintf(w, "eflora_nsd_state_recovery_discarded_bytes_total %d\n", ss.RecoveryDiscardedBytes)
 	}
-	for k, depth := range pool.ShardDepths() {
+	for k, depth := range s.pool.ShardDepths() {
 		fmt.Fprintf(w, "eflora_nsd_shard_depth{shard=\"%d\"} %d\n", k, depth)
 	}
-	for k, pending := range pool.PendingCounts() {
+	for k, pending := range s.pool.PendingCounts() {
 		fmt.Fprintf(w, "eflora_nsd_shard_pending{shard=\"%d\"} %d\n", k, pending)
 	}
 }
 
-// exportReplayState assembles a crash-drill rig's durable state the same
-// way the daemon's exportState does (replay mode has no downlink frame
-// counters). The envelope fields stay zero; they are excluded from the
-// digest anyway.
-func exportReplayState(pool *ingest.Pool, tracker *ingest.Tracker, realloc *ingest.Reallocator) *statestore.State {
-	return &statestore.State{
-		UplinkCount: uint64(pool.Counters().Uplinks),
-		Pool:        pool.ExportState(),
-		Tracker:     tracker.ExportState(),
-		Alloc:       realloc.Allocation(),
-		Reassigned:  uint64(realloc.Reassigned()),
+func (s *server) reallocated() int {
+	if s.realloc == nil {
+		return 0
 	}
+	return s.realloc.Reassigned()
 }
 
-// runCrashDrill proves the durability contract end to end, inside one
-// process: run the trace uninterrupted as the oracle; run it again but
-// persist a snapshot plus WAL tail at the cut and abandon the serving
-// state the way a crash would; recover into a fresh pool from disk alone;
-// finish the trace; and require the final counters and the per-device
-// state digest to be bit-exact against the oracle. Both runs use the same
-// global flush schedule and control-loop times, so any divergence is the
-// durability path's fault.
-func runCrashDrill(cfg config, netw *core.Network, a model.Allocation, rt *ingest.Replay, out io.Writer) error {
-	n := len(rt.Uplinks)
-	cut := int(cfg.crashAt * float64(n))
-	if cut <= 0 || cut >= n {
-		return fmt.Errorf("crash drill: -crash-at %g cuts at uplink %d of %d", cfg.crashAt, cut, n)
-	}
-	reallocCfg := ingest.ReallocConfig{
-		SNRMarginDB: cfg.snrMarginDB,
-		MinPRR:      cfg.minPRR,
-		MinFrames:   cfg.minFrames,
-	}
-	midS := rt.SimTimeS * cfg.crashAt
-
-	newRig := func() (*ingest.Pool, *ingest.Tracker) {
-		tracker := ingest.NewTracker(0)
-		pool := ingest.NewPool(rt.Devices, ingest.PoolConfig{
-			Shards:       cfg.shards,
-			QueueDepth:   cfg.queueDepth,
-			DedupWindowS: cfg.dedupWindowS,
-			RetainCap:    cfg.retainCap,
-			OnDelivery:   func(_ int, del netserver.Delivery) { tracker.Observe(del) },
-		})
-		return pool, tracker
-	}
-	newRealloc := func(tracker *ingest.Tracker, seed model.Allocation) (*ingest.Reallocator, error) {
-		inc, err := alloc.NewIncremental(netw.Net, netw.Params, seed, alloc.Options{})
-		if err != nil {
-			return nil, err
-		}
-		return ingest.NewReallocator(inc, tracker, reallocCfg), nil
-	}
-	dispatch := func(pool *ingest.Pool, from, to int) {
-		for i := from; i < to; i++ {
-			pool.Dispatch(rt.Uplinks[i])
-			if i&0x0FFF == 0x0FFF {
-				pool.FlushExpiredVirtual()
-			}
-		}
-		pool.Drain()
-	}
-
-	// Phase 1: the uninterrupted oracle, with the same mid-trace control
-	// step the crash run will take.
-	oPool, oTracker := newRig()
-	oRealloc, err := newRealloc(oTracker, a)
+// listenHTTP binds addr for the /metrics and /healthz endpoints.
+func listenHTTP(addr string, metrics http.HandlerFunc) (net.Listener, *http.Server, error) {
+	lis, err := net.Listen("tcp", addr)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
-	oPool.Start()
-	dispatch(oPool, 0, cut)
-	if _, err := oRealloc.Step(midS); err != nil {
-		return err
-	}
-	dispatch(oPool, cut, n)
-	oPool.Flush()
-	if _, err := oRealloc.Step(rt.SimTimeS); err != nil {
-		return err
-	}
-	oracle := exportReplayState(oPool, oTracker, oRealloc)
-	oracleCounters := oPool.Counters()
-	oPool.Close()
-
-	// Phase 2: the crash run. Snapshot BEFORE the control step so the step's
-	// delta lands only in the WAL — recovery must replay it, not find it.
-	store, err := statestore.Open(cfg.stateDir, storeOptions(cfg))
-	if err != nil {
-		return err
-	}
-	if pre, err := store.Recover(); err != nil {
-		return err
-	} else if pre.Snapshot != nil || len(pre.Tail) > 0 {
-		return fmt.Errorf("crash drill: -state-dir %s already holds state; use an empty directory", cfg.stateDir)
-	}
-	cPool, cTracker := newRig()
-	cRealloc, err := newRealloc(cTracker, a)
-	if err != nil {
-		return err
-	}
-	cPool.Start()
-	dispatch(cPool, 0, cut)
-	snap := exportReplayState(cPool, cTracker, cRealloc)
-	snap.Seq = store.NextSeq() - 1
-	snap.TakenAtS = midS
-	if err := store.WriteSnapshot(snap); err != nil {
-		return err
-	}
-	midDelta, err := cRealloc.Step(midS)
-	if err != nil {
-		return err
-	}
-	walRecords := 0
-	if midDelta != nil {
-		if _, err := store.AppendSync(midDelta, midS); err != nil {
-			return err
-		}
-		walRecords++
-	}
-	// Crash: stop the workers and walk away. No final snapshot, no clean
-	// store close — everything after the snapshot lives only in the WAL.
-	cPool.Close()
-	fmt.Fprintf(out, "crash drill: crashed after %d/%d uplinks (snapshot + %d WAL record(s) on disk)\n",
-		cut, n, walRecords)
-
-	// Phase 3: restart from disk alone and finish the trace.
-	store2, err := statestore.Open(cfg.stateDir, storeOptions(cfg))
-	if err != nil {
-		return err
-	}
-	rec, err := store2.Recover()
-	if err != nil {
-		return err
-	}
-	if rec.Snapshot == nil {
-		return fmt.Errorf("crash drill: no snapshot recovered from %s", cfg.stateDir)
-	}
-	rPool, rTracker := newRig()
-	rTracker.ImportState(rec.Snapshot.Tracker)
-	a2 := rec.Snapshot.Alloc.Clone()
-	moves := rec.Snapshot.Reassigned + applyWALTail(rec.Tail, &a2, rTracker)
-	if err := rPool.ImportState(rec.Snapshot.Pool); err != nil {
-		return err
-	}
-	rRealloc, err := newRealloc(rTracker, a2)
-	if err != nil {
-		return err
-	}
-	rRealloc.RestoreReassigned(int(moves))
-	m := store2.Metrics()
-	fmt.Fprintf(out, "crash drill: recovered snapshot seq %d, replayed %d WAL record(s), %d torn byte(s) discarded\n",
-		rec.Snapshot.Seq, m.RecoveryReplayed, m.RecoveryDiscardedBytes)
-	rPool.Start()
-	dispatch(rPool, cut, n)
-	rPool.Flush()
-	if _, err := rRealloc.Step(rt.SimTimeS); err != nil {
-		return err
-	}
-	got := exportReplayState(rPool, rTracker, rRealloc)
-	gotCounters := rPool.Counters()
-	rPool.Close()
-	if err := store2.Close(); err != nil {
-		return err
-	}
-
-	if gotCounters != oracleCounters {
-		return fmt.Errorf("crash drill: RECOVERY FAILED: counters %+v diverge from oracle %+v", gotCounters, oracleCounters)
-	}
-	gd, od := got.Digest(), oracle.Digest()
-	if gd != od {
-		return fmt.Errorf("crash drill: RECOVERY FAILED: state digest %s != oracle %s", gd, od)
-	}
-	fmt.Fprintf(out, "RECOVERY OK: post-crash counters and per-device state digest bit-exact vs no-crash oracle (%s)\n", od[:16])
-	return nil
+	mux := http.NewServeMux()
+	mux.HandleFunc("/metrics", metrics)
+	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprintln(w, "ok")
+	})
+	return lis, &http.Server{Handler: mux}, nil
 }
 
 // replayGatewayEUI synthesizes a stable forwarder identity per gateway
@@ -1047,23 +868,18 @@ func replayGatewayEUI(gw int) [8]byte {
 	return [8]byte{0xEF, 0x10, 0x5A, 0, 0, 0, byte(gw >> 8), byte(gw)}
 }
 
-// runDownlinkExchange closes the replay loop: every reassigned device
-// sends one more heartbeat on its OLD settings, the scheduler answers
-// with a LinkADRReq PULL_RESP into the device's RX1/RX2 window, the
-// simulated gateway judges and transmits it (blocking its own receiver
-// for the airtime), and the simulated device applies the command only if
-// the downlink actually lands — then acknowledges it with a LinkADRAns
-// MAC uplink that runs the full FPort-0 codec roundtrip into r.
-func runDownlinkExchange(cfg config, netw *core.Network, a model.Allocation, rt *ingest.Replay, delta *scenario.Delta, r *ingest.Reallocator, out io.Writer) error {
-	plan := netw.Params.Plan
-	sched := downlink.NewScheduler(downlink.Config{
-		RX1DelayS:  cfg.rx1DelayS,
-		RX2FreqMHz: cfg.rx2FreqMHz,
-		RX2Datr:    cfg.rx2Datr,
-		CodingRate: netw.Params.CodingRate,
-		DutyCycle:  cfg.dutyCycle,
-	})
-	scfg := sched.Config()
+// runDownlinkExchange closes the replay loop over the commands the
+// control step left queued in the server's scheduler: every reassigned
+// device sends one more heartbeat on its OLD settings, the scheduler
+// answers it with the LinkADRReq PULL_RESP in the device's RX1/RX2
+// window, the simulated gateway judges and transmits it (blocking its own
+// receiver for the airtime), and the simulated device applies the
+// command only if the downlink actually lands — then acknowledges it
+// with a LinkADRAns MAC uplink that runs the full FPort-0 codec
+// roundtrip into the server's MAC handler.
+func runDownlinkExchange(s *server, netw *core.Network, a model.Allocation, rt *ingest.Replay, delta *scenario.Delta, out io.Writer) error {
+	plan := s.plan
+	scfg := s.sched.Config()
 
 	validFreqs := make([]float64, 0, plan.NumChannels()+1)
 	for _, ch := range plan.Uplink {
@@ -1099,8 +915,8 @@ func runDownlinkExchange(cfg config, netw *core.Network, a model.Allocation, rt 
 		ch := plan.Uplink[a.Channel[i]]
 		upFreqMHz := ch.CenterHz / 1e6
 		upDatr := ingest.Datr(a.SF[i], ch.BandwidthHz)
-		dev := rt.Devices[i]
-		sched.ObserveUplink(downlink.Uplink{
+		dev := s.devices[i]
+		frame := s.sched.ObserveUplink(downlink.Uplink{
 			DevAddr: dev.DevAddr,
 			Gateway: last.Gateway,
 			EUI:     replayGatewayEUI(last.Gateway),
@@ -1109,15 +925,6 @@ func runDownlinkExchange(cfg config, netw *core.Network, a model.Allocation, rt 
 			Datr:    upDatr,
 			AtS:     hbS,
 		}, hbS)
-
-		phy, err := buildLinkADRPhy(plan, dev.Keys, dev.DevAddr, 0, c)
-		if err != nil {
-			return fmt.Errorf("downlink: encode device %d: %w", i, err)
-		}
-		if r != nil {
-			r.NoteCommandSent(dev.DevAddr)
-		}
-		frame := sched.Enqueue(dev.DevAddr, phy, hbS+0.05)
 		if frame == nil {
 			unsent++ // both windows duty-blocked; stays queued
 			continue
@@ -1141,7 +948,7 @@ func runDownlinkExchange(cfg config, netw *core.Network, a model.Allocation, rt 
 		// RX1 is the scheduler's only second chance.
 		for attempt := 0; frame != nil && attempt < 2; attempt++ {
 			startS, endS, errStr := sims[frame.Gateway].Transmit(&frame.TXPK, hbS+0.05)
-			retry := sched.OnTxAck(frame.EUI, frame.Token, errStr, hbS+0.1)
+			retry := s.sched.OnTxAck(frame.EUI, frame.Token, errStr, hbS+0.1)
 			if errStr == ingest.TxErrNone {
 				// The gateway is deaf while its downlink is in the air:
 				// probe the half-duplex window with a strong uplink.
@@ -1166,45 +973,37 @@ func runDownlinkExchange(cfg config, netw *core.Network, a model.Allocation, rt 
 					}
 					// The device acknowledges on its next uplink: a LinkADRAns
 					// on FPort 0, through the real codec both directions.
-					if r != nil {
-						ansPhy, err := lorawan.Encode(lorawan.Frame{
-							MType:   lorawan.UnconfirmedDataUp,
-							DevAddr: dev.DevAddr,
-							ADR:     true,
-							FCnt:    uint32(cfg.packets) + 1,
-							FPort:   0,
-							Payload: lorawan.LinkADRAns{ChannelACK: true, DataRateACK: true, PowerACK: true}.Encode(),
-						}, dev.Keys)
-						if err != nil {
-							return fmt.Errorf("downlink: device %d ans encode: %w", i, err)
-						}
-						fr, err := lorawan.Decode(ansPhy, dev.Keys, 0)
-						if err != nil {
-							return fmt.Errorf("downlink: device %d ans decode: %w", i, err)
-						}
-						ans, err := lorawan.ParseLinkADRAns(fr.Payload)
-						if err != nil {
-							return fmt.Errorf("downlink: device %d ans parse: %w", i, err)
-						}
-						r.NoteAns(dev.DevAddr, ans)
+					ansPhy, err := lorawan.Encode(lorawan.Frame{
+						MType:   lorawan.UnconfirmedDataUp,
+						DevAddr: dev.DevAddr,
+						ADR:     true,
+						FCnt:    uint32(s.cfg.packets) + 1,
+						FPort:   0,
+						Payload: lorawan.LinkADRAns{ChannelACK: true, DataRateACK: true, PowerACK: true}.Encode(),
+					}, dev.Keys)
+					if err != nil {
+						return fmt.Errorf("downlink: device %d ans encode: %w", i, err)
 					}
+					fr, err := lorawan.Decode(ansPhy, dev.Keys, 0)
+					if err != nil {
+						return fmt.Errorf("downlink: device %d ans decode: %w", i, err)
+					}
+					s.onMACUplink(netserver.Delivery{DevAddr: fr.DevAddr, FCnt: fr.FCnt, FPort: fr.FPort, Payload: fr.Payload})
 				}
 			}
 			frame = retry
 		}
 	}
-	dl := sched.Counters()
+	dl := s.sched.Counters()
 	fmt.Fprintf(out, "downlink: %d command(s): %d sent, %d acked, %d applied (RX1 %d, RX2 %d), %d retried, %d duty-blocked, %d still queued, %d unheard\n",
 		len(delta.Changes), dl.Sent, dl.Acked, applied, windows[1], windows[2], dl.Retried, dl.DutyBlocked, unsent, unheard)
 	if firstApplied != "" {
 		fmt.Fprint(out, firstApplied)
 	}
 	fmt.Fprintf(out, "downlink: half-duplex gateways blocked %d/%d probe uplink(s) during their own TX\n", blocked, probes)
-	if r != nil {
-		ac := r.Ans()
-		fmt.Fprintf(out, "downlink: LinkADRAns %d sent, %d applied, %d rejected, %d unsolicited\n",
-			ac.Sent, ac.Applied, ac.Rejected, ac.Unsolicited)
-	}
+	ac := s.realloc.Ans()
+	fmt.Fprintf(out, "downlink: LinkADRAns %d sent, %d applied, %d rejected, %d unsolicited\n",
+		ac.Sent, ac.Applied, ac.Rejected, ac.Unsolicited)
 	return nil
 }
 
@@ -1224,156 +1023,136 @@ func (d *daemon) writeSummary(out io.Writer) {
 		dl.Queued, dl.Sent, dl.Acked, dl.Failed, dl.Retried, dl.Expired, dl.NoRoute, dl.DutyBlocked, d.routes.Len())
 }
 
-// runReplay is the load-generator mode: synthesize gateway traffic from
-// the scenario + simulator, push it through the sharded pool at full
-// speed, report throughput/latency/accounting, and optionally verify the
-// counters bit-exactly against a sequential single-shard ingest.
-func runReplay(cfg config, netw *core.Network, a model.Allocation, out io.Writer) error {
-	fmt.Fprintf(out, "replay: simulating %d devices x %d packets (seed %d)...\n",
-		netw.Net.N(), cfg.packets, cfg.seed)
-	rt, err := ingest.BuildReplay(netw.Net, netw.Params, a, ingest.ReplayConfig{
+// replayTrace synthesizes the -replay gateway traffic for the scenario.
+func replayTrace(cfg config, netw *core.Network, a model.Allocation) (*ingest.Replay, error) {
+	return ingest.BuildReplay(netw.Net, netw.Params, a, ingest.ReplayConfig{
 		Packets:      cfg.packets,
 		Seed:         cfg.seed,
 		DedupWindowS: cfg.dedupWindowS,
 		DriftDevices: cfg.driftDevices,
 		DriftSNRdB:   cfg.driftSNRdB,
 	})
+}
+
+// ingestTrace dispatches uplinks [from, to) of a replay trace into the
+// pool, running the clock flusher in virtual time every 4096 uplinks of
+// the whole trace, then drains the pool.
+func (s *server) ingestTrace(rt *ingest.Replay, from, to int) {
+	for i := from; i < to; i++ {
+		s.pool.Dispatch(rt.Uplinks[i])
+		if i&0x0FFF == 0x0FFF {
+			s.pool.FlushExpiredVirtual()
+		}
+	}
+	s.pool.Drain()
+}
+
+// runReplay is the load-generator mode: synthesize gateway traffic from
+// the scenario + simulator, push it through the server's sharded pool at
+// full speed, report throughput/latency/accounting, run the server's
+// control step at trace end and deliver its downlinks to simulated
+// devices, and verify the counters bit-exactly against a sequential
+// single-shard ingest.
+func runReplay(cfg config, netw *core.Network, a model.Allocation, out io.Writer) error {
+	fmt.Fprintf(out, "replay: simulating %d devices x %d packets (seed %d)...\n",
+		netw.Net.N(), cfg.packets, cfg.seed)
+	rt, err := replayTrace(cfg, netw, a)
 	if err != nil {
 		return err
 	}
-	if cfg.crashAt > 0 {
-		return runCrashDrill(cfg, netw, a, rt, out)
+	s, err := newServer(cfg, netw, a)
+	if err != nil {
+		return err
 	}
-	tracker := ingest.NewTracker(0)
-	pool := ingest.NewPool(rt.Devices, ingest.PoolConfig{
-		Shards:       cfg.shards,
-		QueueDepth:   cfg.queueDepth,
-		DedupWindowS: cfg.dedupWindowS,
-		RetainCap:    cfg.retainCap,
-		OnDelivery:   func(_ int, del netserver.Delivery) { tracker.Observe(del) },
-	})
-	pool.Start()
-
-	// Optional metrics endpoint during the replay.
-	var httpSrv *http.Server
+	if s.deltaFile != nil {
+		defer s.deltaFile.Close() // error paths; the success path checks Close
+	}
+	// Register the trace's gateways under the EUIs the downlink exchange
+	// answers through, so /metrics counts them as live mode counts
+	// forwarders.
+	for k := 0; k < netw.Net.G(); k++ {
+		s.gatewayIndex(replayGatewayEUI(k))
+	}
 	if cfg.httpAddr != "" {
-		lis, err := net.Listen("tcp", cfg.httpAddr)
+		lis, httpSrv, err := listenHTTP(cfg.httpAddr, s.handleMetrics)
 		if err != nil {
 			return err
 		}
-		start := time.Now()
-		mux := http.NewServeMux()
-		mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-			writeMetrics(w, pool, metricsExtra{
-				uptimeS:  time.Since(start).Seconds(),
-				gateways: netw.Net.G(),
-				tracked:  tracker.Len(),
-			})
-		})
-		mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) { fmt.Fprintln(w, "ok") })
-		httpSrv = &http.Server{Handler: mux}
 		go func() { _ = httpSrv.Serve(lis) }()
+		defer httpSrv.Close()
 		fmt.Fprintf(out, "replay: metrics on %s\n", lis.Addr())
 	}
+	s.pool.Start()
 
 	t0 := time.Now()
-	for i, up := range rt.Uplinks {
-		pool.Dispatch(up)
-		if i&0x0FFF == 0x0FFF {
-			pool.FlushExpiredVirtual() // the clock flusher, in virtual time
-		}
-	}
-	pool.Drain()
-	pool.Flush()
+	s.ingestTrace(rt, 0, len(rt.Uplinks))
+	s.pool.Flush()
 	wall := time.Since(t0)
-	got := pool.Counters()
+	got := s.pool.Counters()
 
 	rate := float64(got.Uplinks) / wall.Seconds()
 	fmt.Fprintf(out, "replay: %d uplinks in %v (%.0f uplinks/sec, %d shards)\n",
 		got.Uplinks, wall.Round(time.Microsecond), rate, cfg.shards)
 	for _, q := range []float64{0.5, 0.99} {
-		if lat, ok := pool.LatencyQuantile(q); ok {
+		if lat, ok := s.pool.LatencyQuantile(q); ok {
 			fmt.Fprintf(out, "replay: p%.0f ingest latency <= %v\n", q*100, lat)
 		}
 	}
 	fmt.Fprintf(out, "replay: delivered %d, duplicates %d (dedup hit rate %s), rejected %d\n",
 		got.Delivered, got.Duplicates, ratio(got.Duplicates, got.Uplinks), got.Rejected)
-	fmt.Fprintf(out, "replay: tracked %d devices with rolling SNR/PRR\n", tracker.Len())
+	fmt.Fprintf(out, "replay: tracked %d devices with rolling SNR/PRR\n", s.tracker.Len())
 
 	if got != rt.Expected {
 		return fmt.Errorf("replay counters %+v diverge from generator expectation %+v", got, rt.Expected)
 	}
 
-	// One control-loop pass over the observed statistics.
-	var delta *scenario.Delta
-	var r *ingest.Reallocator
-	if cfg.reallocEvery > 0 {
-		inc, err := alloc.NewIncremental(netw.Net, netw.Params, a, alloc.Options{})
+	// One control-loop pass over the observed statistics, at trace end. No
+	// device has an uplink in the scheduler yet, so every command waits
+	// queued and no frame comes back.
+	if s.realloc != nil {
+		delta, _, err := s.reallocStep(rt.SimTimeS)
 		if err != nil {
-			return err
-		}
-		r = ingest.NewReallocator(inc, tracker, ingest.ReallocConfig{
-			SNRMarginDB: cfg.snrMarginDB,
-			MinPRR:      cfg.minPRR,
-			MinFrames:   cfg.minFrames,
-		})
-		if delta, err = r.Step(rt.SimTimeS); err != nil {
 			return err
 		}
 		moved := 0
 		if delta != nil {
 			moved = len(delta.Changes)
-			if cfg.deltasPath != "" {
-				f, err := os.OpenFile(cfg.deltasPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-				if err != nil {
-					return err
-				}
-				err = scenario.AppendDelta(f, delta)
-				f.Close()
-				if err != nil {
-					return err
-				}
-			}
 		}
 		fmt.Fprintf(out, "replay: re-allocation pass moved %d device(s)\n", moved)
+		// Close the loop: deliver the reassignments as Class-A downlinks
+		// to the simulated devices and report what actually landed.
+		if moved > 0 {
+			if err := runDownlinkExchange(s, netw, a, rt, delta, out); err != nil {
+				return err
+			}
+		}
 	}
-
-	// Close the loop: deliver the reassignments as Class-A downlinks to
-	// the simulated devices and report what actually landed.
-	if delta != nil && len(delta.Changes) > 0 {
-		if err := runDownlinkExchange(cfg, netw, a, rt, delta, r, out); err != nil {
+	s.pool.Close()
+	if s.deltaFile != nil {
+		if err := s.deltaFile.Close(); err != nil {
 			return err
 		}
 	}
 
-	pool.Close()
-	if httpSrv != nil {
-		sctx, cancel := context.WithTimeout(context.Background(), time.Second)
-		_ = httpSrv.Shutdown(sctx)
-		cancel()
+	seq := ingest.NewPool(rt.Devices, ingest.PoolConfig{
+		Shards:       1,
+		QueueDepth:   cfg.queueDepth,
+		DedupWindowS: cfg.dedupWindowS,
+	})
+	seq.Start()
+	for _, up := range rt.Uplinks {
+		seq.Dispatch(up)
 	}
-
-	if cfg.verify {
-		seq := ingest.NewPool(rt.Devices, ingest.PoolConfig{
-			Shards:       1,
-			QueueDepth:   cfg.queueDepth,
-			DedupWindowS: cfg.dedupWindowS,
-		})
-		seq.Start()
-		for _, up := range rt.Uplinks {
-			seq.Dispatch(up)
-		}
-		seq.Drain()
-		seq.Flush()
-		seq.Close()
-		if sc := seq.Counters(); sc != got {
-			return fmt.Errorf("VERIFY FAILED: single-shard counters %+v != %d-shard counters %+v", sc, cfg.shards, got)
-		}
-		fmt.Fprintf(out, "VERIFY OK: %d-shard counters bit-exact vs sequential single-shard run\n", cfg.shards)
+	seq.Drain()
+	seq.Flush()
+	seq.Close()
+	if sc := seq.Counters(); sc != got {
+		return fmt.Errorf("VERIFY FAILED: single-shard counters %+v != %d-shard counters %+v", sc, cfg.shards, got)
 	}
+	fmt.Fprintf(out, "VERIFY OK: %d-shard counters bit-exact vs sequential single-shard run\n", cfg.shards)
 	// Deterministic shard-occupancy report (all zero after drain, but the
 	// shape documents the sharding).
-	depths := pool.ShardDepths()
+	depths := s.pool.ShardDepths()
 	sort.Ints(depths)
 	fmt.Fprintf(out, "replay: final shard depths %v\n", depths)
 	return nil

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/base64"
+	"flag"
 	"io"
 	"math"
 	"net"
@@ -16,6 +17,7 @@ import (
 	"time"
 
 	"eflora/internal/geo"
+	"eflora/internal/golden"
 	"eflora/internal/ingest"
 	"eflora/internal/lora"
 	"eflora/internal/lorawan"
@@ -23,6 +25,8 @@ import (
 	"eflora/internal/netserver"
 	"eflora/internal/scenario"
 )
+
+var update = flag.Bool("update", false, "rewrite golden files")
 
 // writeTestScenario creates a small deployment with a feasible allocation
 // and returns the file path.
@@ -129,14 +133,11 @@ func TestRunReplayAllocatesWhenScenarioHasNone(t *testing.T) {
 	}
 }
 
-// TestRunReplayDownlinkExchange drives the closed loop end to end in
-// replay mode: drift injection degrades one device's reported SNR, the
-// re-allocation pass moves it, and the downlink exchange must show the
-// simulated device applying the new assignment only after a PULL_RESP
-// landed in one of its Class-A windows.
-func TestRunReplayDownlinkExchange(t *testing.T) {
-	// Sabotage the drifting device's SF so the model-side greedy has a
-	// better assignment once the degraded statistics flag it.
+// writeDriftScenario writes the 24-device test deployment with device 0
+// sabotaged to SF12, so the model-side greedy has a better assignment
+// once drift injection degrades that device's reported SNR.
+func writeDriftScenario(t *testing.T) string {
+	t.Helper()
 	src := writeTestScenario(t, 24)
 	f, err := os.Open(src)
 	if err != nil {
@@ -153,17 +154,50 @@ func TestRunReplayDownlinkExchange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer w.Close()
 	if err := sc.Write(w); err != nil {
 		t.Fatal(err)
 	}
-	w.Close()
+	return path
+}
 
-	var out bytes.Buffer
-	err = run([]string{
+// driftReplayArgs is the closed-loop replay flag set: device 0 drifts
+// far enough that the re-allocation pass moves it and the downlink
+// exchange delivers the move.
+func driftReplayArgs(path string) []string {
+	return []string{
 		"-replay", "-scenario", path,
 		"-packets", "20", "-seed", "7", "-shards", "4", "-http", "",
 		"-drift-devices", "1", "-drift-snr", "50",
-	}, &out)
+	}
+}
+
+// TestRunReplayReportGolden pins the closed-loop replay report line for
+// line. Only the throughput and latency lines depend on the host and are
+// dropped; every accounting line is deterministic for the flag set.
+func TestRunReplayReportGolden(t *testing.T) {
+	var out bytes.Buffer
+	if err := run(driftReplayArgs(writeDriftScenario(t)), &out); err != nil {
+		t.Fatalf("run: %v\n%s", err, out.String())
+	}
+	var kept strings.Builder
+	for _, line := range strings.SplitAfter(out.String(), "\n") {
+		if strings.Contains(line, "uplinks/sec") || strings.Contains(line, "ingest latency") {
+			continue
+		}
+		kept.WriteString(line)
+	}
+	golden.Check(t, "testdata/replay_report.golden", kept.String(), *update)
+}
+
+// TestRunReplayDownlinkExchange drives the closed loop end to end in
+// replay mode: drift injection degrades one device's reported SNR, the
+// re-allocation pass moves it, and the downlink exchange must show the
+// simulated device applying the new assignment only after a PULL_RESP
+// landed in one of its Class-A windows.
+func TestRunReplayDownlinkExchange(t *testing.T) {
+	var out bytes.Buffer
+	err := run(driftReplayArgs(writeDriftScenario(t)), &out)
 	if err != nil {
 		t.Fatalf("run: %v\n%s", err, out.String())
 	}
@@ -208,6 +242,9 @@ func TestRunFlagValidation(t *testing.T) {
 	}
 	if err := run([]string{"-scenario", "x", "-shards", "0"}, &out); err == nil {
 		t.Error("-shards 0 accepted")
+	}
+	if _, err := parseArgs([]string{"-scenario", "x", "-replay", "-state-dir", "d"}); err == nil {
+		t.Error("-replay with -state-dir accepted")
 	}
 }
 

@@ -2,22 +2,22 @@ package main
 
 import (
 	"bufio"
-	"bytes"
 	"fmt"
 	"net"
 	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"syscall"
 	"testing"
 	"time"
 
+	"eflora/internal/core"
 	"eflora/internal/ingest"
-	"eflora/internal/lora"
 	"eflora/internal/lorawan"
-	"eflora/internal/scenario"
+	"eflora/internal/model"
 	"eflora/internal/statestore"
 )
 
@@ -71,81 +71,125 @@ func TestParseArgsSnapshotIntervalPointerZero(t *testing.T) {
 	}
 }
 
-func TestParseArgsCrashAtValidation(t *testing.T) {
-	for _, args := range [][]string{
-		{"-scenario", "x", "-crash-at", "0.5"},                                // no -replay
-		{"-scenario", "x", "-replay", "-crash-at", "0.5"},                     // no -state-dir
-		{"-scenario", "x", "-replay", "-state-dir", "d", "-crash-at", "1.5"},  // out of range
-		{"-scenario", "x", "-replay", "-state-dir", "d", "-crash-at", "-0.5"}, // out of range
-	} {
-		if _, err := parseArgs(args); err == nil {
-			t.Errorf("parseArgs(%v) accepted", args)
-		}
+// startServer builds a server through the daemon's own constructor
+// (recovering from cfg.stateDir when set) and starts its pool.
+func startServer(t *testing.T, cfg config, netw *core.Network, a model.Allocation) *server {
+	t.Helper()
+	s, err := newServer(cfg, netw, a)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := parseArgs([]string{"-scenario", "x", "-replay", "-state-dir", "d", "-crash-at", "0.5"}); err != nil {
-		t.Errorf("valid crash-drill flags rejected: %v", err)
+	s.pool.Start()
+	return s
+}
+
+// stepMoves runs the server's control step and requires it to move at
+// least one device.
+func stepMoves(t *testing.T, s *server, nowS float64) {
+	t.Helper()
+	delta, _, err := s.reallocStep(nowS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if delta == nil || len(delta.Changes) == 0 {
+		t.Fatalf("control step at %gs moved no device", nowS)
 	}
 }
 
-// TestRunReplayCrashDrill runs the crash/restart drill through run():
-// snapshot + WAL at the cut, abandon, recover, finish — and the final
-// state must be bit-exact against the uninterrupted oracle.
-func TestRunReplayCrashDrill(t *testing.T) {
-	// Sabotage one device's SF and drift its SNR so the mid-trace control
-	// step produces a real reassignment — a WAL record recovery must
-	// replay, not just a snapshot to reload.
-	src := writeTestScenario(t, 24)
-	f, err := os.Open(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc, err := scenario.Read(f)
-	f.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc.Allocation.SF[0] = int(lora.SF12)
-	path := filepath.Join(t.TempDir(), "drifting.json")
-	w, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sc.Write(w); err != nil {
-		t.Fatal(err)
-	}
-	w.Close()
+// TestCrashDrill proves the durability contract on the daemon's own
+// server. An oracle runs the drift trace uninterrupted, with a control
+// step mid-trace and one at the end. A crash run ingests up to the cut,
+// takes the mid-trace step through reallocStep (WAL append, then the
+// LinkADRReq) and is abandoned with no final snapshot and no store close.
+// A restart through newServer on the same directory must serve the
+// pre-crash allocation, move count and downlink frame counters. With a
+// snapshot before the step it must also resume with the same dedup and
+// tracker state, and finish the trace bit-exact against the oracle:
+// counters and state digest, frame counters included. Without one
+// (WAL-only, or a kill before the first periodic snapshot) the WAL tail
+// alone restores what it recorded.
+func TestCrashDrill(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		snapshot bool
+	}{{"snapshot", true}, {"wal-only", false}} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg, err := parseArgs(driftReplayArgs(writeDriftScenario(t)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			netw, a, err := loadScenario(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rt, err := replayTrace(cfg, netw, a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n, endS := len(rt.Uplinks), rt.SimTimeS
+			cut, midS := n/2, endS/2
 
-	stateDir := filepath.Join(t.TempDir(), "state")
-	args := []string{
-		"-replay", "-scenario", path,
-		"-packets", "20", "-seed", "7", "-shards", "4", "-http", "",
-		"-drift-devices", "1", "-drift-snr", "50",
-		"-state-dir", stateDir, "-crash-at", "0.5",
-	}
-	var out bytes.Buffer
-	if err := run(args, &out); err != nil {
-		t.Fatalf("run: %v\n%s", err, out.String())
-	}
-	s := out.String()
-	if !strings.Contains(s, "RECOVERY OK") {
-		t.Fatalf("drill did not verify:\n%s", s)
-	}
-	if !strings.Contains(s, "snapshot + 1 WAL record(s) on disk") {
-		t.Errorf("drill produced no WAL tail to replay:\n%s", s)
-	}
-	if !strings.Contains(s, "replayed 1 WAL record(s)") {
-		t.Errorf("recovery did not replay the WAL tail:\n%s", s)
-	}
-	entries, err := os.ReadDir(stateDir)
-	if err != nil || len(entries) == 0 {
-		t.Fatalf("state dir empty after drill: %v", err)
-	}
+			oracle := startServer(t, cfg, netw, a)
+			oracle.ingestTrace(rt, 0, cut)
+			stepMoves(t, oracle, midS)
+			oracle.ingestTrace(rt, cut, n)
+			oracle.pool.Flush()
+			if _, _, err := oracle.reallocStep(endS); err != nil {
+				t.Fatal(err)
+			}
+			want, wantCounters := oracle.exportState(endS), oracle.pool.Counters()
+			oracle.pool.Close()
 
-	// A reused (non-empty) state directory must be refused, not silently
-	// recovered into a different scenario run.
-	out.Reset()
-	if err := run(args, &out); err == nil || !strings.Contains(err.Error(), "already holds state") {
-		t.Fatalf("reused state dir accepted: %v", err)
+			// parseArgs refuses -state-dir with -replay; the drill sets it on
+			// the parsed config to reach the constructor's recovery.
+			cfg.stateDir = filepath.Join(t.TempDir(), "state")
+			crashed := startServer(t, cfg, netw, a)
+			crashed.ingestTrace(rt, 0, cut)
+			if tc.snapshot {
+				// Snapshot BEFORE the step, so its delta lives only in the WAL.
+				if err := crashed.takeSnapshot(midS); err != nil {
+					t.Fatal(err)
+				}
+			}
+			stepMoves(t, crashed, midS)
+			pre := crashed.exportState(midS)
+			crashed.pool.Close()
+
+			restarted := startServer(t, cfg, netw, a)
+			defer restarted.store.Close()
+			defer restarted.pool.Close()
+			if got := restarted.store.Metrics().RecoveryReplayed; got != 1 {
+				t.Fatalf("recovery replayed %d WAL record(s), want 1", got)
+			}
+			got := restarted.exportState(midS)
+			if !reflect.DeepEqual(got.Alloc, pre.Alloc) {
+				t.Errorf("recovered allocation differs from the pre-crash one:\n got %+v\nwant %+v", got.Alloc, pre.Alloc)
+			}
+			if got.Reassigned != pre.Reassigned {
+				t.Errorf("recovered Reassigned = %d, want %d", got.Reassigned, pre.Reassigned)
+			}
+			if !reflect.DeepEqual(got.FCntDown, pre.FCntDown) {
+				t.Errorf("recovered FCntDown = %+v, want %+v", got.FCntDown, pre.FCntDown)
+			}
+			if !tc.snapshot {
+				return
+			}
+			if gd, pd := got.Digest(), pre.Digest(); gd != pd {
+				t.Errorf("recovered state digest %s != pre-crash %s", gd, pd)
+			}
+			restarted.ingestTrace(rt, cut, n)
+			restarted.pool.Flush()
+			if _, _, err := restarted.reallocStep(endS); err != nil {
+				t.Fatal(err)
+			}
+			final, finalCounters := restarted.exportState(endS), restarted.pool.Counters()
+			if finalCounters != wantCounters {
+				t.Errorf("post-crash counters %+v diverge from oracle %+v", finalCounters, wantCounters)
+			}
+			if fd, wd := final.Digest(), want.Digest(); fd != wd {
+				t.Errorf("post-crash state digest %s != oracle %s\nFCntDown %+v, oracle %+v", fd, wd, final.FCntDown, want.FCntDown)
+			}
+		})
 	}
 }
 

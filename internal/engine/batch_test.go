@@ -235,9 +235,9 @@ func TestArrivePrunesAckWindowsOnEveryPath(t *testing.T) {
 	// must all be pruned by a below-sensitivity arrival — the path that
 	// used to return before the half-duplex branch ran.
 	g.AddAckWindow(1, 2)
-	g.AddAckWindow(2, 5)     // boundary: to == startS of the probe below
-	g.AddAckWindow(3, 3)     // zero-length, already past
-	g.AddAckWindow(6, 7)     // still ahead: must survive
+	g.AddAckWindow(2, 5) // boundary: to == startS of the probe below
+	g.AddAckWindow(3, 3) // zero-length, already past
+	g.AddAckWindow(6, 7) // still ahead: must survive
 	weak := lora.DBmToMilliwatts(lora.SensitivityDBm(lora.SF7)) / 2
 	if v := g.Arrive(0, 0, lora.SF7, 0, 5, 5.5, weak); v != VerdictNoSignal {
 		t.Fatalf("verdict = %v, want no-signal", v)
