@@ -166,8 +166,8 @@ func parseArgs(args []string) (config, error) {
 	// Pointer-zero resolution for -snapshot-interval: only a flag the user
 	// actually passed becomes a pointer, so `-snapshot-interval 0` reads
 	// as "disabled" while an absent flag reads as "default". (The same
-	// pitfall as ConfirmedConfig's AckTimeoutS: a plain zero value cannot
-	// distinguish "off" from "unset".)
+	// pitfall as sim.Config's CaptureThresholdDB: a plain zero value
+	// cannot distinguish "off" from "unset".)
 	fs.Visit(func(f *flag.Flag) {
 		if f.Name == "snapshot-interval" {
 			cfg.snapshotInterval = snapInterval
@@ -178,6 +178,9 @@ func parseArgs(args []string) (config, error) {
 	}
 	if cfg.shards <= 0 {
 		return cfg, fmt.Errorf("-shards must be positive")
+	}
+	if cfg.flushEvery <= 0 {
+		return cfg, fmt.Errorf("-flush-every must be positive")
 	}
 	if cfg.replay && cfg.stateDir != "" {
 		return cfg, fmt.Errorf("-replay keeps no durable state; drop -state-dir")
@@ -934,7 +937,6 @@ func runDownlinkExchange(s *server, netw *core.Network, a model.Allocation, rt *
 			Keys:           dev.Keys,
 			Plan:           plan,
 			RX1DelayS:      scfg.RX1DelayS,
-			RX2DelayS:      scfg.RX2DelayS,
 			RX2FreqMHz:     scfg.RX2FreqMHz,
 			RX2Datr:        scfg.RX2Datr,
 			LastUplinkEndS: hbS,

@@ -243,6 +243,11 @@ func TestRunFlagValidation(t *testing.T) {
 	if err := run([]string{"-scenario", "x", "-shards", "0"}, &out); err == nil {
 		t.Error("-shards 0 accepted")
 	}
+	for _, every := range []string{"0", "-1s"} {
+		if _, err := parseArgs([]string{"-scenario", "x", "-flush-every", every}); err == nil {
+			t.Errorf("-flush-every %s accepted", every)
+		}
+	}
 	if _, err := parseArgs([]string{"-scenario", "x", "-replay", "-state-dir", "d"}); err == nil {
 		t.Error("-replay with -state-dir accepted")
 	}

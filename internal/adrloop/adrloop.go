@@ -24,11 +24,12 @@ type Config struct {
 	// PacketsPerEpoch per device between adjustments (default 20, the
 	// standard ADR measurement window).
 	PacketsPerEpoch int
-	// MarginDB is the ADR installation margin (default 10).
-	MarginDB float64
 	// Seed drives the per-epoch simulations.
 	Seed uint64
 }
+
+// marginDB is the ADR installation margin.
+const marginDB = 10
 
 func (c Config) withDefaults() Config {
 	if c.Epochs <= 0 {
@@ -36,9 +37,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.PacketsPerEpoch <= 0 {
 		c.PacketsPerEpoch = 20
-	}
-	if c.MarginDB == 0 {
-		c.MarginDB = 10
 	}
 	return c
 }
@@ -118,7 +116,7 @@ func Run(net *model.Network, p model.Params, cfg Config) (*Result, error) {
 				// Standard ADR: spend the margin over the current SF's
 				// requirement in 3 dB steps, first on SF, then on power.
 				snr := simRes.MaxSNRdB[i]
-				steps := int(math.Floor((snr - lora.SNRThresholdDB(sf) - cfg.MarginDB) / 3))
+				steps := int(math.Floor((snr - lora.SNRThresholdDB(sf) - marginDB) / 3))
 				for steps > 0 && sf > lora.MinSF {
 					sf--
 					steps--

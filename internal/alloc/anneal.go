@@ -16,10 +16,6 @@ import (
 type Anneal struct {
 	// Steps is the number of proposal steps (default 20000).
 	Steps int
-	// StartTemp and EndTemp bound the geometric cooling schedule,
-	// expressed as fractions of the initial objective (defaults 0.5 and
-	// 1e-4).
-	StartTemp, EndTemp float64
 	// Mode selects the evaluator mode (default ModeExact).
 	Mode model.Mode
 	// Restarts runs several independent chains, keeping the best
@@ -27,15 +23,16 @@ type Anneal struct {
 	Restarts int
 }
 
+// annealStartTemp and annealEndTemp bound the geometric cooling
+// schedule, expressed as fractions of the initial objective.
+const (
+	annealStartTemp = 0.5
+	annealEndTemp   = 1e-4
+)
+
 func (an Anneal) withDefaults() Anneal {
 	if an.Steps <= 0 {
 		an.Steps = 20000
-	}
-	if an.StartTemp <= 0 {
-		an.StartTemp = 0.5
-	}
-	if an.EndTemp <= 0 {
-		an.EndTemp = 1e-4
 	}
 	if an.Mode == 0 {
 		an.Mode = model.ModeExact
@@ -97,8 +94,8 @@ func (an Anneal) Allocate(net *model.Network, p model.Params, r *rng.RNG) (model
 		curMin, _ := ev.MinEE()
 		bestMin := curMin
 		best := ev.Allocation()
-		t0 := an.StartTemp * math.Max(curMin, 1e-12)
-		t1 := an.EndTemp * math.Max(curMin, 1e-12)
+		t0 := annealStartTemp * math.Max(curMin, 1e-12)
+		t1 := annealEndTemp * math.Max(curMin, 1e-12)
 		for step := 0; step < an.Steps; step++ {
 			frac := float64(step) / float64(an.Steps)
 			temp := t0 * math.Pow(t1/t0, frac)

@@ -22,9 +22,6 @@ type Options struct {
 	// Mode selects the evaluator's interference handling (default
 	// ModeExact).
 	Mode model.Mode
-	// DensityRadiusM is the neighborhood radius of the density-first
-	// device ordering (default 500 m).
-	DensityRadiusM float64
 	// FixedTPdBm, when non-nil, pins every device to this transmission
 	// power — the EF-LoRa-14dBm ablation of Fig. 9.
 	FixedTPdBm *float64
@@ -49,9 +46,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Mode == 0 {
 		o.Mode = model.ModeExact
-	}
-	if o.DensityRadiusM <= 0 {
-		o.DensityRadiusM = 500
 	}
 	return o
 }
@@ -293,6 +287,10 @@ func greedyStep(ev *model.Evaluator, gains [][]float64, i int, tpLevels []float6
 	return best, found
 }
 
+// densityRadiusM is the neighborhood radius of the density-first device
+// ordering.
+const densityRadiusM = 500
+
 // deviceOrder returns the visiting order: density-first (most contended
 // devices first, the paper's boost) or seeded-random for the ablation.
 func (a *EFLoRa) deviceOrder(net *model.Network, r *rng.RNG) []int {
@@ -303,7 +301,7 @@ func (a *EFLoRa) deviceOrder(net *model.Network, r *rng.RNG) []int {
 		}
 		return r.Perm(n)
 	}
-	counts := geo.NeighborCounts(net.Devices, a.opts.DensityRadiusM)
+	counts := geo.NeighborCounts(net.Devices, densityRadiusM)
 	order := make([]int, n)
 	for i := range order {
 		order[i] = i

@@ -13,18 +13,19 @@ import (
 // true max-min-optimal allocation under the analytical model. The search
 // space is (n_s·n_t·n_c)^N — the paper proves the problem NP-hard — so this
 // allocator exists purely to measure the greedy's optimality gap on
-// networks of a handful of devices (see TestGreedyNearOptimal). MaxStates
-// guards against accidental explosion.
+// networks of a handful of devices (see TestGreedyNearOptimal).
+// exhaustiveMaxStates guards against accidental explosion.
 type Exhaustive struct {
 	// Mode selects the evaluator mode (default ModeExact).
 	Mode model.Mode
-	// MaxStates caps the number of assignments visited (default 5e6).
-	MaxStates int
 	// RestrictChannels limits the channel choices to the first k channels
 	// (0 = all); with symmetric channels this shrinks the space without
 	// changing the achievable optimum structure.
 	RestrictChannels int
 }
+
+// exhaustiveMaxStates caps the number of assignments Exhaustive visits.
+const exhaustiveMaxStates = 5_000_000
 
 // Name implements Allocator.
 func (Exhaustive) Name() string { return "Exhaustive" }
@@ -33,9 +34,6 @@ func (Exhaustive) Name() string { return "Exhaustive" }
 func (x Exhaustive) Allocate(net *model.Network, p model.Params, _ *rng.RNG) (model.Allocation, error) {
 	if x.Mode == 0 {
 		x.Mode = model.ModeExact
-	}
-	if x.MaxStates <= 0 {
-		x.MaxStates = 5_000_000
 	}
 	if err := p.Validate(); err != nil {
 		return model.Allocation{}, err
@@ -75,9 +73,9 @@ func (x Exhaustive) Allocate(net *model.Network, p model.Params, _ *rng.RNG) (mo
 		}
 		total *= float64(len(cands[i]))
 	}
-	if total > float64(x.MaxStates) {
+	if total > exhaustiveMaxStates {
 		return model.Allocation{}, fmt.Errorf(
-			"alloc: exhaustive search space %.3g exceeds MaxStates %d", total, x.MaxStates)
+			"alloc: exhaustive search space %.3g exceeds %d states", total, exhaustiveMaxStates)
 	}
 
 	// Walk the space as an odometer, mutating one evaluator incrementally:

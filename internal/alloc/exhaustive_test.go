@@ -25,9 +25,12 @@ func tinyNetwork(nDev int, seed uint64) (*model.Network, model.Params) {
 	return net, p
 }
 
+// TestExhaustiveRejectsHugeSpace checks the state cap before any
+// enumeration: twelve devices span ~3.35e18 assignments, far over
+// exhaustiveMaxStates, so the call must fail at once instead of running.
 func TestExhaustiveRejectsHugeSpace(t *testing.T) {
 	net, p := tinyNetwork(12, 1)
-	_, err := Exhaustive{MaxStates: 1000}.Allocate(net, p, nil)
+	_, err := Exhaustive{}.Allocate(net, p, nil)
 	if err == nil {
 		t.Error("oversized search accepted")
 	}

@@ -25,32 +25,24 @@ type HierOptions struct {
 	// Networks at or under this size bypass partitioning entirely and run
 	// the plain greedy, so small deployments lose nothing.
 	MaxCellDevices int
-	// ReconcilePasses bounds the boundary-reconcile sweeps over each cell
-	// seam after the cells are merged (default 2). Each pass re-runs the
-	// single-device greedy for every device near the seam against the
-	// two-cell neighborhood via the delta-based Incremental path, stopping
-	// early when a pass commits no move.
-	ReconcilePasses int
-	// BoundaryFrac classifies a device as a boundary device when it lies
-	// within this fraction of its cell's width (height) of a cell side
-	// that is not also a side of the quadtree root (default 0.1).
-	BoundaryFrac float64
-	// Parallelism bounds the per-cell allocation goroutines (0 = GOMAXPROCS).
-	// Cells write into index-addressed slots merged in cell order, so the
-	// result is bit-identical at any setting. Each cell's greedy scans its
-	// candidates sequentially.
-	Parallelism int
 }
+
+const (
+	// reconcilePasses bounds the boundary-reconcile sweeps over each cell
+	// seam after the cells are merged. Each pass re-runs the single-device
+	// greedy for every device near the seam against the two-cell
+	// neighborhood via the delta-based Incremental path, stopping early
+	// when a pass commits no move.
+	reconcilePasses = 2
+	// boundaryFrac classifies a device as a boundary device when it lies
+	// within this fraction of its cell's width (height) of a cell side
+	// that is not also a side of the quadtree root.
+	boundaryFrac = 0.1
+)
 
 func (o HierOptions) withDefaults() HierOptions {
 	if o.MaxCellDevices <= 0 {
 		o.MaxCellDevices = 256
-	}
-	if o.ReconcilePasses <= 0 {
-		o.ReconcilePasses = 2
-	}
-	if o.BoundaryFrac <= 0 {
-		o.BoundaryFrac = 0.1
 	}
 	return o
 }
@@ -91,9 +83,11 @@ type HierReport struct {
 // delta-based evaluator updates make each repair O(group) instead of
 // O(N·G)).
 //
-// The result is bit-identical at any Parallelism: cells are independent
-// sub-problems written into index-addressed slots, and the reconcile sweep
-// is sequential in ascending device order.
+// Cells are solved on runtime.GOMAXPROCS(0) goroutines, each cell's
+// greedy scanning its candidates sequentially. The result is bit-identical
+// at any GOMAXPROCS: cells are independent sub-problems written into
+// index-addressed slots, and the reconcile sweep is sequential in
+// ascending device order.
 type Hierarchical struct {
 	opts HierOptions
 }
@@ -149,7 +143,7 @@ func (h *Hierarchical) AllocateWithReport(net *model.Network, p model.Params, r 
 	cellAllocs := make([]model.Allocation, len(part.Cells))
 	errs := make([]error, len(part.Cells))
 	cellOpts := h.opts.cellOptions()
-	par.For(h.opts.Parallelism, len(part.Cells), func(ci int) {
+	par.For(0, len(part.Cells), func(ci int) {
 		sub := net.Subset(part.Cells[ci].Members)
 		ef := NewEFLoRa(cellOpts)
 		cellAllocs[ci], errs[ci] = ef.Allocate(sub, p, nil)
@@ -200,9 +194,9 @@ type seam struct {
 
 // reconcileSeams repairs every cell seam of the merged allocation in
 // place. Seams are visited in ascending (a, b) cell order and each seam's
-// sweep is sequential, so the result is independent of Parallelism.
+// sweep is sequential, so the result is independent of GOMAXPROCS.
 func (h *Hierarchical) reconcileSeams(net *model.Network, p model.Params, part geo.Partition, merged model.Allocation, rep *HierReport) error {
-	seams := findSeams(net.Devices, part, h.opts.BoundaryFrac)
+	seams := findSeams(net.Devices, part, boundaryFrac)
 	counted := make(map[int]bool)
 	for _, s := range seams {
 		for _, i := range s.boundary {
@@ -238,7 +232,7 @@ func (h *Hierarchical) reconcileSeams(net *model.Network, p model.Params, part g
 		if err != nil {
 			return err
 		}
-		for pass := 0; pass < h.opts.ReconcilePasses; pass++ {
+		for pass := 0; pass < reconcilePasses; pass++ {
 			moves := 0
 			for _, g := range s.boundary {
 				changed, err := inc.ReassignDevice(local[g])

@@ -3,6 +3,7 @@ package alloc
 import (
 	"flag"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -63,7 +64,7 @@ func TestHierarchicalMinEEWithinTolerance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		h := NewHierarchical(HierOptions{MaxCellDevices: 100, Parallelism: 1})
+		h := NewHierarchical(HierOptions{MaxCellDevices: 100})
 		got, rep, err := h.AllocateWithReport(net, p, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -85,6 +86,21 @@ func TestHierarchicalMinEEWithinTolerance(t *testing.T) {
 	}
 }
 
+// allocateAtProcs runs a forced multi-cell hierarchical allocation with
+// runtime.GOMAXPROCS set to procs, which sizes the cell fan-out (0 keeps
+// the current setting), and restores the previous setting afterwards.
+func allocateAtProcs(t *testing.T, net *model.Network, p model.Params, procs int) model.Allocation {
+	t.Helper()
+	if procs > 0 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	}
+	a, err := NewHierarchical(HierOptions{MaxCellDevices: 100}).Allocate(net, p, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a
+}
+
 // TestHierarchicalBitIdenticalAcrossParallelism pins the determinism
 // contract of the cell fan-out: cells write into index-addressed slots and
 // the seam reconcile is sequential, so the allocation is bit-identical at
@@ -92,18 +108,12 @@ func TestHierarchicalMinEEWithinTolerance(t *testing.T) {
 func TestHierarchicalBitIdenticalAcrossParallelism(t *testing.T) {
 	net := testNetwork(600, 4, 93)
 	p := model.DefaultParams()
-	base, err := NewHierarchical(HierOptions{MaxCellDevices: 100, Parallelism: 1}).Allocate(net, p, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	base := allocateAtProcs(t, net, p, 1)
 	for _, workers := range []int{2, 4, 0} {
-		got, err := NewHierarchical(HierOptions{MaxCellDevices: 100, Parallelism: workers}).Allocate(net, p, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := allocateAtProcs(t, net, p, workers)
 		for i := 0; i < net.N(); i++ {
 			if base.SF[i] != got.SF[i] || base.TPdBm[i] != got.TPdBm[i] || base.Channel[i] != got.Channel[i] {
-				t.Fatalf("parallelism=%d: device %d diverged: (%v,%v,%d) vs (%v,%v,%d)",
+				t.Fatalf("GOMAXPROCS %d: device %d diverged: (%v,%v,%d) vs (%v,%v,%d)",
 					workers, i, base.SF[i], base.TPdBm[i], base.Channel[i],
 					got.SF[i], got.TPdBm[i], got.Channel[i])
 			}
@@ -120,10 +130,7 @@ func TestHierarchicalGoldenDeterminism(t *testing.T) {
 	p := model.DefaultParams()
 	var out strings.Builder
 	for _, workers := range []int{1, 0} {
-		a, err := NewHierarchical(HierOptions{MaxCellDevices: 100, Parallelism: workers}).Allocate(net, p, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		a := allocateAtProcs(t, net, p, workers)
 		out.WriteString(allocDigest(fmt.Sprintf("hier-600dev-parallelism-%d", workers), a))
 	}
 	golden.Check(t, "testdata/golden_hier.txt", out.String(), *update)
@@ -134,7 +141,7 @@ func TestHierarchicalGoldenDeterminism(t *testing.T) {
 func TestHierarchicalReportDiagnostics(t *testing.T) {
 	net := testNetwork(500, 4, 7)
 	p := model.DefaultParams()
-	_, rep, err := NewHierarchical(HierOptions{MaxCellDevices: 100, Parallelism: 1}).AllocateWithReport(net, p, nil)
+	_, rep, err := NewHierarchical(HierOptions{MaxCellDevices: 100}).AllocateWithReport(net, p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -212,16 +212,18 @@ func TestSchedulerDutyCycleBlocks(t *testing.T) {
 }
 
 func TestSchedulerExpireAndUnroutable(t *testing.T) {
-	s := NewScheduler(Config{AckTimeoutS: 2})
+	s := NewScheduler(Config{})
 	s.ObserveUplink(testUplink(1, 100), 100)
 	f := s.Enqueue(1, testPhy(t, 1), 100.05)
 	if f == nil {
 		t.Fatal("no frame")
 	}
-	if n := s.Expire(101); n != 0 {
+	// The frame is sent at RX1 open, 101 s; its TX_ACK is due within
+	// DefaultAckTimeoutS (5 s).
+	if n := s.Expire(105); n != 0 {
 		t.Fatalf("expired too early: %d", n)
 	}
-	if n := s.Expire(104); n != 1 {
+	if n := s.Expire(107); n != 1 {
 		t.Fatalf("expire = %d", n)
 	}
 	c := s.Counters()
@@ -239,6 +241,29 @@ func TestSchedulerExpireAndUnroutable(t *testing.T) {
 	c = s.Counters()
 	if c.NoRoute != 1 || c.Failed != 2 || s.PendingCount() != 0 {
 		t.Errorf("counters = %+v", c)
+	}
+}
+
+// TestRX2FollowsRX1 pins that the scheduler and the simulated device
+// derive RX2 from the same RX1 delay: at a 2 s RX1 delay (eflora-nsd
+// -rx1-delay 2) the RX2 retry is timed 3 s after the uplink, and the
+// device hears it in window 2.
+func TestRX2FollowsRX1(t *testing.T) {
+	s := NewScheduler(Config{RX1DelayS: 2})
+	up := testUplink(7, 100)
+	s.ObserveUplink(up, 100)
+	f1 := s.Enqueue(7, testPhy(t, 7), 100.05)
+	if f1 == nil || f1.Window != 1 || f1.TXPK.Tmst != up.Tmst+2_000_000 {
+		t.Fatalf("RX1 frame = %+v", f1)
+	}
+	f2 := s.OnTxAck(up.EUI, f1.Token, ingest.TxErrTooLate, 100.2)
+	if f2 == nil || f2.Window != 2 || f2.TXPK.Tmst != up.Tmst+3_000_000 {
+		t.Fatalf("RX2 retry = %+v", f2)
+	}
+	d := testDevice(7)
+	d.RX1DelayS = 2
+	if w, err := d.Receive(&f2.TXPK, float64(f2.TXPK.Tmst)/1e6); err != nil || w != 2 {
+		t.Fatalf("device receive = %d, %v; want window 2", w, err)
 	}
 }
 
@@ -285,7 +310,6 @@ func testDevice(devAddr uint32) *DeviceSim {
 		DevAddr:        devAddr,
 		Plan:           lora.EU868(),
 		RX1DelayS:      1,
-		RX2DelayS:      2,
 		RX2FreqMHz:     DefaultRX2FreqMHz,
 		RX2Datr:        DefaultRX2Datr,
 		LastUplinkEndS: 100,

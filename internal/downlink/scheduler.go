@@ -12,7 +12,9 @@ import (
 // Defaults for the Class-A receive windows (LoRaWAN 1.0 EU868 regional
 // parameters): RX1 opens RX1DelayS after the uplink ends on the uplink's
 // own frequency and data rate; RX2 opens one second later on a fixed
-// channel at the most robust data rate.
+// channel at the most robust data rate. Every downlink goes out at
+// DefaultPowerDBm, and a sent frame with no TX_ACK after
+// DefaultAckTimeoutS is expired.
 const (
 	DefaultRX1DelayS   = 1.0
 	DefaultRX2FreqMHz  = 869.525
@@ -25,16 +27,17 @@ const (
 	DefaultDutyCycle = 0.1
 )
 
+// rx2AfterRX1S is how long after RX1 the RX2 window opens, as LoRaWAN
+// defines it.
+const rx2AfterRX1S = 1.0
+
 // Config parameterizes the scheduler. Zero values select the defaults
-// above; RX2DelayS defaults to RX1DelayS+1 per the LoRaWAN spec.
+// above; RX2 opens one second after RX1.
 type Config struct {
-	RX1DelayS   float64
-	RX2DelayS   float64
-	RX2FreqMHz  float64
-	RX2Datr     string
-	PowerDBm    float64
-	CodingRate  lora.CodingRate
-	AckTimeoutS float64
+	RX1DelayS  float64
+	RX2FreqMHz float64
+	RX2Datr    string
+	CodingRate lora.CodingRate
 	// DutyCycle bounds the transmitter's share of airtime per downlink
 	// frequency using the ETSI off-period rule (Toff = ToA/DC − ToA).
 	DutyCycle float64
@@ -44,23 +47,14 @@ func (c *Config) setDefaults() {
 	if c.RX1DelayS <= 0 {
 		c.RX1DelayS = DefaultRX1DelayS
 	}
-	if c.RX2DelayS <= 0 {
-		c.RX2DelayS = c.RX1DelayS + 1
-	}
 	if c.RX2FreqMHz <= 0 {
 		c.RX2FreqMHz = DefaultRX2FreqMHz
 	}
 	if c.RX2Datr == "" {
 		c.RX2Datr = DefaultRX2Datr
 	}
-	if c.PowerDBm == 0 {
-		c.PowerDBm = DefaultPowerDBm
-	}
 	if !c.CodingRate.Valid() {
 		c.CodingRate = lora.CR45
-	}
-	if c.AckTimeoutS <= 0 {
-		c.AckTimeoutS = DefaultAckTimeoutS
 	}
 	if c.DutyCycle <= 0 || c.DutyCycle > 1 {
 		c.DutyCycle = DefaultDutyCycle
@@ -217,7 +211,7 @@ func (s *Scheduler) tryEmitLocked(devAddr uint32, nowS float64) *Frame {
 		datr    string
 	}{
 		{1, s.cfg.RX1DelayS, up.FreqMHz, up.Datr},
-		{2, s.cfg.RX2DelayS, s.cfg.RX2FreqMHz, s.cfg.RX2Datr},
+		{2, s.cfg.RX1DelayS + rx2AfterRX1S, s.cfg.RX2FreqMHz, s.cfg.RX2Datr},
 	} {
 		openS := up.AtS + w.delayS
 		if nowS >= openS {
@@ -251,7 +245,7 @@ func (s *Scheduler) emitLocked(devAddr uint32, up Uplink, phy []byte, window int
 		Tmst: up.Tmst + uint64(delayS*1e6),
 		Freq: freqMHz,
 		RFCh: 0,
-		Powe: s.cfg.PowerDBm,
+		Powe: DefaultPowerDBm,
 		Modu: "LORA",
 		Datr: datr,
 		Codr: s.cfg.CodingRate.String(),
@@ -321,8 +315,9 @@ func (s *Scheduler) OnTxAck(eui [8]byte, token uint16, errStr string, nowS float
 	}
 	// One RX2 retry: same PHY payload, fixed RX2 channel of the same
 	// uplink's timing.
-	f, err := s.emitLocked(p.devAddr, p.up, p.phy, 2, s.cfg.RX2DelayS,
-		s.cfg.RX2FreqMHz, s.cfg.RX2Datr, p.up.AtS+s.cfg.RX2DelayS)
+	rx2 := s.cfg.RX1DelayS + rx2AfterRX1S
+	f, err := s.emitLocked(p.devAddr, p.up, p.phy, 2, rx2,
+		s.cfg.RX2FreqMHz, s.cfg.RX2Datr, p.up.AtS+rx2)
 	if err != nil {
 		s.c.Failed++
 		return nil
@@ -351,7 +346,7 @@ func (s *Scheduler) Expire(nowS float64) int {
 	defer s.mu.Unlock()
 	toks := make([]int, 0, len(s.pending))
 	for tok, p := range s.pending {
-		if nowS-p.sentAtS > s.cfg.AckTimeoutS {
+		if nowS-p.sentAtS > DefaultAckTimeoutS {
 			toks = append(toks, int(tok))
 		}
 	}

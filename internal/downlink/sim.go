@@ -30,10 +30,11 @@ type GatewaySim struct {
 	// ValidFreqMHz lists the transmit frequencies the gateway accepts
 	// (uplink channels plus the RX2 frequency). Empty accepts any.
 	ValidFreqMHz []float64
-	// MaxAheadS bounds how far in the future a tmst may schedule
-	// (reference forwarder: ~15 s); 0 selects 15.
-	MaxAheadS float64
 }
+
+// maxAheadS bounds how far in the future a tmst may schedule (reference
+// forwarder: ~15 s).
+const maxAheadS = 15
 
 // Transmit judges one PULL_RESP at simulation time nowS, with gateway
 // tmst 0 anchored at simulation time 0. On acceptance it blocks the
@@ -42,14 +43,10 @@ type GatewaySim struct {
 // error string.
 func (g *GatewaySim) Transmit(tx *ingest.TXPK, nowS float64) (startS, endS float64, errStr string) {
 	startS = float64(tx.Tmst) / 1e6
-	maxAhead := g.MaxAheadS
-	if maxAhead <= 0 {
-		maxAhead = 15
-	}
 	if startS < nowS {
 		return startS, startS, ingest.TxErrTooLate
 	}
-	if startS > nowS+maxAhead {
+	if startS > nowS+maxAheadS {
 		return startS, startS, ingest.TxErrTooEarly
 	}
 	if len(g.ValidFreqMHz) > 0 {
@@ -92,13 +89,11 @@ type DeviceSim struct {
 	Keys    lorawan.Keys
 	Plan    lora.Plan
 
-	// Receive-window parameters (mirror the scheduler's Config).
-	RX1DelayS, RX2DelayS float64
-	RX2FreqMHz           float64
-	RX2Datr              string
-	// ToleranceS is the clock slack for matching a transmission onto a
-	// window open time.
-	ToleranceS float64
+	// Receive-window parameters (mirror the scheduler's Config); RX2
+	// opens one second after RX1.
+	RX1DelayS  float64
+	RX2FreqMHz float64
+	RX2Datr    string
 
 	// Last-uplink context the windows are timed against.
 	LastUplinkEndS float64
@@ -117,19 +112,19 @@ type DeviceSim struct {
 	fCntDown uint32
 }
 
+// windowToleranceS is the clock slack for matching a transmission onto a
+// window open time.
+const windowToleranceS = 0.02
+
 // windowMatch reports which RX window (1 or 2) a transmission starting
 // at txStartS on the given channel parameters falls into, or 0.
 func (d *DeviceSim) windowMatch(txStartS, freqMHz float64, datr string) int {
-	tol := d.ToleranceS
-	if tol <= 0 {
-		tol = 0.02
-	}
 	rx1 := d.LastUplinkEndS + d.RX1DelayS
-	if math.Abs(txStartS-rx1) <= tol && math.Abs(freqMHz-d.UplinkFreqMHz) < 1e-4 && datr == d.UplinkDatr {
+	if math.Abs(txStartS-rx1) <= windowToleranceS && math.Abs(freqMHz-d.UplinkFreqMHz) < 1e-4 && datr == d.UplinkDatr {
 		return 1
 	}
-	rx2 := d.LastUplinkEndS + d.RX2DelayS
-	if math.Abs(txStartS-rx2) <= tol && math.Abs(freqMHz-d.RX2FreqMHz) < 1e-4 && datr == d.RX2Datr {
+	rx2 := d.LastUplinkEndS + (d.RX1DelayS + rx2AfterRX1S)
+	if math.Abs(txStartS-rx2) <= windowToleranceS && math.Abs(freqMHz-d.RX2FreqMHz) < 1e-4 && datr == d.RX2Datr {
 		return 2
 	}
 	return 0

@@ -8,7 +8,6 @@ import (
 
 	"eflora/internal/alloc"
 	"eflora/internal/core"
-	"eflora/internal/model"
 	"eflora/internal/rng"
 	"eflora/internal/stats"
 )
@@ -35,8 +34,6 @@ type TournamentConfig struct {
 	// Strategies selects registry keys or aliases (empty = every
 	// registered strategy).
 	Strategies []string
-	// Params overrides the network parameters (nil = paper defaults).
-	Params *model.Params
 }
 
 func (c TournamentConfig) withDefaults() TournamentConfig {
@@ -112,7 +109,6 @@ func RunTournament(cfg TournamentConfig) (*Tournament, error) {
 				Gateways: cfg.Gateways,
 				RadiusM:  cfg.RadiusM,
 				Seed:     seed,
-				Params:   cfg.Params,
 			})
 			if err != nil {
 				return nil, err

@@ -64,10 +64,6 @@ type FrontendConfig struct {
 	NoiseDBm float64
 	// Capacity is the per-gateway demodulator limit (default 8, SX1301).
 	Capacity int
-	// Capture enables the capture rule at CaptureDB advantage (default
-	// on at 6 dB — real radios capture; set CaptureDB negative to force
-	// the paper's both-die rule).
-	CaptureDB float64
 	// CodingRate is assumed when an RXPK carries no parsable "codr"
 	// (default 4/7, the paper's).
 	CodingRate lora.CodingRate
@@ -79,9 +75,6 @@ func (c FrontendConfig) withDefaults() FrontendConfig {
 	}
 	if c.Capacity <= 0 {
 		c.Capacity = 8
-	}
-	if c.CaptureDB == 0 {
-		c.CaptureDB = 6
 	}
 	if !c.CodingRate.Valid() {
 		c.CodingRate = lora.CR47
@@ -121,11 +114,15 @@ func (f *Frontend) channel(freqMHz float64) (int, bool) {
 	return 0, false
 }
 
+// captureDB is the power advantage a frame needs over every overlapping
+// co-SF co-channel frame to survive: real radios capture.
+const captureDB = 6
+
 // engineConfig assembles the engine parameters once per new gateway.
 func (f *Frontend) engineConfig() engine.Config {
 	return engine.Config{
-		Capture:    f.cfg.CaptureDB >= 0,
-		CaptureLin: lora.DBToLinear(f.cfg.CaptureDB),
+		Capture:    true,
+		CaptureLin: lora.DBToLinear(captureDB),
 		Capacity:   f.cfg.Capacity,
 		NoiseMW:    lora.DBmToMilliwatts(f.cfg.NoiseDBm),
 		Thresholds: engine.NewThresholds(),

@@ -13,7 +13,8 @@ func feRXPK(freqMHz, rssiDBm float64, datr string) RXPK {
 }
 
 func TestFrontendCountsOverlapCollisions(t *testing.T) {
-	f := NewFrontend(FrontendConfig{Plan: lora.EU868(), CaptureDB: -1}) // both-die rule
+	f := NewFrontend(FrontendConfig{Plan: lora.EU868()})
+	// Two equal-power frames: neither has the capture advantage, so both die.
 	rx := feRXPK(868.1, -60, "SF7BW125")
 	if v, ok := f.Observe(0, &rx, 0); !ok || v != engine.VerdictLocked {
 		t.Fatalf("first frame: verdict=%v ok=%v", v, ok)
@@ -25,7 +26,7 @@ func TestFrontendCountsOverlapCollisions(t *testing.T) {
 	f.Advance(10) // both frames long over
 	c := f.Counters()
 	if c.CollisionLosses != 2 {
-		t.Errorf("collision losses = %d, want 2 (both-die rule)", c.CollisionLosses)
+		t.Errorf("collision losses = %d, want 2 (equal power, no capture)", c.CollisionLosses)
 	}
 
 	// A different gateway is an independent receiver.

@@ -24,37 +24,24 @@ func IndexForAddr(addr uint32) (int, bool) {
 	return int(addr) - 1, true
 }
 
-// ReallocConfig tunes the drift detector.
+// ReallocConfig tunes the drift detector. Every field is taken as given:
+// zero is a valid setting (no SNR headroom, no PRR floor, trust from the
+// first frame).
 type ReallocConfig struct {
 	// SNRMarginDB is the headroom required above the current SF's
-	// demodulation floor before a device counts as healthy (default 1 dB):
-	// a device whose rolling SNR sits below threshold+margin is drifting.
+	// demodulation floor before a device counts as healthy: a device
+	// whose rolling SNR sits below threshold+margin is drifting.
 	SNRMarginDB float64
-	// MinPRR is the reception-ratio floor (default 0.7).
+	// MinPRR is the reception-ratio floor.
 	MinPRR float64
 	// MinFrames is how many deliveries a device must have before the
-	// detector trusts its statistics (default 8).
+	// detector trusts its statistics.
 	MinFrames int
-	// MaxPerStep caps how many devices one Step reassigns (default 32),
-	// bounding the work done on the serving path's timer.
-	MaxPerStep int
 }
 
-func (c ReallocConfig) withDefaults() ReallocConfig {
-	if c.SNRMarginDB == 0 {
-		c.SNRMarginDB = 1
-	}
-	if c.MinPRR == 0 {
-		c.MinPRR = 0.7
-	}
-	if c.MinFrames == 0 {
-		c.MinFrames = 8
-	}
-	if c.MaxPerStep == 0 {
-		c.MaxPerStep = 32
-	}
-	return c
-}
+// maxReassignPerStep caps how many devices one Step reassigns, bounding
+// the work done on the serving path's timer.
+const maxReassignPerStep = 32
 
 // Reallocator closes the paper's control loop online: it watches the
 // rolling per-device statistics a Tracker accumulates, flags devices
@@ -88,7 +75,7 @@ type AnsCounters struct {
 // NewReallocator wires a seeded incremental maintainer to a tracker.
 func NewReallocator(inc *alloc.Incremental, tracker *Tracker, cfg ReallocConfig) *Reallocator {
 	return &Reallocator{
-		cfg:        cfg.withDefaults(),
+		cfg:        cfg,
 		tracker:    tracker,
 		inc:        inc,
 		ansPending: make(map[uint32]bool),
@@ -191,7 +178,7 @@ func (r *Reallocator) Step(nowS float64) (*scenario.Delta, error) {
 		need := lora.SNRThresholdDB(cur.SF[i]) + r.cfg.SNRMarginDB
 		if s.EwmaSNRdB < need || s.PRR() < r.cfg.MinPRR {
 			drifting = append(drifting, i)
-			if len(drifting) >= r.cfg.MaxPerStep {
+			if len(drifting) >= maxReassignPerStep {
 				break
 			}
 		}

@@ -31,7 +31,7 @@ func TestReallocatorStepReassignsDrifting(t *testing.T) {
 		a.SF[5] = lora.SF12
 	})
 	tracker := NewTracker(0)
-	r := NewReallocator(inc, tracker, ReallocConfig{MinFrames: 4})
+	r := NewReallocator(inc, tracker, ReallocConfig{SNRMarginDB: 1, MinPRR: 0.7, MinFrames: 4})
 
 	// Healthy device: plenty of SNR headroom, perfect PRR.
 	for f := uint32(1); f <= 6; f++ {
@@ -102,7 +102,7 @@ func TestReallocatorStepReassignsDrifting(t *testing.T) {
 func TestReallocatorStepNoDriftNoDelta(t *testing.T) {
 	inc, _ := reallocFixture(t, 16, nil)
 	tracker := NewTracker(0)
-	r := NewReallocator(inc, tracker, ReallocConfig{MinFrames: 4})
+	r := NewReallocator(inc, tracker, ReallocConfig{SNRMarginDB: 1, MinPRR: 0.7, MinFrames: 4})
 	for f := uint32(1); f <= 8; f++ {
 		tracker.Observe(delivery(AddrForIndex(2), f, 15, 0))
 	}
@@ -117,6 +117,34 @@ func TestReallocatorStepNoDriftNoDelta(t *testing.T) {
 	}
 	if r.Reassigned() != 0 {
 		t.Errorf("Reassigned = %d, want 0", r.Reassigned())
+	}
+}
+
+// TestReallocatorMinPRRZeroDisablesFloor pins that the thresholds are
+// taken as given: MinPRR 0 switches the PRR floor off, so a device with
+// healthy SNR and PRR 0.5 stays unflagged, while the 0.7 floor flags it.
+func TestReallocatorMinPRRZeroDisablesFloor(t *testing.T) {
+	for _, tc := range []struct {
+		minPRR  float64
+		flagged bool
+	}{{0, false}, {0.7, true}} {
+		inc, _ := reallocFixture(t, 16, nil)
+		tracker := NewTracker(0)
+		r := NewReallocator(inc, tracker, ReallocConfig{SNRMarginDB: 1, MinPRR: tc.minPRR, MinFrames: 4})
+		// Four deliveries out of FCnts 1..8: PRR 0.5 at 15 dB SNR.
+		for _, f := range []uint32{1, 2, 5, 8} {
+			tracker.Observe(delivery(AddrForIndex(2), f, 15, 0))
+		}
+		if s, _ := tracker.Get(AddrForIndex(2)); s.PRR() != 0.5 {
+			t.Fatalf("fixture PRR = %v, want 0.5", s.PRR())
+		}
+		delta, err := r.Step(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if flagged := delta != nil; flagged != tc.flagged {
+			t.Errorf("MinPRR %v: flagged = %v, want %v (delta %+v)", tc.minPRR, flagged, tc.flagged, delta)
+		}
 	}
 }
 

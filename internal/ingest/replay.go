@@ -20,20 +20,6 @@ type ReplayConfig struct {
 	Seed uint64
 	// DedupWindowS must match the ingesting pool's window (default 0.2).
 	DedupWindowS float64
-	// ExtraCopyProb is the chance each plausible secondary gateway also
-	// reports a delivered frame, inside the dedup window (default 0.35).
-	ExtraCopyProb float64
-	// OutOfOrderProb is the chance an extra copy carries a timestamp
-	// slightly *before* the primary copy while arriving after it —
-	// exercising out-of-order ingestion (default 0.1).
-	OutOfOrderProb float64
-	// LateCopyProb is the chance a delivered frame gets one more gateway
-	// copy after its window closed — the late-duplicate path (default 0.05).
-	LateCopyProb float64
-	// StaleReplayProb is the chance a device's previous frame is re-sent
-	// after a newer one was accepted — the replay-rejection path
-	// (default 0.03).
-	StaleReplayProb float64
 	// DriftDevices injects link drift: the first DriftDevices devices
 	// report SNRs DriftSNRdB below their true link budget, so the online
 	// re-allocator sees them as drifting. Only the reported metadata is
@@ -49,20 +35,25 @@ func (c ReplayConfig) withDefaults() ReplayConfig {
 	if c.DedupWindowS <= 0 {
 		c.DedupWindowS = 0.2
 	}
-	if c.ExtraCopyProb == 0 {
-		c.ExtraCopyProb = 0.35
-	}
-	if c.OutOfOrderProb == 0 {
-		c.OutOfOrderProb = 0.1
-	}
-	if c.LateCopyProb == 0 {
-		c.LateCopyProb = 0.05
-	}
-	if c.StaleReplayProb == 0 {
-		c.StaleReplayProb = 0.03
-	}
 	return c
 }
+
+// The synthetic traffic mix BuildReplay draws around each delivered frame.
+const (
+	// extraCopyProb is the chance each plausible secondary gateway also
+	// reports a delivered frame, inside the dedup window.
+	extraCopyProb = 0.35
+	// outOfOrderProb is the chance an extra copy carries a timestamp
+	// slightly *before* the primary copy while arriving after it —
+	// exercising out-of-order ingestion.
+	outOfOrderProb = 0.1
+	// lateCopyProb is the chance a delivered frame gets one more gateway
+	// copy after its window closed — the late-duplicate path.
+	lateCopyProb = 0.05
+	// staleReplayProb is the chance a device's previous frame is re-sent
+	// after a newer one was accepted — the replay-rejection path.
+	staleReplayProb = 0.03
+)
 
 // Replay is a synthesized gateway-traffic trace with analytically known
 // ingest accounting: dispatching Uplinks in order into any pool (then
@@ -275,13 +266,13 @@ func BuildReplay(net *model.Network, p model.Params, a model.Allocation, cfg Rep
 				if k == dtx.gw || meanSNR[i][k] < lora.SNRThresholdDB(a.SF[i])-3 {
 					continue
 				}
-				if r.Float64() >= cfg.ExtraCopyProb {
+				if r.Float64() >= extraCopyProb {
 					continue
 				}
 				delta := (0.1 + 0.8*r.Float64()) * window / 2
 				ts := dtx.endS + delta
 				arrival := ts
-				if r.Float64() < cfg.OutOfOrderProb {
+				if r.Float64() < outOfOrderProb {
 					// Timestamped before the primary, dispatched after it.
 					ts = dtx.endS - delta/4
 				}
@@ -292,7 +283,7 @@ func BuildReplay(net *model.Network, p model.Params, a model.Allocation, cfg Rep
 			// A straggler copy after the window closed: the late-duplicate
 			// path. Only safe (deterministically a duplicate) while no
 			// newer frame intervenes.
-			if r.Float64() < cfg.LateCopyProb && dtx.endS+3*window < nextAt {
+			if r.Float64() < lateCopyProb && dtx.endS+3*window < nextAt {
 				ts := dtx.endS + 2*window
 				add(ts, mkUplink(dtx.gw, ts))
 				rp.Expected.Duplicates++
@@ -300,7 +291,7 @@ func BuildReplay(net *model.Network, p model.Params, a model.Allocation, cfg Rep
 
 			// A replay of the previous frame arriving after this one was
 			// accepted: deterministically rejected (older counter).
-			if j > 0 && r.Float64() < cfg.StaleReplayProb {
+			if j > 0 && r.Float64() < staleReplayProb {
 				ts := dtx.endS + (0.1+0.5*r.Float64())*window
 				s := snr(dtx.gw)
 				add(ts, netserver.Uplink{

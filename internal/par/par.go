@@ -1,10 +1,10 @@
 // Package par provides the repository's bounded, deterministic fan-out
 // primitive. The rule it serves: fan out only over independent jobs, and
 // nothing under a job fans out again. Two callers follow it — the flat
-// (data point, method, trial) grid of every figure in exp, and the cells
-// of the hierarchical allocator — each sized by its own Parallelism knob
-// defaulting to runtime.GOMAXPROCS(0). A worker count of 1 degenerates to
-// a plain loop with zero overhead.
+// (data point, method, trial) grid of every figure in exp, sized by
+// exp.Config.Parallelism (default runtime.GOMAXPROCS(0)), and the cells of
+// the hierarchical allocator, always sized by runtime.GOMAXPROCS(0). A
+// worker count of 1 degenerates to a plain loop with zero overhead.
 //
 // Determinism contract: For only schedules work; callers write results
 // into index-addressed slots and merge them in index order afterward, so

@@ -87,8 +87,8 @@ func TestRunZeroAllocsAtGOMAXPROCS2(t *testing.T) {
 // TestRunConfirmedAllocBudget extends the scratch-reuse budget to the
 // confirmed MAC loop: the event slab, the index heaps and the per-gateway
 // engines all live in the Scratch, so a warm RunConfirmed is down to the
-// same fixed per-call overhead as Run (the RNG and the withDefaults
-// pointer materializations).
+// same fixed per-call overhead as Run (the RNG and the capture-threshold
+// pointer withDefaults materializes).
 func TestRunConfirmedAllocBudget(t *testing.T) {
 	net, p, a := goldenNetwork(60, 2)
 	sc := new(Scratch)

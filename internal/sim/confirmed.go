@@ -11,22 +11,17 @@ import (
 )
 
 // ConfirmedConfig extends Config for confirmed (acknowledged) uplink
-// traffic: a device that receives no acknowledgement retransmits after an
-// ACK timeout plus random backoff, up to MaxAttempts transmissions per
-// packet — LoRaWAN confirmed-uplink behaviour. Retransmissions add load,
-// which adds collisions, which adds retransmissions: the feedback loop the
+// traffic: a device that receives no acknowledgement retransmits after
+// DefaultAckTimeoutS plus a uniform random backoff of up to
+// DefaultBackoffS, up to MaxAttempts transmissions per packet — LoRaWAN
+// confirmed-uplink behaviour. Retransmissions add load, which adds
+// collisions, which adds retransmissions: the feedback loop the
 // unconfirmed energy approximation (Result.RetxAvgPowerW) linearizes away.
 type ConfirmedConfig struct {
 	Config
 	// MaxAttempts per packet including the first transmission
 	// (default 8, the LoRaWAN limit).
 	MaxAttempts int
-	// AckTimeoutS is the delay before a retransmission (nil means 2 s, the
-	// class-A RX-window span), to which a uniform random backoff of up to
-	// BackoffS is added (nil means 4 s). They are pointers so an explicit
-	// zero — retransmit immediately, or no random backoff — is honoured
-	// rather than silently rewritten to the default.
-	AckTimeoutS, BackoffS *float64
 	// HalfDuplexAcks models the gateway's transmit cost: the gateway that
 	// acknowledges a packet cannot receive while its downlink is in the
 	// air (LoRa gateways are half-duplex), so uplinks arriving during the
@@ -49,8 +44,9 @@ type confirmedHooks struct {
 	fading func(dev, m, k int) float64
 }
 
-// DefaultAckTimeoutS and DefaultBackoffS are the retransmission-timing
-// defaults used when the corresponding ConfirmedConfig pointer is nil.
+// DefaultAckTimeoutS is the delay before a retransmission (the class-A
+// RX-window span); DefaultBackoffS bounds the uniform random backoff
+// added to it.
 const (
 	DefaultAckTimeoutS = 2.0
 	DefaultBackoffS    = 4.0
@@ -60,14 +56,6 @@ func (c ConfirmedConfig) withDefaults() ConfirmedConfig {
 	c.Config = c.Config.withDefaults()
 	if c.MaxAttempts <= 0 {
 		c.MaxAttempts = MaxTransmissions
-	}
-	if c.AckTimeoutS == nil {
-		v := DefaultAckTimeoutS
-		c.AckTimeoutS = &v
-	}
-	if c.BackoffS == nil {
-		v := DefaultBackoffS
-		c.BackoffS = &v
 	}
 	return c
 }
@@ -121,8 +109,6 @@ type confirmedRun struct {
 	toa, tpMW   []float64
 	ackToA      [6]float64
 	maxAttempts int
-	ackTimeoutS float64
-	backoffS    float64
 	halfDuplex  bool
 	traceOn     bool
 	hooks       *confirmedHooks
@@ -265,7 +251,7 @@ func (c *confirmedRun) handleEnd(t int32) {
 		c.res.Delivered[v.dev]++
 	case v.attempt < c.maxAttempts:
 		c.res.Retransmissions++
-		backoff := c.ackTimeoutS + c.r.Float64()*c.backoffS
+		backoff := DefaultAckTimeoutS + c.r.Float64()*DefaultBackoffS
 		nt := c.newTx(v.dev, v.attempt+1, -1, v.end+backoff)
 		c.starts = c.heapPush(c.starts, false, nt)
 	default:
@@ -327,8 +313,6 @@ func RunConfirmed(net *model.Network, p model.Params, a model.Allocation, cfg Co
 		c.ackToA[s-lora.SF7] = lora.TimeOnAir(13, s, p.BandwidthHz, p.CodingRate)
 	}
 	c.maxAttempts = cfg.MaxAttempts
-	c.ackTimeoutS = *cfg.AckTimeoutS
-	c.backoffS = *cfg.BackoffS
 	c.halfDuplex = cfg.HalfDuplexAcks
 	c.traceOn = cfg.Trace
 	c.hooks = cfg.hooks

@@ -266,43 +266,6 @@ func TestHalfDuplexAcksCostReceptions(t *testing.T) {
 	}
 }
 
-// TestConfirmedDefaultsHonorExplicitZeros pins the satellite bugfix: an
-// explicit zero ACK timeout or backoff span (retransmit immediately, no
-// random backoff) must survive withDefaults instead of being silently
-// rewritten to the 2 s / 4 s defaults, mirroring how CaptureThresholdDB
-// distinguishes "unset" from "zero" with a pointer.
-func TestConfirmedDefaultsHonorExplicitZeros(t *testing.T) {
-	zero := 0.0
-	cfg := ConfirmedConfig{AckTimeoutS: &zero, BackoffS: &zero}.withDefaults()
-	if *cfg.AckTimeoutS != 0 {
-		t.Errorf("explicit AckTimeoutS=0 rewritten to %v", *cfg.AckTimeoutS)
-	}
-	if *cfg.BackoffS != 0 {
-		t.Errorf("explicit BackoffS=0 rewritten to %v", *cfg.BackoffS)
-	}
-	def := ConfirmedConfig{}.withDefaults()
-	if *def.AckTimeoutS != DefaultAckTimeoutS || *def.BackoffS != DefaultBackoffS {
-		t.Errorf("nil timing defaults = %v/%v, want %v/%v",
-			*def.AckTimeoutS, *def.BackoffS, DefaultAckTimeoutS, DefaultBackoffS)
-	}
-
-	// Behavioral check: zero timing retransmits back-to-back, so the run
-	// still completes and counts retransmissions on a lossy cell.
-	net, p, a := goldenNetwork(40, 2)
-	res, err := RunConfirmed(net, p, a, ConfirmedConfig{
-		Config:      Config{PacketsPerDevice: 4, Seed: 5},
-		MaxAttempts: 3,
-		AckTimeoutS: &zero,
-		BackoffS:    &zero,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Retransmissions == 0 {
-		t.Error("no retransmissions on a collision-limited cell")
-	}
-}
-
 // TestConfirmedSingleAttemptMatchesRun is the differential proof that the
 // confirmed event loop drives the shared receiver engine identically to
 // the batch simulator: with MaxAttempts=1 (no retransmissions, no ACK

@@ -137,7 +137,7 @@ func (s *Store) prune() error {
 	if err != nil {
 		return err
 	}
-	for len(snaps) > s.opts.SnapshotKeep {
+	for len(snaps) > DefaultSnapshotKeep {
 		if err := os.Remove(snaps[0].path); err != nil {
 			return fmt.Errorf("statestore: %w", err)
 		}

@@ -53,7 +53,7 @@ const DefaultSnapshotInterval = 30 * time.Second
 const DefaultSegmentBytes = 4 << 20
 
 // DefaultSnapshotKeep is how many decodable snapshots are retained for
-// fallback before older ones are pruned.
+// fallback before older ones are pruned (the newest is always kept).
 const DefaultSnapshotKeep = 2
 
 // Options configures a Store.
@@ -62,8 +62,8 @@ type Options struct {
 	// run. nil selects DefaultSnapshotInterval; a pointer to an explicit
 	// zero (or negative) duration disables periodic snapshots — WAL-only
 	// operation — mirroring the repo's pointer-zero convention (cf.
-	// sim.ConfirmedConfig): a zero value must be distinguishable from an
-	// unset one.
+	// sim.Config.CaptureThresholdDB): a zero value must be
+	// distinguishable from an unset one.
 	SnapshotInterval *time.Duration
 
 	// SegmentBytes rotates the open WAL segment once it exceeds this many
@@ -75,10 +75,6 @@ type Options struct {
 	// age-based rotation). Ages are computed from the nowS stamps passed
 	// to Append, never from the wall clock.
 	SegmentMaxAgeS float64
-
-	// SnapshotKeep bounds how many snapshots are retained (0 selects
-	// DefaultSnapshotKeep; the newest is always kept).
-	SnapshotKeep int
 }
 
 // SnapshotCadence resolves the pointer-zero SnapshotInterval convention:
@@ -97,9 +93,6 @@ func (o Options) SnapshotCadence() (time.Duration, bool) {
 func (o Options) withDefaults() Options {
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = DefaultSegmentBytes
-	}
-	if o.SnapshotKeep <= 0 {
-		o.SnapshotKeep = DefaultSnapshotKeep
 	}
 	return o
 }

@@ -343,7 +343,7 @@ func TestWALMidLogCorruptionIsFatal(t *testing.T) {
 
 func TestWriteSnapshotRecoverAndPrune(t *testing.T) {
 	dir := t.TempDir()
-	s := mustOpen(t, dir, Options{SegmentBytes: 1, SnapshotKeep: 2})
+	s := mustOpen(t, dir, Options{SegmentBytes: 1})
 	for i := 0; i < 3; i++ {
 		mustAppendSync(t, s, delta(float64(i), i, 7), float64(i))
 	}
