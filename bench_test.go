@@ -161,19 +161,14 @@ func BenchmarkSimulatorNoScratch(b *testing.B) {
 	}
 }
 
-// BenchmarkFig5Sequential and BenchmarkFig5Parallel run one figure with
-// its (gateway count, method, trial) jobs pinned to one worker and fanned
-// out across all CPUs. Results are bit-identical either way; the spread
-// measures exp's fan-out speedup (near 1x on a single-core host, where
-// only the structure is exercised).
-func BenchmarkFig5Sequential(b *testing.B) { benchFig5(b, 1) }
-func BenchmarkFig5Parallel(b *testing.B)   { benchFig5(b, 0) }
-
-func benchFig5(b *testing.B, workers int) {
-	b.Helper()
+// BenchmarkFig5Parallel runs one figure with its (gateway count, method,
+// trial) jobs fanned out across GOMAXPROCS workers. Results are
+// bit-identical at any GOMAXPROCS, so its -cpu curve measures exp's
+// fan-out speedup (near 1x on a single-core host, where only the
+// structure is exercised).
+func BenchmarkFig5Parallel(b *testing.B) {
 	cfg := benchCfg()
 	cfg.Trials = 2
-	cfg.Parallelism = workers
 	for i := 0; i < b.N; i++ {
 		if _, err := exp.Run("fig5", cfg); err != nil {
 			b.Fatal(err)

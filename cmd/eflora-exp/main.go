@@ -28,14 +28,13 @@ func main() {
 func run(args []string, out *os.File) error {
 	fs := flag.NewFlagSet("eflora-exp", flag.ContinueOnError)
 	var (
-		id       = fs.String("exp", "all", "experiment id (see -list) or 'all'")
-		list     = fs.Bool("list", false, "list experiment ids and exit")
-		scale    = fs.Float64("scale", 0.1, "device-count scale relative to the paper (1.0 = full)")
-		trials   = fs.Int("trials", 3, "independent repetitions per data point (paper: 100)")
-		packets  = fs.Int("packets", 40, "packets per device per simulation")
-		seed     = fs.Uint64("seed", 1, "random seed")
-		asJSON   = fs.Bool("json", false, "emit each experiment's headline values as JSON instead of text")
-		parallel = fs.Int("parallel", 0, "worker goroutines over each figure's (data point, method, trial) jobs (0 = all CPUs); results are identical at any value")
+		id      = fs.String("exp", "all", "experiment id (see -list) or 'all'")
+		list    = fs.Bool("list", false, "list experiment ids and exit")
+		scale   = fs.Float64("scale", 0.1, "device-count scale relative to the paper (1.0 = full)")
+		trials  = fs.Int("trials", 3, "independent repetitions per data point (paper: 100)")
+		packets = fs.Int("packets", 40, "packets per device per simulation")
+		seed    = fs.Uint64("seed", 1, "random seed")
+		asJSON  = fs.Bool("json", false, "emit each experiment's headline values as JSON instead of text")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -52,7 +51,6 @@ func run(args []string, out *os.File) error {
 		Trials:           *trials,
 		PacketsPerDevice: *packets,
 		Seed:             *seed,
-		Parallelism:      *parallel,
 	}
 	ids := []string{*id}
 	if *id == "all" {

@@ -14,6 +14,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strconv"
 
 	"eflora/internal/core"
 	"eflora/internal/model"
@@ -25,8 +26,8 @@ type intList []int
 
 func (l *intList) String() string { return fmt.Sprint([]int(*l)) }
 func (l *intList) Set(s string) error {
-	var v int
-	if _, err := fmt.Sscanf(s, "%d", &v); err != nil {
+	v, err := strconv.Atoi(s)
+	if err != nil {
 		return err
 	}
 	*l = append(*l, v)

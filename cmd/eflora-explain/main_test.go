@@ -79,4 +79,9 @@ func TestExplainErrors(t *testing.T) {
 	if err := run([]string{"-in", path, "-device", "999"}, f); err == nil {
 		t.Error("out-of-range device accepted")
 	}
+	for _, junk := range []string{"7.5", "12abc"} {
+		if err := run([]string{"-in", path, "-device", junk}, f); err == nil {
+			t.Errorf("-device %s accepted", junk)
+		}
+	}
 }

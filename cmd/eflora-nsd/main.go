@@ -66,11 +66,10 @@ type config struct {
 	deltasPath   string
 	duration     time.Duration
 
-	// stateDir enables the durable-state subsystem; snapshotInterval
-	// follows the pointer-zero convention (nil = default cadence, explicit
-	// 0 = WAL-only, no periodic snapshots).
+	// stateDir enables the durable-state subsystem; a snapshotInterval
+	// <= 0 runs it WAL-only, with no periodic snapshots.
 	stateDir         string
-	snapshotInterval *time.Duration
+	snapshotInterval time.Duration
 	walSegmentBytes  int64
 
 	rx1DelayS  float64
@@ -87,13 +86,8 @@ type config struct {
 	driftSNRdB   float64
 }
 
-// storeOptions maps the daemon flags onto the statestore configuration.
-func storeOptions(cfg config) statestore.Options {
-	return statestore.Options{
-		SnapshotInterval: cfg.snapshotInterval,
-		SegmentBytes:     cfg.walSegmentBytes,
-	}
-}
+// defaultSnapshotInterval is the -snapshot-interval default.
+const defaultSnapshotInterval = 30 * time.Second
 
 func run(args []string, out io.Writer) error {
 	cfg, err := parseArgs(args)
@@ -147,7 +141,7 @@ func parseArgs(args []string) (config, error) {
 	fs.StringVar(&cfg.deltasPath, "deltas", "", "append re-allocation deltas to this JSONL file")
 	fs.DurationVar(&cfg.duration, "duration", 0, "stop the live daemon after this long (0 = run until signal)")
 	fs.StringVar(&cfg.stateDir, "state-dir", "", "durable-state directory: snapshots + delta WAL; recovered on startup (empty = stateless)")
-	snapInterval := fs.Duration("snapshot-interval", statestore.DefaultSnapshotInterval, "periodic snapshot cadence; an EXPLICIT 0 disables periodic snapshots (WAL-only), unset means the default")
+	fs.DurationVar(&cfg.snapshotInterval, "snapshot-interval", defaultSnapshotInterval, "periodic snapshot cadence; 0 disables periodic snapshots (WAL-only)")
 	fs.Int64Var(&cfg.walSegmentBytes, "wal-segment-bytes", statestore.DefaultSegmentBytes, "WAL segment size-rotation threshold in bytes")
 	fs.Float64Var(&cfg.rx1DelayS, "rx1-delay", downlink.DefaultRX1DelayS, "Class-A RX1 window delay after the uplink in seconds (RX2 opens one second later)")
 	fs.Float64Var(&cfg.rx2FreqMHz, "rx2-freq", downlink.DefaultRX2FreqMHz, "RX2 window frequency in MHz")
@@ -163,16 +157,6 @@ func parseArgs(args []string) (config, error) {
 	if err := fs.Parse(args); err != nil {
 		return cfg, err
 	}
-	// Pointer-zero resolution for -snapshot-interval: only a flag the user
-	// actually passed becomes a pointer, so `-snapshot-interval 0` reads
-	// as "disabled" while an absent flag reads as "default". (The same
-	// pitfall as sim.Config's CaptureThresholdDB: a plain zero value
-	// cannot distinguish "off" from "unset".)
-	fs.Visit(func(f *flag.Flag) {
-		if f.Name == "snapshot-interval" {
-			cfg.snapshotInterval = snapInterval
-		}
-	})
 	if cfg.scenarioPath == "" {
 		return cfg, fmt.Errorf("-scenario is required")
 	}
@@ -274,7 +258,7 @@ func newServer(cfg config, netw *core.Network, a model.Allocation) (*server, err
 	var snap *statestore.State
 	var recoveredMoves uint64
 	if cfg.stateDir != "" {
-		store, err := statestore.Open(cfg.stateDir, storeOptions(cfg))
+		store, err := statestore.Open(cfg.stateDir, statestore.Options{SegmentBytes: cfg.walSegmentBytes})
 		if err != nil {
 			return nil, err
 		}
@@ -448,15 +432,13 @@ func (d *daemon) Serve(ctx context.Context) error {
 		defer t.Stop()
 		reallocC = t.C
 	}
-	// Periodic snapshots, honoring the pointer-zero contract: an explicit
-	// -snapshot-interval 0 runs WAL-only (final snapshot on shutdown).
+	// Periodic snapshots: -snapshot-interval 0 runs WAL-only (final
+	// snapshot on shutdown).
 	var snapC <-chan time.Time
-	if d.store != nil {
-		if every, enabled := storeOptions(d.cfg).SnapshotCadence(); enabled {
-			t := time.NewTicker(every)
-			defer t.Stop()
-			snapC = t.C
-		}
+	if d.store != nil && d.cfg.snapshotInterval > 0 {
+		t := time.NewTicker(d.cfg.snapshotInterval)
+		defer t.Stop()
+		snapC = t.C
 	}
 	for {
 		select {

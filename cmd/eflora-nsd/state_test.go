@@ -18,7 +18,6 @@ import (
 	"eflora/internal/ingest"
 	"eflora/internal/lorawan"
 	"eflora/internal/model"
-	"eflora/internal/statestore"
 )
 
 // TestMain doubles as the daemon-under-test entry point: when the helper
@@ -35,39 +34,26 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// TestParseArgsSnapshotIntervalPointerZero pins the flag side of the
-// pointer-zero convention: an absent -snapshot-interval means the default
-// cadence, an EXPLICIT zero means disabled — two states a plain duration
-// value cannot distinguish.
+// TestParseArgsSnapshotIntervalPointerZero pins the -snapshot-interval
+// flag: an absent flag means the 30 s default cadence, an explicit zero
+// means WAL-only (Serve starts no snapshot ticker for a value <= 0), and
+// any other value is taken as given.
 func TestParseArgsSnapshotIntervalPointerZero(t *testing.T) {
-	cfg, err := parseArgs([]string{"-scenario", "x"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.snapshotInterval != nil {
-		t.Fatalf("unset flag produced pointer %v", *cfg.snapshotInterval)
-	}
-	if every, enabled := storeOptions(cfg).SnapshotCadence(); !enabled || every != statestore.DefaultSnapshotInterval {
-		t.Fatalf("unset flag cadence = %v, %v; want default, enabled", every, enabled)
-	}
-
-	cfg, err = parseArgs([]string{"-scenario", "x", "-snapshot-interval", "0"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.snapshotInterval == nil || *cfg.snapshotInterval != 0 {
-		t.Fatalf("explicit zero not captured: %v", cfg.snapshotInterval)
-	}
-	if _, enabled := storeOptions(cfg).SnapshotCadence(); enabled {
-		t.Fatal("explicit -snapshot-interval 0 did not disable periodic snapshots")
-	}
-
-	cfg, err = parseArgs([]string{"-scenario", "x", "-snapshot-interval", "5s"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if every, enabled := storeOptions(cfg).SnapshotCadence(); !enabled || every != 5*time.Second {
-		t.Fatalf("cadence = %v, %v; want 5s, enabled", every, enabled)
+	for _, tc := range []struct {
+		args []string
+		want time.Duration
+	}{
+		{nil, 30 * time.Second},
+		{[]string{"-snapshot-interval", "0"}, 0},
+		{[]string{"-snapshot-interval", "5s"}, 5 * time.Second},
+	} {
+		cfg, err := parseArgs(append([]string{"-scenario", "x"}, tc.args...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cfg.snapshotInterval != tc.want {
+			t.Errorf("%v: snapshot interval %v, want %v", tc.args, cfg.snapshotInterval, tc.want)
+		}
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"eflora/internal/alloc"
 	"eflora/internal/core"
@@ -37,7 +38,7 @@ func run(args []string, out *os.File) error {
 		gateways   = fs.Int("gateways", 3, "number of gateways")
 		radius     = fs.Float64("radius", 5000, "deployment disc radius in meters")
 		seed       = fs.Uint64("seed", 1, "random seed")
-		allocator  = fs.String("allocator", "eflora", "allocator: eflora, eflora-fixed, legacy, rslora, adr")
+		allocator  = fs.String("allocator", "eflora", "allocator: "+strings.Join(core.AllocatorNames(), ", "))
 		packets    = fs.Int("packets", 100, "packets per device")
 		capture    = fs.Bool("capture", false, "enable the 6 dB co-SF capture effect")
 		batteryMAH = fs.Float64("battery", 2400, "battery capacity in mAh at 3.3 V")

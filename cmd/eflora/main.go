@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"strings"
 
 	"eflora/internal/alloc"
 	"eflora/internal/core"
@@ -49,7 +50,7 @@ func run(args []string, out *os.File) error {
 		gateways  = fs.Int("gateways", 3, "number of gateways")
 		radius    = fs.Float64("radius", 5000, "deployment disc radius in meters")
 		seed      = fs.Uint64("seed", 1, "random seed for device placement")
-		allocator = fs.String("allocator", "eflora", "allocator: eflora, eflora-fixed, legacy, rslora, adr, anneal, hier, exhaustive")
+		allocator = fs.String("allocator", "eflora", "allocator: "+strings.Join(core.AllocatorNames(), ", "))
 		delta     = fs.Float64("delta", 0.01, "EF-LoRa convergence threshold (relative)")
 		asJSON    = fs.Bool("json", false, "emit the allocation as JSON")
 		outFile   = fs.String("out", "", "write the deployment + allocation as a scenario file (eflora-sim -in)")

@@ -9,7 +9,7 @@ import (
 // ADR implements the standard network-side LoRaWAN Adaptive Data Rate
 // algorithm (the Semtech/TTN recipe the paper's related-work section
 // surveys): from the best gateway's link SNR, compute the margin over the
-// current data rate's demodulation floor plus a device margin, then spend
+// current data rate's demodulation floor plus a 10 dB device margin, then spend
 // that margin first on lowering the spreading factor (3 dB less margin
 // needed per step, matching Table IV's thresholds) and then on lowering
 // transmission power in 2 dB steps. Channels hop pseudo-randomly as in
@@ -18,27 +18,19 @@ import (
 // ADR is link-local: like Legacy it ignores contention entirely, but
 // unlike Legacy it also reduces transmission power, making it a stronger
 // energy baseline.
-type ADR struct {
-	// DeviceMarginDB is the installation margin the network server keeps
-	// in reserve (TTN default: 10 dB; a paper-harsh 5 dB keeps more
-	// devices on low SFs).
-	DeviceMarginDB float64
-}
+type ADR struct{}
 
-// Name implements Allocator.
-func (ADR) Name() string { return "ADR" }
+// adrDeviceMarginDB is the installation margin the network server keeps
+// in reserve (the TTN default).
+const adrDeviceMarginDB = 10.0
 
 // Allocate implements Allocator.
-func (d ADR) Allocate(net *model.Network, p model.Params, r *rng.RNG) (model.Allocation, error) {
+func (ADR) Allocate(net *model.Network, p model.Params, r *rng.RNG) (model.Allocation, error) {
 	if err := p.Validate(); err != nil {
 		return model.Allocation{}, err
 	}
 	if err := net.Validate(p); err != nil {
 		return model.Allocation{}, err
-	}
-	margin := d.DeviceMarginDB
-	if margin == 0 {
-		margin = 10
 	}
 	gains := model.Gains(net, p)
 	a := model.NewAllocation(net.N(), p.Plan)
@@ -60,13 +52,13 @@ func (d ADR) Allocate(net *model.Network, p model.Params, r *rng.RNG) (model.All
 			// threshold stays positive.
 			sf = lora.MaxSF
 			for s := lora.MaxSF; s >= lora.MinSF; s-- {
-				if snrDB-lora.SNRThresholdDB(s) >= margin {
+				if snrDB-lora.SNRThresholdDB(s) >= adrDeviceMarginDB {
 					sf = s
 				}
 			}
 			// Spend remaining margin on power, in plan steps, keeping
 			// the device margin intact.
-			slack := snrDB - lora.SNRThresholdDB(sf) - margin
+			slack := snrDB - lora.SNRThresholdDB(sf) - adrDeviceMarginDB
 			step := p.Plan.TxPowerStepDBm
 			if step <= 0 {
 				step = 2

@@ -26,8 +26,8 @@ func TestADRKeepsMargin(t *testing.T) {
 	// threshold at the best gateway (mean channel).
 	net := testNetwork(200, 2, 63)
 	p := model.DefaultParams()
-	const margin = 10.0
-	a, err := ADR{DeviceMarginDB: margin}.Allocate(net, p, rng.New(64))
+	const margin = adrDeviceMarginDB
+	a, err := ADR{}.Allocate(net, p, rng.New(64))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,27 +107,5 @@ func TestADRVersusLegacyCharacter(t *testing.T) {
 	}
 	if mean := sumTP / float64(len(adr.TPdBm)); mean >= p.Plan.MaxTxPowerDBm {
 		t.Errorf("ADR mean TP %v not below the maximum", mean)
-	}
-}
-
-func TestADRMarginMakesItConservative(t *testing.T) {
-	// A larger margin pushes devices to larger SFs.
-	net := testNetwork(300, 1, 69)
-	p := model.DefaultParams()
-	tight, err := ADR{DeviceMarginDB: 5}.Allocate(net, p, rng.New(70))
-	if err != nil {
-		t.Fatal(err)
-	}
-	loose, err := ADR{DeviceMarginDB: 15}.Allocate(net, p, rng.New(70))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sumTight, sumLoose int
-	for i := range tight.SF {
-		sumTight += int(tight.SF[i])
-		sumLoose += int(loose.SF[i])
-	}
-	if sumLoose <= sumTight {
-		t.Errorf("15 dB margin should yield larger SFs on average: %d vs %d", sumLoose, sumTight)
 	}
 }

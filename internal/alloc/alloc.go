@@ -19,8 +19,6 @@ import (
 // Allocator assigns spreading factors, transmission powers and channels to
 // every device of a network.
 type Allocator interface {
-	// Name identifies the strategy in reports.
-	Name() string
 	// Allocate computes an allocation. The RNG drives any randomized
 	// tie-breaking (e.g. legacy LoRa's random channel choice).
 	Allocate(net *model.Network, p model.Params, r *rng.RNG) (model.Allocation, error)
@@ -31,9 +29,6 @@ type Allocator interface {
 // closes toward its best gateway at maximum power, ignores interference,
 // and hops on a random channel.
 type Legacy struct{}
-
-// Name implements Allocator.
-func (Legacy) Name() string { return "Legacy-LoRa" }
 
 // Allocate implements Allocator.
 func (Legacy) Allocate(net *model.Network, p model.Params, r *rng.RNG) (model.Allocation, error) {
@@ -68,9 +63,6 @@ func (Legacy) Allocate(net *model.Network, p model.Params, r *rng.RNG) (model.Al
 // the lowest level that closes the link (RS-LoRa also performs power
 // control) and channels are assigned round-robin.
 type RSLoRa struct{}
-
-// Name implements Allocator.
-func (RSLoRa) Name() string { return "RS-LoRa" }
 
 // SFShares returns the Eq. 22 distribution over SF7..SF12.
 func SFShares() map[lora.SF]float64 {

@@ -2,6 +2,7 @@ package alloc
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"eflora/internal/geo"
@@ -217,11 +218,7 @@ func TestEFLoRaFixedTPPinsPower(t *testing.T) {
 	net := testNetwork(100, 2, 15)
 	p := model.DefaultParams()
 	tp := 14.0
-	ef := NewEFLoRa(Options{FixedTPdBm: &tp})
-	if ef.Name() != "EF-LoRa-14dBm" {
-		t.Errorf("Name = %q", ef.Name())
-	}
-	a, err := ef.Allocate(net, p, rng.New(16))
+	a, err := NewEFLoRa(Options{FixedTPdBm: &tp}).Allocate(net, p, rng.New(16))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,14 +299,28 @@ func TestEFLoRaRejectsInvalidInputs(t *testing.T) {
 	}
 }
 
+// TestAllocatorNames pins what each registry key and alias — the names
+// reports and -allocator flags use — constructs.
 func TestAllocatorNames(t *testing.T) {
-	if (Legacy{}).Name() != "Legacy-LoRa" {
-		t.Error("legacy name")
-	}
-	if (RSLoRa{}).Name() != "RS-LoRa" {
-		t.Error("rs name")
-	}
-	if NewEFLoRa(Options{}).Name() != "EF-LoRa" {
-		t.Error("ef name")
+	for key, want := range map[string]Allocator{
+		"legacy":       Legacy{},
+		"legacy-lora":  Legacy{},
+		"adr":          ADR{},
+		"rslora":       RSLoRa{},
+		"rs-lora":      RSLoRa{},
+		"eflora":       (*EFLoRa)(nil),
+		"ef-lora":      (*EFLoRa)(nil),
+		"anneal":       Anneal{},
+		"hier":         (*Hierarchical)(nil),
+		"hierarchical": (*Hierarchical)(nil),
+		"exhaustive":   Exhaustive{},
+	} {
+		s, err := StrategyByKey(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := s.New(Options{}); reflect.TypeOf(got) != reflect.TypeOf(want) {
+			t.Errorf("key %q constructs %T, want %T", key, got, want)
+		}
 	}
 }

@@ -43,9 +43,6 @@ func (an Anneal) withDefaults() Anneal {
 	return an
 }
 
-// Name implements Allocator.
-func (Anneal) Name() string { return "Anneal" }
-
 // Allocate implements Allocator.
 func (an Anneal) Allocate(net *model.Network, p model.Params, r *rng.RNG) (model.Allocation, error) {
 	an = an.withDefaults()

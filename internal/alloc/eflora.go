@@ -1,7 +1,6 @@
 package alloc
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"time"
@@ -82,14 +81,6 @@ type EFLoRa struct {
 // NewEFLoRa returns an EF-LoRa allocator with the given options.
 func NewEFLoRa(opts Options) *EFLoRa {
 	return &EFLoRa{opts: opts.withDefaults()}
-}
-
-// Name implements Allocator.
-func (a *EFLoRa) Name() string {
-	if a.opts.FixedTPdBm != nil {
-		return fmt.Sprintf("EF-LoRa-%gdBm", *a.opts.FixedTPdBm)
-	}
-	return "EF-LoRa"
 }
 
 // Allocate implements Allocator.

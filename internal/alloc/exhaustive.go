@@ -27,9 +27,6 @@ type Exhaustive struct {
 // exhaustiveMaxStates caps the number of assignments Exhaustive visits.
 const exhaustiveMaxStates = 5_000_000
 
-// Name implements Allocator.
-func (Exhaustive) Name() string { return "Exhaustive" }
-
 // Allocate implements Allocator by enumerating the full space.
 func (x Exhaustive) Allocate(net *model.Network, p model.Params, _ *rng.RNG) (model.Allocation, error) {
 	if x.Mode == 0 {

@@ -46,8 +46,12 @@ func TestExhaustiveBeatsOrMatchesEverything(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, al := range []Allocator{Legacy{}, RSLoRa{}, NewEFLoRa(Options{})} {
-		a, err := al.Allocate(net, p, rng.New(3))
+	for _, key := range []string{"legacy", "rslora", "eflora"} {
+		s, err := StrategyByKey(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := s.New(Options{}).Allocate(net, p, rng.New(3))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -56,7 +60,7 @@ func TestExhaustiveBeatsOrMatchesEverything(t *testing.T) {
 			t.Fatal(err)
 		}
 		if min > optMin*(1+1e-9) {
-			t.Errorf("%s min EE %v exceeds the exhaustive optimum %v", al.Name(), min, optMin)
+			t.Errorf("%s min EE %v exceeds the exhaustive optimum %v", key, min, optMin)
 		}
 	}
 }

@@ -97,9 +97,6 @@ func NewHierarchical(opts HierOptions) *Hierarchical {
 	return &Hierarchical{opts: opts.withDefaults()}
 }
 
-// Name implements Allocator.
-func (h *Hierarchical) Name() string { return "Hierarchical" }
-
 // Allocate implements Allocator.
 func (h *Hierarchical) Allocate(net *model.Network, p model.Params, r *rng.RNG) (model.Allocation, error) {
 	alloc, _, err := h.AllocateWithReport(net, p, r)
@@ -143,7 +140,7 @@ func (h *Hierarchical) AllocateWithReport(net *model.Network, p model.Params, r 
 	cellAllocs := make([]model.Allocation, len(part.Cells))
 	errs := make([]error, len(part.Cells))
 	cellOpts := h.opts.cellOptions()
-	par.For(0, len(part.Cells), func(ci int) {
+	par.For(len(part.Cells), func(ci int) {
 		sub := net.Subset(part.Cells[ci].Members)
 		ef := NewEFLoRa(cellOpts)
 		cellAllocs[ci], errs[ci] = ef.Allocate(sub, p, nil)

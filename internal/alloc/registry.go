@@ -5,18 +5,16 @@ import (
 	"strings"
 )
 
-// Strategy describes one registered allocator: a stable key, a short
-// description for CLIs, an optional device-count ceiling above which the
-// strategy is impractical, and a constructor. The registry makes every
-// allocator a first-class, enumerable citizen — the tournament harness
-// runs all of them, and the CLIs resolve -allocator flags against it.
+// Strategy describes one registered allocator: a stable key, an optional
+// device-count ceiling above which the strategy is impractical, and a
+// constructor. The registry makes every allocator a first-class,
+// enumerable citizen — the tournament harness runs all of them, reports
+// name them by key, and the CLIs resolve -allocator flags against it.
 type Strategy struct {
 	// Key is the canonical lower-case identifier (e.g. "eflora").
 	Key string
 	// Aliases are accepted alternative spellings.
 	Aliases []string
-	// Description is a one-line summary for -h output and reports.
-	Description string
 	// MaxDevices, when positive, is the largest network the strategy can
 	// reasonably solve; the tournament skips larger scenario sizes.
 	MaxDevices int
@@ -32,48 +30,41 @@ type Strategy struct {
 func Strategies() []Strategy {
 	return []Strategy{
 		{
-			Key:         "legacy",
-			Aliases:     []string{"legacy-lora"},
-			Description: "legacy LoRaWAN: min feasible SF at max power, random channel",
-			New:         func(Options) Allocator { return Legacy{} },
+			Key:     "legacy",
+			Aliases: []string{"legacy-lora"},
+			New:     func(Options) Allocator { return Legacy{} },
 		},
 		{
-			Key:         "adr",
-			Description: "LoRaWAN ADR: per-device SNR-margin SF/power control",
-			New:         func(Options) Allocator { return ADR{} },
+			Key: "adr",
+			New: func(Options) Allocator { return ADR{} },
 		},
 		{
-			Key:         "rslora",
-			Aliases:     []string{"rs-lora"},
-			Description: "RS-LoRa: collision-probability-fair SF shares (Eq. 22)",
-			New:         func(Options) Allocator { return RSLoRa{} },
+			Key:     "rslora",
+			Aliases: []string{"rs-lora"},
+			New:     func(Options) Allocator { return RSLoRa{} },
 		},
 		{
-			Key:         "eflora",
-			Aliases:     []string{"ef-lora"},
-			Description: "EF-LoRa exact greedy max-min energy fairness (Algorithm 1)",
-			New:         func(opts Options) Allocator { return NewEFLoRa(opts) },
+			Key:     "eflora",
+			Aliases: []string{"ef-lora"},
+			New:     func(opts Options) Allocator { return NewEFLoRa(opts) },
 		},
 		{
-			Key:         "anneal",
-			Description: "simulated-annealing yardstick for the max-min objective",
-			MaxDevices:  2000,
+			Key:        "anneal",
+			MaxDevices: 2000,
 			New: func(opts Options) Allocator {
 				return Anneal{Mode: opts.Mode}
 			},
 		},
 		{
-			Key:         "hier",
-			Aliases:     []string{"hierarchical"},
-			Description: "hierarchical: quadtree cells + exact greedy + seam reconcile",
+			Key:     "hier",
+			Aliases: []string{"hierarchical"},
 			New: func(opts Options) Allocator {
 				return NewHierarchical(HierOptions{Cell: opts})
 			},
 		},
 		{
-			Key:         "exhaustive",
-			Description: "exhaustive optimum (NP-hard; a handful of devices only)",
-			MaxDevices:  3,
+			Key:        "exhaustive",
+			MaxDevices: 3,
 			New: func(opts Options) Allocator {
 				return Exhaustive{Mode: opts.Mode, RestrictChannels: 2}
 			},

@@ -10,9 +10,7 @@ import (
 
 	"eflora/internal/alloc"
 	"eflora/internal/geo"
-	"eflora/internal/lifetime"
 	"eflora/internal/model"
-	"eflora/internal/radio"
 	"eflora/internal/rng"
 	"eflora/internal/sim"
 	"eflora/internal/stats"
@@ -74,10 +72,19 @@ func Build(s Scenario) (*Network, error) {
 	return &Network{Net: net, Params: p, Seed: s.Seed}, nil
 }
 
+// AllocatorNames lists the names AllocatorByName accepts, aliases aside:
+// every strategy key in alloc.Strategies() order, then "eflora-fixed".
+func AllocatorNames() []string {
+	var names []string
+	for _, s := range alloc.Strategies() {
+		names = append(names, s.Key)
+	}
+	return append(names, "eflora-fixed")
+}
+
 // AllocatorByName resolves any registered strategy key or alias from
-// alloc.Strategies() — "legacy", "adr", "rslora", "eflora", "anneal",
-// "hier", "exhaustive" — plus the "eflora-fixed" ablation, for which
-// fixedTP pins the power (case-insensitive).
+// alloc.Strategies(), plus the "eflora-fixed" ablation, for which fixedTP
+// pins the power (case-insensitive).
 func AllocatorByName(name string, opts alloc.Options, fixedTP float64) (alloc.Allocator, error) {
 	switch strings.ToLower(name) {
 	case "eflora-fixed", "ef-lora-fixed":
@@ -87,7 +94,7 @@ func AllocatorByName(name string, opts alloc.Options, fixedTP float64) (alloc.Al
 	}
 	s, err := alloc.StrategyByKey(name)
 	if err != nil {
-		return nil, fmt.Errorf("core: unknown allocator %q (want a strategy key from alloc.Strategies() or eflora-fixed)", name)
+		return nil, fmt.Errorf("core: unknown allocator %q (want one of %s)", name, strings.Join(AllocatorNames(), ", "))
 	}
 	return s.New(opts), nil
 }
@@ -134,12 +141,6 @@ func (n *Network) Evaluate(a model.Allocation) (*Evaluation, error) {
 // O(devices + window) memory on the calling goroutine.
 func (n *Network) Simulate(a model.Allocation, cfg sim.Config) (*sim.Result, error) {
 	return sim.Run(n.Net, n.Params, a, cfg)
-}
-
-// Lifetime derives the network lifetime from a simulation with the given
-// battery; deadFraction selects the death criterion (paper: 0.10).
-func (n *Network) Lifetime(res *sim.Result, battery radio.Battery, deadFraction float64) (lifetime.Result, error) {
-	return lifetime.Compute(res.AvgPowerW, battery, deadFraction)
 }
 
 // BitsPerMilliJoule converts the repository's bits-per-joule EE values to

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"eflora/internal/alloc"
+	"eflora/internal/lifetime"
 	"eflora/internal/model"
 	"eflora/internal/radio"
 	"eflora/internal/sim"
@@ -52,10 +53,15 @@ func TestAllocatorByName(t *testing.T) {
 	if _, err := AllocatorByName("random", alloc.Options{}, 14); err == nil {
 		t.Error("unknown allocator accepted")
 	}
-	// Every registered strategy key must resolve through the facade.
-	for _, s := range alloc.Strategies() {
-		if _, err := AllocatorByName(s.Key, alloc.Options{}, 14); err != nil {
-			t.Errorf("registered strategy %q does not resolve: %v", s.Key, err)
+	// Every listed name — each registered strategy key and eflora-fixed —
+	// must resolve through the facade.
+	listed := AllocatorNames()
+	if len(listed) != len(alloc.Strategies())+1 {
+		t.Errorf("AllocatorNames = %v, want every strategy key and eflora-fixed", listed)
+	}
+	for _, name := range listed {
+		if _, err := AllocatorByName(name, alloc.Options{}, 14); err != nil {
+			t.Errorf("listed allocator %q does not resolve: %v", name, err)
 		}
 	}
 }
@@ -135,7 +141,7 @@ func TestSimulateAndLifetime(t *testing.T) {
 	if len(res.PRR) != 100 {
 		t.Fatalf("sim PRR size %d", len(res.PRR))
 	}
-	lt, err := n.Lifetime(res, radio.NewBatteryFromMilliampHours(2400, 3.3), 0.10)
+	lt, err := lifetime.Compute(res.AvgPowerW, radio.NewBatteryFromMilliampHours(2400, 3.3), 0.10)
 	if err != nil {
 		t.Fatal(err)
 	}

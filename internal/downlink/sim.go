@@ -10,15 +10,6 @@ import (
 	"eflora/internal/lorawan"
 )
 
-// parseCodr maps a packet-forwarder coding-rate string ("4/5".."4/8")
-// onto the codec's CodingRate.
-func parseCodr(codr string) (lora.CodingRate, error) {
-	if len(codr) == 3 && codr[0] == '4' && codr[1] == '/' && codr[2] >= '5' && codr[2] <= '8' {
-		return lora.CodingRate(codr[2] - '0'), nil
-	}
-	return 0, fmt.Errorf("downlink: bad coding rate %q", codr)
-}
-
 // GatewaySim is the replay load generator's model of a packet
 // forwarder's transmit path: it judges a PULL_RESP the way a real
 // concentrator does (schedulability, frequency) and registers the
@@ -65,8 +56,8 @@ func (g *GatewaySim) Transmit(tx *ingest.TXPK, nowS float64) (startS, endS float
 	if err != nil {
 		return startS, startS, ingest.TxErrTxFreq
 	}
-	cr, err := parseCodr(tx.Codr)
-	if err != nil {
+	cr, ok := ingest.ParseCodr(tx.Codr)
+	if !ok {
 		return startS, startS, ingest.TxErrTxFreq
 	}
 	phy, err := tx.Payload()

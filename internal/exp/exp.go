@@ -8,7 +8,6 @@ package exp
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 	"sync"
 
@@ -36,12 +35,6 @@ type Config struct {
 	PacketsPerDevice int
 	// Seed drives deployment and simulation randomness.
 	Seed uint64
-	// Parallelism bounds the worker goroutines of the one fan-out level:
-	// every figure's flat list of (data point, method, trial) jobs
-	// (0 = GOMAXPROCS). Every trial derives its own RNG from a per-trial
-	// seed and partial results merge in trial order, so experiment output
-	// is bit-identical at any setting.
-	Parallelism int
 }
 
 func (c Config) withDefaults() Config {
@@ -108,77 +101,59 @@ type Result struct {
 
 // runner is an experiment implementation.
 type runner struct {
+	id    string
 	title string
 	run   func(Config) (*Result, error)
 }
 
-// registry maps experiment IDs to runners; populated in registry().
-func registry() map[string]runner {
-	return map[string]runner{
-		"table1":             {"Table I: spreading factor allocation (motivating example)", runTable1},
-		"table2":             {"Table II: transmission power allocation (motivating example)", runTable2},
-		"table4":             {"Table IV: SNR thresholds and receiver sensitivities", runTable4},
-		"fig4":               {"Fig. 4: per-device energy efficiency, 3 methods x {3,5} gateways", runFig4},
-		"fig5":               {"Fig. 5: CDF of energy efficiency", runFig5},
-		"fig6":               {"Fig. 6: minimum energy efficiency vs number of end devices", runFig6},
-		"fig7":               {"Fig. 7: minimum energy efficiency vs number of gateways", runFig7},
-		"fig8":               {"Fig. 8: network lifetime across deployments", runFig8},
-		"fig9":               {"Fig. 9: path-loss sensitivity and transmission power ablation", runFig9},
-		"fig10":              {"Fig. 10: allocation algorithm convergence time", runFig10},
-		"ablation-order":     {"Ablation: density-first vs random device ordering", runAblationOrder},
-		"ablation-capture":   {"Ablation: destroy-both collision rule vs 6 dB capture", runAblationCapture},
-		"ablation-intersf":   {"Ablation: perfect vs imperfect SF orthogonality", runAblationInterSF},
-		"ablation-confirmed": {"Ablation: ETX lifetime approximation vs confirmed-traffic simulation", runAblationConfirmed},
-		"ablation-adr":       {"Ablation: closed-loop LoRaWAN ADR convergence vs one-shot EF-LoRa", runAblationADR},
+// registry lists every experiment in presentation order: tables, then
+// figures, then ablations by id.
+var registry = []runner{
+	{"table1", "Table I: spreading factor allocation (motivating example)", runTable1},
+	{"table2", "Table II: transmission power allocation (motivating example)", runTable2},
+	{"table4", "Table IV: SNR thresholds and receiver sensitivities", runTable4},
+	{"fig4", "Fig. 4: per-device energy efficiency, 3 methods x {3,5} gateways", runFig4},
+	{"fig5", "Fig. 5: CDF of energy efficiency", runFig5},
+	{"fig6", "Fig. 6: minimum energy efficiency vs number of end devices", runFig6},
+	{"fig7", "Fig. 7: minimum energy efficiency vs number of gateways", runFig7},
+	{"fig8", "Fig. 8: network lifetime across deployments", runFig8},
+	{"fig9", "Fig. 9: path-loss sensitivity and transmission power ablation", runFig9},
+	{"fig10", "Fig. 10: allocation algorithm convergence time", runFig10},
+	{"ablation-adr", "Ablation: closed-loop LoRaWAN ADR convergence vs one-shot EF-LoRa", runAblationADR},
+	{"ablation-capture", "Ablation: destroy-both collision rule vs 6 dB capture", runAblationCapture},
+	{"ablation-confirmed", "Ablation: ETX lifetime approximation vs confirmed-traffic simulation", runAblationConfirmed},
+	{"ablation-intersf", "Ablation: perfect vs imperfect SF orthogonality", runAblationInterSF},
+	{"ablation-order", "Ablation: density-first vs random device ordering", runAblationOrder},
+}
+
+// lookup returns the registered experiment with the given id.
+func lookup(id string) (runner, bool) {
+	for _, r := range registry {
+		if r.id == id {
+			return r, true
+		}
 	}
+	return runner{}, false
 }
 
 // IDs lists the experiment identifiers in presentation order.
 func IDs() []string {
-	ids := make([]string, 0, len(registry()))
-	//eflora:nondeterminism-ok order-independent: keys are collected then explicitly sorted below
-	for id := range registry() {
-		ids = append(ids, id)
+	ids := make([]string, len(registry))
+	for i, r := range registry {
+		ids[i] = r.id
 	}
-	sort.Slice(ids, func(i, j int) bool {
-		rank := func(s string) (int, int) {
-			if strings.HasPrefix(s, "table") {
-				var n int
-				fmt.Sscanf(s, "table%d", &n)
-				return 0, n
-			}
-			if strings.HasPrefix(s, "fig") {
-				var n int
-				fmt.Sscanf(s, "fig%d", &n)
-				return 1, n
-			}
-			return 2, 0
-		}
-		ci, ni := rank(ids[i])
-		cj, nj := rank(ids[j])
-		if ci != cj {
-			return ci < cj
-		}
-		if ni != nj {
-			return ni < nj
-		}
-		return ids[i] < ids[j]
-	})
 	return ids
 }
 
 // Title returns the description of an experiment id.
 func Title(id string) (string, bool) {
-	r, ok := registry()[id]
-	if !ok {
-		return "", false
-	}
-	return r.title, true
+	r, ok := lookup(id)
+	return r.title, ok
 }
 
 // Run executes one experiment.
 func Run(id string, cfg Config) (*Result, error) {
-	r, ok := registry()[id]
+	r, ok := lookup(id)
 	if !ok {
 		return nil, fmt.Errorf("exp: unknown experiment %q (known: %s)", id, strings.Join(IDs(), ", "))
 	}
@@ -274,7 +249,8 @@ var scratchPool = sync.Pool{New: func() any { return new(sim.Scratch) }}
 // returns their statistics in task order. Every (task, trial) pair is an
 // independent job — each derives its deployment, allocation and
 // simulation RNGs from its own seed — so the whole grid fans out once,
-// across cfg.Parallelism workers, and nothing under a job fans out again.
+// across runtime.GOMAXPROCS(0) workers, and nothing under a job fans out
+// again; experiment output is bit-identical at any GOMAXPROCS.
 // Each job writes its own slot; each task then folds its slots in trial
 // order, keeping every float accumulation in the order of a sequential
 // run. Errors surface lowest index first, matching what a sequential loop
@@ -282,7 +258,7 @@ var scratchPool = sync.Pool{New: func() any { return new(sim.Scratch) }}
 func runTrialGrid(cfg Config, tasks []trialTask) ([]trialStats, error) {
 	outs := make([]trialOut, len(tasks)*cfg.Trials)
 	errs := make([]error, len(outs))
-	par.For(cfg.Parallelism, len(outs), func(j int) {
+	par.For(len(outs), func(j int) {
 		outs[j], errs[j] = runTrial(cfg, tasks[j/cfg.Trials], j%cfg.Trials)
 	})
 	if err := par.FirstErr(errs); err != nil {

@@ -3,7 +3,6 @@ package exp
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"eflora/internal/alloc"
 	"eflora/internal/core"
@@ -338,16 +337,11 @@ func runFig10(cfg Config) (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			ef := alloc.NewEFLoRa(alloc.Options{})
-			//eflora:nondeterminism-ok Fig. 10 measures wall-clock convergence time; the timing feeds only the rendered table, never an allocation
-			start := time.Now()
-			_, rep, err := ef.AllocateWithReport(netw.Net, netw.Params, rng.New(cfg.Seed))
+			_, rep, err := alloc.NewEFLoRa(alloc.Options{}).AllocateWithReport(netw.Net, netw.Params, rng.New(cfg.Seed))
 			if err != nil {
 				return nil, err
 			}
-			//eflora:nondeterminism-ok Fig. 10 measures wall-clock convergence time; the timing feeds only the rendered table, never an allocation
-			elapsed := time.Since(start)
-			_ = rep
+			elapsed := rep.Elapsed
 			row = append(row, fmt.Sprintf("%.2fs", elapsed.Seconds()))
 			values[fmt.Sprintf("t_n%d_g%d", nPaper, g)] = elapsed.Seconds()
 			xs = append(xs, float64(n*g))

@@ -9,7 +9,6 @@ import (
 	"eflora/internal/alloc"
 	"eflora/internal/core"
 	"eflora/internal/rng"
-	"eflora/internal/stats"
 )
 
 // TournamentConfig scales the allocator tournament: every selected
@@ -246,16 +245,4 @@ func (t *Tournament) cellsFor(size int) []TournamentCell {
 		}
 	}
 	return out
-}
-
-// JainOfMinEE is a convenience for tests: Jain's index across the
-// per-strategy min-EE column of one size.
-func (t *Tournament) JainOfMinEE(size int) float64 {
-	var ee []float64
-	for _, c := range t.cellsFor(size) {
-		if !c.Skipped {
-			ee = append(ee, c.MinEE)
-		}
-	}
-	return stats.JainIndex(ee)
 }

@@ -95,18 +95,6 @@ func GridGateways(g int, radius float64) []Point {
 	return candidates[:g]
 }
 
-// NearestIndex returns the index in targets of the point closest to p and
-// that distance. It returns (-1, +Inf) when targets is empty.
-func NearestIndex(p Point, targets []Point) (int, float64) {
-	best, bestDist := -1, math.Inf(1)
-	for i, t := range targets {
-		if d := p.Dist(t); d < bestDist {
-			best, bestDist = i, d
-		}
-	}
-	return best, bestDist
-}
-
 // NeighborCounts returns, for each point, how many other points lie within
 // the given radius. The allocator uses this for its density-first device
 // ordering. The implementation uses a uniform grid so it stays near O(n)

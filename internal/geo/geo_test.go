@@ -127,24 +127,6 @@ func TestGridGatewaysDeterministic(t *testing.T) {
 	}
 }
 
-func TestNearestIndex(t *testing.T) {
-	targets := []Point{{0, 0}, {10, 0}, {0, 10}}
-	idx, d := NearestIndex(Point{9, 1}, targets)
-	if idx != 1 {
-		t.Errorf("nearest = %d, want 1", idx)
-	}
-	if math.Abs(d-math.Sqrt2) > 1e-12 {
-		t.Errorf("distance = %v, want sqrt(2)", d)
-	}
-}
-
-func TestNearestIndexEmpty(t *testing.T) {
-	idx, d := NearestIndex(Point{1, 2}, nil)
-	if idx != -1 || !math.IsInf(d, 1) {
-		t.Errorf("NearestIndex(empty) = (%d, %v), want (-1, +Inf)", idx, d)
-	}
-}
-
 func TestNeighborCountsSmall(t *testing.T) {
 	pts := []Point{{0, 0}, {1, 0}, {2, 0}, {100, 100}}
 	counts := NeighborCounts(pts, 1.5)

@@ -1,8 +1,6 @@
 package ingest
 
 import (
-	"strconv"
-	"strings"
 	"sync"
 
 	"eflora/internal/engine"
@@ -138,19 +136,6 @@ func (f *Frontend) gateway(gw int) *feGateway {
 	return &f.gws[gw]
 }
 
-// parseCodr turns "4/7" into lora.CR47; ok is false otherwise.
-func parseCodr(codr string) (lora.CodingRate, bool) {
-	den, found := strings.CutPrefix(codr, "4/")
-	if !found {
-		return 0, false
-	}
-	v, err := strconv.Atoi(den)
-	if err != nil || !lora.CodingRate(v).Valid() {
-		return 0, false
-	}
-	return lora.CodingRate(v), true
-}
-
 // Observe feeds one reported uplink frame through gateway gw's receiver
 // at server arrival time atS (seconds, any fixed epoch) and returns the
 // arrival verdict. ok is false when the frame's datarate is unparsable
@@ -171,7 +156,7 @@ func (f *Frontend) Observe(gw int, rx *RXPK, atS float64) (engine.Verdict, bool)
 		return 0, false
 	}
 	cr := f.cfg.CodingRate
-	if c, ok := parseCodr(rx.Codr); ok {
+	if c, ok := ParseCodr(rx.Codr); ok {
 		cr = c
 	}
 	size := rx.Size

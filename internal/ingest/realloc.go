@@ -207,17 +207,20 @@ func (r *Reallocator) Step(nowS float64) (*scenario.Delta, error) {
 			delta.Resets = append(delta.Resets, i)
 			continue
 		}
-		a := r.inc.Allocation()
-		delta.Changes = append(delta.Changes, scenario.DeltaChange{
-			Device:  i,
-			SF:      int(a.SF[i]),
-			TPdBm:   a.TPdBm[i],
-			Channel: a.Channel[i],
-		})
+		delta.Changes = append(delta.Changes, scenario.DeltaChange{Device: i})
 		r.reassigned++
 	}
 	if len(delta.Changes) == 0 && len(delta.Resets) == 0 {
 		return nil, nil
+	}
+	// One snapshot serves every change: a move rewrites only its own
+	// device, so each moved device's assignment is final once it moved.
+	if len(delta.Changes) > 0 {
+		a := r.inc.Allocation()
+		for k := range delta.Changes {
+			c := &delta.Changes[k]
+			c.SF, c.TPdBm, c.Channel = int(a.SF[c.Device]), a.TPdBm[c.Device], a.Channel[c.Device]
+		}
 	}
 	return delta, nil
 }

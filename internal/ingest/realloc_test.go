@@ -99,6 +99,40 @@ func TestReallocatorStepReassignsDrifting(t *testing.T) {
 	}
 }
 
+// TestReallocatorStepTwoDriftingDevices pins the Changes of a step that
+// moves two devices: in ascending device order, each carrying the
+// assignment a reference Incremental reaches by making the same two moves.
+func TestReallocatorStepTwoDriftingDevices(t *testing.T) {
+	wasteful := func(a *model.Allocation) { a.SF[5], a.SF[9] = lora.SF12, lora.SF12 }
+	inc, _ := reallocFixture(t, 24, wasteful)
+	ref, _ := reallocFixture(t, 24, wasteful)
+	tracker := NewTracker(0)
+	r := NewReallocator(inc, tracker, ReallocConfig{SNRMarginDB: 1, MinPRR: 0.7, MinFrames: 4})
+	for _, i := range []int{9, 5} {
+		for f := uint32(1); f <= 12; f += 3 {
+			tracker.Observe(delivery(AddrForIndex(i), f, lora.SNRThresholdDB(lora.SF12)-6, 1))
+		}
+	}
+	delta, err := r.Step(7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if delta == nil || len(delta.Changes) != 2 || len(delta.Resets) != 0 {
+		t.Fatalf("delta = %+v, want two changes", delta)
+	}
+	for k, i := range []int{5, 9} {
+		if moved, err := ref.ReassignDevice(i); err != nil || !moved {
+			t.Fatalf("reference move of device %d: moved=%v err=%v", i, moved, err)
+		}
+		want := ref.Allocation()
+		got := delta.Changes[k]
+		if got.Device != i || got.SF != int(want.SF[i]) || got.TPdBm != want.TPdBm[i] || got.Channel != want.Channel[i] {
+			t.Errorf("change %d = %+v, want device %d at (SF%d, %v dBm, ch %d)",
+				k, got, i, want.SF[i], want.TPdBm[i], want.Channel[i])
+		}
+	}
+}
+
 func TestReallocatorStepNoDriftNoDelta(t *testing.T) {
 	inc, _ := reallocFixture(t, 16, nil)
 	tracker := NewTracker(0)

@@ -158,6 +158,19 @@ func ParseDatr(datr string) (lora.SF, float64, error) {
 	return lora.SF(sf), bwKHz * 1e3, nil
 }
 
+// ParseCodr maps a packet-forwarder coding-rate identifier, exactly one
+// of "4/5", "4/6", "4/7" and "4/8", onto lora.CodingRate; ok is false for
+// anything else. It reports failure without an error value, so the
+// allocation-free Frontend.Observe path can fall back to its configured
+// rate.
+func ParseCodr(codr string) (cr lora.CodingRate, ok bool) {
+	if len(codr) != 3 || codr[0] != '4' || codr[1] != '/' {
+		return 0, false
+	}
+	cr = lora.CodingRate(codr[2] - '0')
+	return cr, cr.Valid()
+}
+
 // Datr renders a spreading factor and bandwidth as a datarate identifier.
 func Datr(sf lora.SF, bwHz float64) string {
 	return fmt.Sprintf("SF%dBW%d", int(sf), int(bwHz/1e3))

@@ -97,6 +97,19 @@ func TestParseDatr(t *testing.T) {
 	}
 }
 
+func TestParseCodr(t *testing.T) {
+	for codr, want := range map[string]lora.CodingRate{"4/5": lora.CR45, "4/6": lora.CR46, "4/7": lora.CR47, "4/8": lora.CR48} {
+		if got, ok := ParseCodr(codr); !ok || got != want {
+			t.Errorf("%q -> %v/%v, want %v", codr, got, ok, want)
+		}
+	}
+	for _, bad := range []string{"", "4/", "4", "4/4", "4/9", "4/0", "4/+7", "4/07", "4/-5", "4/55", "4/5 ", " 4/5", "5/5", "4:5", "4/x", "OFF"} {
+		if got, ok := ParseCodr(bad); ok {
+			t.Errorf("%q accepted as %v", bad, got)
+		}
+	}
+}
+
 func TestPullRespRoundTrip(t *testing.T) {
 	phy := []byte{0x60, 1, 0, 0, 0, 0, 1, 0, 0, 3, 0x52, 0x04, 0x00, 9, 9, 9, 9}
 	tx := TXPK{

@@ -193,14 +193,6 @@ func (n *Network) EnvOf(i int) int {
 	return n.Env[i]
 }
 
-// IntervalOf returns the reporting period of device i given the default.
-func (n *Network) IntervalOf(i int, def float64) float64 {
-	if n.IntervalS == nil {
-		return def
-	}
-	return n.IntervalS[i]
-}
-
 // Subset returns a new network holding only the devices named by idx (in
 // the given order), against the full gateway set. Per-device attributes
 // (Env, IntervalS) follow their devices; the Gateways slice is shared, not

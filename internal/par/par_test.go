@@ -7,45 +7,62 @@ import (
 	"testing"
 )
 
-// TestWorkersDefaultsToGOMAXPROCS pins the default pool size to the
-// goroutines that can run at once, following GOMAXPROCS when it is lowered.
+// atProcs runs f with runtime.GOMAXPROCS set to procs, which sizes every
+// fan-out For makes, and restores the previous setting afterwards.
+func atProcs(procs int, f func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	f()
+}
+
+// TestWorkersDefaultsToGOMAXPROCS pins For's worker count to the
+// goroutines that can run at once: no more than GOMAXPROCS calls of fn are
+// ever in flight, following GOMAXPROCS when it is lowered.
 func TestWorkersDefaultsToGOMAXPROCS(t *testing.T) {
-	procs := runtime.GOMAXPROCS(0)
-	if got := Workers(0); got != procs {
-		t.Errorf("Workers(0) = %d, want %d", got, procs)
-	}
-	if got := Workers(-3); got != procs {
-		t.Errorf("Workers(-3) = %d, want %d", got, procs)
-	}
-	if got := Workers(5); got != 5 {
-		t.Errorf("Workers(5) = %d", got)
-	}
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	if got := Workers(0); got != 1 {
-		t.Errorf("Workers(0) at GOMAXPROCS 1 = %d, want 1", got)
+	for _, procs := range []int{1, 2, 3} {
+		var active, peak atomic.Int32
+		atProcs(procs, func() {
+			For(200, func(int) {
+				n := active.Add(1)
+				for {
+					p := peak.Load()
+					if n <= p || peak.CompareAndSwap(p, n) {
+						break
+					}
+				}
+				runtime.Gosched()
+				active.Add(-1)
+			})
+		})
+		if got := peak.Load(); got < 1 || int(got) > procs {
+			t.Errorf("GOMAXPROCS %d: %d calls in flight at once", procs, got)
+		}
 	}
 }
 
 func TestForCoversEveryIndexOnce(t *testing.T) {
-	for _, workers := range []int{1, 2, 7, 64} {
+	for _, procs := range []int{1, 2, 7, 64} {
 		const n = 1000
 		counts := make([]int32, n)
-		For(workers, n, func(i int) {
-			atomic.AddInt32(&counts[i], 1)
+		atProcs(procs, func() {
+			For(n, func(i int) {
+				atomic.AddInt32(&counts[i], 1)
+			})
 		})
 		for i, c := range counts {
 			if c != 1 {
-				t.Fatalf("workers=%d: index %d ran %d times", workers, i, c)
+				t.Fatalf("GOMAXPROCS %d: index %d ran %d times", procs, i, c)
 			}
 		}
 	}
 }
 
 func TestForInlineWhenSingleWorker(t *testing.T) {
-	// With one worker the iterations must run in order on the calling
+	// At GOMAXPROCS 1 the iterations must run in order on the calling
 	// goroutine (no interleaving), which callers may rely on for debugging.
 	var order []int
-	For(1, 5, func(i int) { order = append(order, i) })
+	atProcs(1, func() {
+		For(5, func(i int) { order = append(order, i) })
+	})
 	for i, v := range order {
 		if v != i {
 			t.Fatalf("inline order = %v", order)
@@ -55,8 +72,10 @@ func TestForInlineWhenSingleWorker(t *testing.T) {
 
 func TestForEmptyAndNegative(t *testing.T) {
 	ran := false
-	For(4, 0, func(int) { ran = true })
-	For(4, -1, func(int) { ran = true })
+	atProcs(4, func() {
+		For(0, func(int) { ran = true })
+		For(-1, func(int) { ran = true })
+	})
 	if ran {
 		t.Error("For ran iterations for n <= 0")
 	}
@@ -68,13 +87,15 @@ func TestForEmptyAndNegative(t *testing.T) {
 // returned early — or a helper still running — would be a data race (and
 // would leave slots unset).
 func TestForIsABarrier(t *testing.T) {
-	for _, workers := range []int{1, 2, 8} {
+	for _, procs := range []int{1, 2, 8} {
 		for n := 0; n <= 100; n++ {
 			slots := make([]int, n)
-			For(workers, n, func(i int) { slots[i] = i + 1 })
+			atProcs(procs, func() {
+				For(n, func(i int) { slots[i] = i + 1 })
+			})
 			for i, v := range slots {
 				if v != i+1 {
-					t.Fatalf("workers=%d n=%d: slot %d = %d after For returned", workers, n, i, v)
+					t.Fatalf("GOMAXPROCS %d n=%d: slot %d = %d after For returned", procs, n, i, v)
 				}
 			}
 		}

@@ -139,16 +139,6 @@ func (p Profile) CycleEnergy(tpDBm, airTimeS, periodS float64) (float64, error) 
 	return p.TransmissionEnergy(tpDBm, airTimeS) + p.SleepPowerDraw()*(periodS-active), nil
 }
 
-// AveragePower returns the long-run average power in watts of a device
-// reporting every periodS with the given per-attempt air time.
-func (p Profile) AveragePower(tpDBm, airTimeS, periodS float64) (float64, error) {
-	e, err := p.CycleEnergy(tpDBm, airTimeS, periodS)
-	if err != nil {
-		return 0, err
-	}
-	return e / periodS, nil
-}
-
 // Battery models a simple energy reservoir.
 type Battery struct {
 	// CapacityJoules is the total extractable energy.

@@ -113,18 +113,6 @@ func TestCycleEnergyRejectsOverfullPeriod(t *testing.T) {
 	}
 }
 
-func TestAveragePower(t *testing.T) {
-	p := DefaultProfile()
-	avg, err := p.AveragePower(14, 0.05, 600)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, _ := p.CycleEnergy(14, 0.05, 600)
-	if math.Abs(avg-e/600) > 1e-15 {
-		t.Errorf("AveragePower = %v, want %v", avg, e/600)
-	}
-}
-
 func TestEnergyGapSF7vsSF12Shape(t *testing.T) {
 	// The paper's motivation: per-transmission energy gap between short
 	// and long air times is large, but the whole-cycle gap shrinks once

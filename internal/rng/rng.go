@@ -52,12 +52,6 @@ func (r *RNG) Uint64() uint64 {
 	return result
 }
 
-// Split derives an independent child generator from the current stream. Use
-// this to hand deterministic sub-streams to parallel workers.
-func (r *RNG) Split() *RNG {
-	return New(r.Uint64())
-}
-
 // Float64 returns a uniform float64 in [0, 1).
 func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
@@ -79,11 +73,6 @@ func (r *RNG) Intn(n int) int {
 			return int(v % bound)
 		}
 	}
-}
-
-// Float64Range returns a uniform float64 in [lo, hi).
-func (r *RNG) Float64Range(lo, hi float64) float64 {
-	return lo + (hi-lo)*r.Float64()
 }
 
 // ExpFloat64 returns an exponentially distributed value with rate 1 (mean
@@ -121,33 +110,6 @@ func (r *RNG) NormFloat64() float64 {
 			return u * math.Sqrt(-2*math.Log(s)/s)
 		}
 	}
-}
-
-// Poisson returns a Poisson-distributed count with the given mean. For
-// small means it uses Knuth's product method; for large means a normal
-// approximation with continuity correction, which is ample for the
-// traffic-arrival use in this repository.
-func (r *RNG) Poisson(mean float64) int {
-	if mean <= 0 {
-		return 0
-	}
-	if mean < 30 {
-		l := math.Exp(-mean)
-		k := 0
-		p := 1.0
-		for {
-			p *= r.Float64()
-			if p <= l {
-				return k
-			}
-			k++
-		}
-	}
-	n := int(math.Round(mean + math.Sqrt(mean)*r.NormFloat64()))
-	if n < 0 {
-		return 0
-	}
-	return n
 }
 
 // Shuffle permutes the integers [0, n) uniformly (Fisher–Yates) and calls

@@ -141,31 +141,6 @@ func TestNormFloat64Moments(t *testing.T) {
 	}
 }
 
-func TestPoissonMean(t *testing.T) {
-	r := New(19)
-	for _, mean := range []float64{0.5, 3, 12, 80} {
-		sum := 0.0
-		const n = 50000
-		for i := 0; i < n; i++ {
-			sum += float64(r.Poisson(mean))
-		}
-		got := sum / n
-		if math.Abs(got-mean) > 0.05*math.Max(mean, 1) {
-			t.Errorf("Poisson(%v) sample mean = %v", mean, got)
-		}
-	}
-}
-
-func TestPoissonEdgeCases(t *testing.T) {
-	r := New(23)
-	if got := r.Poisson(0); got != 0 {
-		t.Errorf("Poisson(0) = %d, want 0", got)
-	}
-	if got := r.Poisson(-5); got != 0 {
-		t.Errorf("Poisson(-5) = %d, want 0", got)
-	}
-}
-
 func TestPermIsPermutation(t *testing.T) {
 	r := New(29)
 	p := r.Perm(100)
@@ -175,31 +150,6 @@ func TestPermIsPermutation(t *testing.T) {
 			t.Fatalf("Perm produced invalid or duplicate element %d", v)
 		}
 		seen[v] = true
-	}
-}
-
-func TestSplitIndependence(t *testing.T) {
-	parent := New(31)
-	child := parent.Split()
-	// Child stream should not be identical to the continued parent stream.
-	same := 0
-	for i := 0; i < 100; i++ {
-		if parent.Uint64() == child.Uint64() {
-			same++
-		}
-	}
-	if same > 0 {
-		t.Errorf("split child matched parent %d/100 times", same)
-	}
-}
-
-func TestFloat64RangeBounds(t *testing.T) {
-	r := New(37)
-	for i := 0; i < 10000; i++ {
-		v := r.Float64Range(-3, 7)
-		if v < -3 || v >= 7 {
-			t.Fatalf("Float64Range(-3,7) = %v", v)
-		}
 	}
 }
 

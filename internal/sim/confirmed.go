@@ -279,13 +279,7 @@ func (c *confirmedRun) handleEnd(t int32) {
 //
 //eflora:hotpath
 func RunConfirmed(net *model.Network, p model.Params, a model.Allocation, cfg ConfirmedConfig) (*ConfirmedResult, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	if err := net.Validate(p); err != nil {
-		return nil, err
-	}
-	if err := a.Validate(net.N(), p); err != nil {
+	if err := validate(net, p, a); err != nil {
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
@@ -334,7 +328,7 @@ func RunConfirmed(net *model.Network, p model.Params, a model.Allocation, cfg Co
 	res.PRR = slab.Grow(res.PRR, n)
 	res.TxEnergyJ = slab.Grow(res.TxEnergyJ, n)
 	res.TotalEnergyJ = slab.Grow(res.TotalEnergyJ, n)
-	res.EE = slab.GrowZero(res.EE, n)
+	res.EE = slab.Grow(res.EE, n)
 	res.AvgPowerW = slab.Grow(res.AvgPowerW, n)
 	res.RetxAvgPowerW = slab.Grow(res.RetxAvgPowerW, n)
 	res.SimTimeS = simEnd
@@ -388,25 +382,13 @@ func RunConfirmed(net *model.Network, p model.Params, a model.Allocation, cfg Co
 	lbits := p.AppPayloadBits()
 	for i := 0; i < n; i++ {
 		res.PRR[i] = float64(res.Delivered[i]) / float64(res.Generated[i])
-		eTx := p.Profile.TransmissionEnergy(a.TPdBm[i], sc.toa[i]) * float64(res.Attempts[i])
-		res.TxEnergyJ[i] = eTx
-		activeT := (p.Profile.OverheadDuration() + sc.toa[i]) * float64(res.Attempts[i])
-		sleep := simEnd - activeT
-		if sleep < 0 {
-			sleep = 0
-		}
-		res.TotalEnergyJ[i] = eTx + p.Profile.SleepPowerDraw()*sleep
-		res.EE[i] = 0
-		if eTx > 0 {
-			res.EE[i] = lbits * float64(res.Delivered[i]) / eTx
-		}
-		res.AvgPowerW[i] = res.TotalEnergyJ[i] / simEnd
-		// Under confirmed traffic the energy already contains the
-		// retransmissions, so both power views coincide.
-		res.RetxAvgPowerW[i] = res.AvgPowerW[i]
 		if math.IsNaN(res.PRR[i]) {
 			res.PRR[i] = 0
 		}
+		res.chargeEnergy(i, p, lbits, a.TPdBm[i], sc.toa[i], simEnd)
+		// Under confirmed traffic the energy already contains the
+		// retransmissions, so both power views coincide.
+		res.RetxAvgPowerW[i] = res.AvgPowerW[i]
 	}
 	return res, nil
 }

@@ -197,7 +197,7 @@ func initResult(sc *Scratch, n int, simEnd float64, measureSNR bool) *Result {
 	res.PRR = slab.Grow(res.PRR, n)
 	res.TxEnergyJ = slab.Grow(res.TxEnergyJ, n)
 	res.TotalEnergyJ = slab.Grow(res.TotalEnergyJ, n)
-	res.EE = slab.GrowZero(res.EE, n)
+	res.EE = slab.Grow(res.EE, n)
 	res.AvgPowerW = slab.Grow(res.AvgPowerW, n)
 	res.RetxAvgPowerW = slab.Grow(res.RetxAvgPowerW, n)
 	res.SimTimeS = simEnd
@@ -223,18 +223,7 @@ func finishResult(res *Result, p model.Params, a model.Allocation, toa []float64
 	lbits := p.AppPayloadBits()
 	for i := range res.Attempts {
 		res.PRR[i] = float64(res.Delivered[i]) / float64(res.Attempts[i])
-		eTx := p.Profile.TransmissionEnergy(a.TPdBm[i], toa[i]) * float64(res.Attempts[i])
-		res.TxEnergyJ[i] = eTx
-		active := (p.Profile.OverheadDuration() + toa[i]) * float64(res.Attempts[i])
-		sleep := simEnd - active
-		if sleep < 0 {
-			sleep = 0
-		}
-		res.TotalEnergyJ[i] = eTx + p.Profile.SleepPowerDraw()*sleep
-		if eTx > 0 {
-			res.EE[i] = lbits * float64(res.Delivered[i]) / eTx
-		}
-		res.AvgPowerW[i] = res.TotalEnergyJ[i] / simEnd
+		eTx, sleep := res.chargeEnergy(i, p, lbits, a.TPdBm[i], toa[i], simEnd)
 		etx := float64(MaxTransmissions)
 		if res.PRR[i] > 1/float64(MaxTransmissions) {
 			etx = 1 / res.PRR[i]
@@ -243,16 +232,43 @@ func finishResult(res *Result, p model.Params, a model.Allocation, toa []float64
 	}
 }
 
+// chargeEnergy is the one per-device energy accounting of both
+// simulators: it fills device i's TxEnergyJ, TotalEnergyJ, EE and
+// AvgPowerW from its transmission attempts and deliveries over a run of
+// simEnd seconds, and returns the transmission energy and sleep time it
+// charged.
+func (res *Result) chargeEnergy(i int, p model.Params, lbits, tpDBm, toa, simEnd float64) (eTx, sleep float64) {
+	eTx = p.Profile.TransmissionEnergy(tpDBm, toa) * float64(res.Attempts[i])
+	res.TxEnergyJ[i] = eTx
+	active := (p.Profile.OverheadDuration() + toa) * float64(res.Attempts[i])
+	sleep = simEnd - active
+	if sleep < 0 {
+		sleep = 0
+	}
+	res.TotalEnergyJ[i] = eTx + p.Profile.SleepPowerDraw()*sleep
+	res.EE[i] = 0
+	if eTx > 0 {
+		res.EE[i] = lbits * float64(res.Delivered[i]) / eTx
+	}
+	res.AvgPowerW[i] = res.TotalEnergyJ[i] / simEnd
+	return eTx, sleep
+}
+
+// validate checks the inputs both simulators require.
+func validate(net *model.Network, p model.Params, a model.Allocation) error {
+	if err := p.Validate(); err != nil {
+		return err
+	}
+	if err := net.Validate(p); err != nil {
+		return err
+	}
+	return a.Validate(net.N(), p)
+}
+
 // Run simulates the network under the given allocation and returns
 // per-device statistics.
 func Run(net *model.Network, p model.Params, a model.Allocation, cfg Config) (*Result, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	if err := net.Validate(p); err != nil {
-		return nil, err
-	}
-	if err := a.Validate(net.N(), p); err != nil {
+	if err := validate(net, p, a); err != nil {
 		return nil, err
 	}
 	return run(net, p, a, cfg.withDefaults(), 0)

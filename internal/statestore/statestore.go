@@ -40,14 +40,9 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"time"
 
 	"eflora/internal/stats"
 )
-
-// DefaultSnapshotInterval is the periodic snapshot cadence when Options
-// leaves SnapshotInterval nil.
-const DefaultSnapshotInterval = 30 * time.Second
 
 // DefaultSegmentBytes is the WAL size-rotation threshold.
 const DefaultSegmentBytes = 4 << 20
@@ -58,14 +53,6 @@ const DefaultSnapshotKeep = 2
 
 // Options configures a Store.
 type Options struct {
-	// SnapshotInterval is the periodic snapshot cadence the daemon should
-	// run. nil selects DefaultSnapshotInterval; a pointer to an explicit
-	// zero (or negative) duration disables periodic snapshots — WAL-only
-	// operation — mirroring the repo's pointer-zero convention (cf.
-	// sim.Config.CaptureThresholdDB): a zero value must be
-	// distinguishable from an unset one.
-	SnapshotInterval *time.Duration
-
 	// SegmentBytes rotates the open WAL segment once it exceeds this many
 	// bytes (0 selects DefaultSegmentBytes).
 	SegmentBytes int64
@@ -75,19 +62,6 @@ type Options struct {
 	// age-based rotation). Ages are computed from the nowS stamps passed
 	// to Append, never from the wall clock.
 	SegmentMaxAgeS float64
-}
-
-// SnapshotCadence resolves the pointer-zero SnapshotInterval convention:
-// it returns the effective cadence and whether periodic snapshots are
-// enabled at all.
-func (o Options) SnapshotCadence() (time.Duration, bool) {
-	if o.SnapshotInterval == nil {
-		return DefaultSnapshotInterval, true
-	}
-	if *o.SnapshotInterval <= 0 {
-		return 0, false
-	}
-	return *o.SnapshotInterval, true
 }
 
 func (o Options) withDefaults() Options {
@@ -197,9 +171,6 @@ func Open(dir string, opts Options) (*Store, error) {
 	s.publish()
 	return s, nil
 }
-
-// Dir returns the state directory.
-func (s *Store) Dir() string { return s.dir }
 
 // NextSeq returns the sequence number the next Append will use.
 func (s *Store) NextSeq() uint64 { return s.nextSeq }

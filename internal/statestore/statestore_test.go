@@ -457,24 +457,6 @@ func TestRecoverFallsBackOverCorruptSnapshot(t *testing.T) {
 	}
 }
 
-func TestSnapshotCadencePointerZero(t *testing.T) {
-	// nil → default cadence, enabled.
-	d, enabled := Options{}.SnapshotCadence()
-	if !enabled || d != DefaultSnapshotInterval {
-		t.Fatalf("nil interval: (%v, %v), want (%v, true)", d, enabled, DefaultSnapshotInterval)
-	}
-	// Explicit zero → DISABLED, not default: the pointer-zero contract.
-	zero := time.Duration(0)
-	if _, enabled := (Options{SnapshotInterval: &zero}).SnapshotCadence(); enabled {
-		t.Fatalf("explicit zero interval must disable periodic snapshots, not fall back to the default")
-	}
-	five := 5 * time.Second
-	d, enabled = (Options{SnapshotInterval: &five}).SnapshotCadence()
-	if !enabled || d != five {
-		t.Fatalf("explicit interval: (%v, %v), want (5s, true)", d, enabled)
-	}
-}
-
 func TestAtomicWriteLeavesNoTemp(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir, Options{})

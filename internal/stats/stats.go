@@ -92,33 +92,6 @@ func JainIndex(xs []float64) float64 {
 	return sum * sum / (float64(len(xs)) * sumSq)
 }
 
-// Gini computes the Gini coefficient of a non-negative sample: 0 for
-// perfectly equal shares, approaching 1 as one member takes everything.
-// It returns 0 for empty or all-zero input and NaN if any value is
-// negative.
-func Gini(xs []float64) float64 {
-	n := len(xs)
-	if n == 0 {
-		return 0
-	}
-	s := make([]float64, n)
-	copy(s, xs)
-	sort.Float64s(s)
-	if s[0] < 0 {
-		return math.NaN()
-	}
-	var cum, total float64
-	for i, x := range s {
-		cum += float64(i+1) * x
-		total += x
-	}
-	if total == 0 {
-		return 0
-	}
-	nf := float64(n)
-	return (2*cum)/(nf*total) - (nf+1)/nf
-}
-
 // ECDF is an empirical cumulative distribution function.
 type ECDF struct {
 	sorted []float64
@@ -190,33 +163,4 @@ func (e *ECDF) Points(k int) (xs, ps []float64) {
 // Percentile is shorthand for building an ECDF and taking one quantile.
 func Percentile(xs []float64, q float64) float64 {
 	return NewECDF(xs).Quantile(q)
-}
-
-// Histogram bins xs into nbins equal-width bins spanning [min, max].
-type Histogram struct {
-	Min, Max float64
-	Counts   []int
-}
-
-// NewHistogram builds a histogram with nbins bins. Values outside
-// [min, max] are clamped into the boundary bins. It returns an empty
-// histogram when nbins <= 0 or the range is degenerate.
-func NewHistogram(xs []float64, min, max float64, nbins int) Histogram {
-	h := Histogram{Min: min, Max: max}
-	if nbins <= 0 || max <= min {
-		return h
-	}
-	h.Counts = make([]int, nbins)
-	width := (max - min) / float64(nbins)
-	for _, x := range xs {
-		i := int((x - min) / width)
-		if i < 0 {
-			i = 0
-		}
-		if i >= nbins {
-			i = nbins - 1
-		}
-		h.Counts[i]++
-	}
-	return h
 }

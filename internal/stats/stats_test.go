@@ -81,52 +81,6 @@ func TestJainIndexBounds(t *testing.T) {
 	}
 }
 
-func TestGini(t *testing.T) {
-	if got := Gini([]float64{5, 5, 5, 5}); math.Abs(got) > 1e-12 {
-		t.Errorf("equal shares Gini = %v, want 0", got)
-	}
-	// One member takes everything: Gini = (n-1)/n.
-	if got := Gini([]float64{0, 0, 0, 8}); math.Abs(got-0.75) > 1e-12 {
-		t.Errorf("single-share Gini = %v, want 0.75", got)
-	}
-	if got := Gini(nil); got != 0 {
-		t.Errorf("Gini(nil) = %v", got)
-	}
-	if got := Gini([]float64{0, 0}); got != 0 {
-		t.Errorf("Gini(zeros) = %v", got)
-	}
-	if got := Gini([]float64{-1, 2}); !math.IsNaN(got) {
-		t.Errorf("Gini with negative input = %v, want NaN", got)
-	}
-	// Classic anchor: {1, 2, 3, 4} has Gini 0.25.
-	if got := Gini([]float64{1, 2, 3, 4}); math.Abs(got-0.25) > 1e-12 {
-		t.Errorf("Gini(1..4) = %v, want 0.25", got)
-	}
-}
-
-func TestGiniBounds(t *testing.T) {
-	r := rng.New(99)
-	for trial := 0; trial < 50; trial++ {
-		n := 1 + r.Intn(40)
-		xs := make([]float64, n)
-		for i := range xs {
-			xs[i] = r.Float64() * 10
-		}
-		g := Gini(xs)
-		if g < -1e-12 || g > 1 {
-			t.Fatalf("Gini = %v outside [0, 1] for %v", g, xs)
-		}
-	}
-}
-
-func TestGiniDoesNotMutateInput(t *testing.T) {
-	xs := []float64{3, 1, 2}
-	_ = Gini(xs)
-	if xs[0] != 3 || xs[1] != 1 || xs[2] != 2 {
-		t.Errorf("Gini mutated its input: %v", xs)
-	}
-}
-
 func TestECDFAt(t *testing.T) {
 	e := NewECDF([]float64{1, 2, 2, 3})
 	tests := []struct {
@@ -225,35 +179,5 @@ func TestPercentile(t *testing.T) {
 	xs := []float64{5, 1, 9, 3, 7}
 	if got := Percentile(xs, 0.5); got != 5 {
 		t.Errorf("median = %v, want 5", got)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram([]float64{0, 0.5, 1.5, 2.5, 9.9, -5, 20}, 0, 10, 10)
-	if len(h.Counts) != 10 {
-		t.Fatalf("bins = %d", len(h.Counts))
-	}
-	// -5 clamps into bin 0, 20 clamps into bin 9.
-	if h.Counts[0] != 3 { // 0, 0.5, -5
-		t.Errorf("bin 0 = %d, want 3", h.Counts[0])
-	}
-	if h.Counts[9] != 2 { // 9.9, 20
-		t.Errorf("bin 9 = %d, want 2", h.Counts[9])
-	}
-	total := 0
-	for _, c := range h.Counts {
-		total += c
-	}
-	if total != 7 {
-		t.Errorf("total = %d, want 7", total)
-	}
-}
-
-func TestHistogramDegenerate(t *testing.T) {
-	if h := NewHistogram([]float64{1}, 0, 10, 0); h.Counts != nil {
-		t.Error("nbins=0 should have nil counts")
-	}
-	if h := NewHistogram([]float64{1}, 5, 5, 3); h.Counts != nil {
-		t.Error("degenerate range should have nil counts")
 	}
 }
