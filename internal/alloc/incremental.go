@@ -105,6 +105,12 @@ func (inc *Incremental) N() int { return inc.net.N() }
 // Allocation returns a snapshot of the current allocation.
 func (inc *Incremental) Allocation() model.Allocation { return inc.alloc.Clone() }
 
+// Assignment returns device i's current settings without copying the
+// allocation; i must be in [0, N()).
+func (inc *Incremental) Assignment(i int) (sf lora.SF, tpDBm float64, ch int) {
+	return inc.alloc.SF[i], inc.alloc.TPdBm[i], inc.alloc.Channel[i]
+}
+
 // Network returns a copy of the current deployment.
 func (inc *Incremental) Network() *model.Network {
 	cp := model.Network{

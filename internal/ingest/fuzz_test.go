@@ -1,12 +1,181 @@
 package ingest
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
 	"reflect"
+	"strings"
 	"testing"
 )
 
+// refStrictUnmarshal is the packet path's JSON decoding as it stood
+// before the single-pass validator, kept as the differential oracle: a
+// json.Decoder.Token walk applying the key rules, then json.Unmarshal.
+// Token decodes every key after unescaping and every number into a
+// float64; the Unmarshal checks syntax, nesting depth and trailing data.
+// The only change is the fold fix: keys also match under
+// strings.EqualFold, encoding/json's own key match, not only under
+// strings.ToLower.
+func refStrictUnmarshal(data []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	type frame struct {
+		obj, expectKey bool
+		keys           []string
+	}
+	var stack []frame
+	endValue := func() {
+		if n := len(stack); n > 0 && stack[n-1].obj {
+			stack[n-1].expectKey = true
+		}
+	}
+	for {
+		tok, err := dec.Token()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return err
+		}
+		switch t := tok.(type) {
+		case json.Delim:
+			switch t {
+			case '{':
+				stack = append(stack, frame{obj: true, expectKey: true})
+			case '[':
+				stack = append(stack, frame{})
+			default:
+				stack = stack[:len(stack)-1]
+				endValue()
+			}
+		case string:
+			if n := len(stack); n > 0 && stack[n-1].obj && stack[n-1].expectKey {
+				f := &stack[n-1]
+				for _, k := range f.keys {
+					if refSameKey(k, t) {
+						return fmt.Errorf("ambiguous JSON keys %q and %q in one object", k, t)
+					}
+				}
+				f.keys = append(f.keys, t)
+				for _, field := range refProtocolFields {
+					if t != field && refSameKey(t, field) {
+						return fmt.Errorf("JSON key %q mismatches protocol field %q", t, field)
+					}
+				}
+				f.expectKey = false
+				continue
+			}
+			endValue()
+		default: // number, bool, null
+			endValue()
+		}
+	}
+	return json.Unmarshal(data, v)
+}
+
+// refSameKey is the oracle's key match: either fold says the same.
+func refSameKey(a, b string) bool {
+	return strings.ToLower(a) == strings.ToLower(b) || strings.EqualFold(a, b)
+}
+
+// refProtocolFields lists the JSON field names of every payload the
+// packet path decodes, read from the struct tags.
+var refProtocolFields = jsonFieldNames(nil,
+	reflect.TypeOf(pushPayload{}), reflect.TypeOf(pullRespPayload{}), reflect.TypeOf(txAckPayload{}))
+
+func jsonFieldNames(out []string, types ...reflect.Type) []string {
+	for _, t := range types {
+		for t.Kind() == reflect.Slice || t.Kind() == reflect.Pointer {
+			t = t.Elem()
+		}
+		if t.Kind() != reflect.Struct {
+			continue
+		}
+		for i := 0; i < t.NumField(); i++ {
+			name, _, _ := strings.Cut(t.Field(i).Tag.Get("json"), ",")
+			out = jsonFieldNames(append(out, name), t.Field(i).Type)
+		}
+	}
+	return out
+}
+
+// refDecode decodes an upstream datagram's body with the oracle: the
+// uplinks of a PUSH_DATA, the error of a TX_ACK. The header rules are
+// DecodePacketInto's.
+func refDecode(data []byte) (rx []RXPK, ackErr string, err error) {
+	if len(data) < headerLen+8 || data[0] != ProtocolVersion {
+		return nil, "", fmt.Errorf("bad header")
+	}
+	body := data[headerLen+8:]
+	switch data[3] {
+	case PushData:
+		var p pushPayload
+		err = refStrictUnmarshal(body, &p)
+		return p.RXPK, "", err
+	case TxAck:
+		if len(bytes.TrimSpace(body)) == 0 {
+			return nil, "", nil
+		}
+		var a txAckPayload
+		err = refStrictUnmarshal(body, &a)
+		return nil, a.Ack.Error, err
+	case PullData:
+		return nil, "", nil
+	}
+	return nil, "", fmt.Errorf("kind %#02x", data[3])
+}
+
+// contractBodies pins one PUSH_DATA body per rule of the validator's
+// contract with the verdict both decoders must give it; they seed
+// FuzzSemtechPushData.
+var contractBodies = []struct {
+	name, body string
+	accept     bool
+}{
+	{"nesting-10000", `{"stat":` + strings.Repeat("[", 9999) + strings.Repeat("]", 9999) + `}`, true},
+	{"nesting-10001", `{"stat":` + strings.Repeat("[", 10000) + strings.Repeat("]", 10000) + `}`, false},
+	{"overflow-ignored", `{"rxpk":[],"stat":{"x":1e400}}`, false},
+	{"underflow-ignored", `{"rxpk":[],"stat":{"x":1e-400}}`, true},
+	{"tmst-max", `{"rxpk":[{"tmst":18446744073709551615}]}`, true},
+	{"tmst-overflow", `{"rxpk":[{"tmst":18446744073709551616}]}`, false},
+	{"trailing-value", `{"rxpk":[]}{}`, false},
+	{"leading-bom", "\xef\xbb\xbf{\"rxpk\":[]}", false},
+	{"escaped-key", `{"r\u0078pk":[{"size":4,"data":"3q2+7w=="}]}`, true},
+	{"escaped-key-duplicate", `{"rxpk":[],"r\u0078pk":[]}`, false},
+	{"invalid-utf8-data", "{\"rxpk\":[{\"data\":\"\xff\xfe\"}]}", true},
+	{"null-body", `null`, true},
+	{"null-rxpk", `{"rxpk":null}`, true},
+	{"null-element", `{"rxpk":[null]}`, true},
+	{"long-s-duplicate", `{"rxpk":[{"size":3,"ſize":4,"data":"3q2+7w=="}]}`, false},
+	{"long-s-variant", `{"rxpk":[{"rſsi":-80,"lſnr":7}]}`, false},
+	{"dotted-capital-i", `{"rxpk":[],"stat":{"tİme":"x"}}`, false},
+	{"kelvin-variant", "{\"rxp\u212a\":[]}", false},
+	{"fold-only-duplicate", `{"rxpk":[],"stat":{"ſ":1,"S":2}}`, false},
+	{"lower-only-duplicate", `{"rxpk":[],"stat":{"İ":1,"i":2}}`, false},
+	{"distinct-wide-keys", `{"rxpk":[],"stat":{"é":1,"è":2,"\u00e9x":3}}`, true},
+}
+
+// TestValidatorContract checks each contract body's verdict on both the
+// validator and the oracle.
+func TestValidatorContract(t *testing.T) {
+	hdr := []byte{ProtocolVersion, 1, 0, PushData, 1, 2, 3, 4, 5, 6, 7, 8}
+	for _, c := range contractBodies {
+		buf := append(append([]byte{}, hdr...), c.body...)
+		if _, err := DecodePacket(buf); (err == nil) != c.accept {
+			t.Errorf("%s: DecodePacket err = %v, want accept %v", c.name, err, c.accept)
+		}
+		if _, _, err := refDecode(buf); (err == nil) != c.accept {
+			t.Errorf("%s: oracle err = %v, want accept %v", c.name, err, c.accept)
+		}
+	}
+}
+
 // FuzzSemtechPushData feeds arbitrary datagrams to the packet-forwarder
-// codec. Any input may be rejected, but none may panic; inputs that decode
+// codec, once into fresh storage and once into a scratch shared across
+// all inputs, and to refDecode, the oracle. Any input may be rejected,
+// but none may panic; both codec decodes must give the oracle's verdict
+// and, on acceptance, its uplinks and TX_ACK error. Inputs that decode
 // must satisfy the protocol invariants, acknowledge with a token-echoing
 // ACK, and survive an encode/decode round trip losslessly.
 func FuzzSemtechPushData(f *testing.F) {
@@ -25,27 +194,43 @@ func FuzzSemtechPushData(f *testing.F) {
 	f.Add([]byte{1, 0, 0, PushData, 0, 0, 0, 0, 0, 0, 0, 0})                                               // wrong version
 	f.Add(append([]byte{ProtocolVersion, 9, 9, PushData, 0, 0, 0, 0, 0, 0, 0, 0}, []byte(`{"rxpk":[`)...)) // bad JSON
 	f.Add(append([]byte{ProtocolVersion, 1, 0, TxAck, 1, 2, 3, 4, 5, 6, 7, 8}, []byte(`{"txpk_ack":{}}`)...))
+	for _, c := range contractBodies {
+		f.Add(append([]byte{ProtocolVersion, 2, 0, PushData, 1, 2, 3, 4, 5, 6, 7, 8}, c.body...))
+	}
 
-	// One scratch shared across all inputs: the scratch decoder must agree
-	// with the fresh-storage path no matter what state earlier datagrams
-	// left behind.
 	var scratch ParseScratch
 	f.Fuzz(func(t *testing.T, data []byte) {
+		wantRX, wantAck, wantErr := refDecode(data)
 		p, err := DecodePacket(data)
 		ps, errS := DecodePacketInto(data, &scratch)
-		if (err == nil) != (errS == nil) {
-			t.Fatalf("scratch decode disagrees: fresh err=%v, scratch err=%v", err, errS)
+		for _, d := range []struct {
+			name string
+			p    *Packet
+			err  error
+		}{{"fresh", p, err}, {"scratch", ps, errS}} {
+			if (d.err == nil) != (wantErr == nil) {
+				t.Fatalf("%s decode disagrees with the oracle: err=%v, oracle err=%v", d.name, d.err, wantErr)
+			}
+			if d.err != nil {
+				if d.p != nil {
+					t.Fatalf("%s decode: non-nil packet alongside error %v", d.name, d.err)
+				}
+				continue
+			}
+			if d.p.TxAckErr != wantAck || len(d.p.RXPK) != len(wantRX) {
+				t.Fatalf("%s decode diverges from the oracle:\n got %+v\nwant rxpk %+v, txack %q", d.name, d.p, wantRX, wantAck)
+			}
+			for i := range wantRX {
+				if d.p.RXPK[i] != wantRX[i] {
+					t.Fatalf("%s decode rxpk %d:\n got %+v\nwant %+v", d.name, i, d.p.RXPK[i], wantRX[i])
+				}
+			}
 		}
 		if err != nil {
-			if p != nil || ps != nil {
-				t.Fatalf("non-nil packet alongside error %v", err)
-			}
 			return
 		}
-		if ps.Version != p.Version || ps.Token != p.Token || ps.Kind != p.Kind ||
-			ps.EUI != p.EUI || ps.TxAckErr != p.TxAckErr || len(ps.RXPK) != len(p.RXPK) ||
-			(len(p.RXPK) > 0 && !reflect.DeepEqual(ps.RXPK, p.RXPK)) {
-			t.Fatalf("scratch decode diverges:\nfresh   %+v\nscratch %+v", p, ps)
+		if ps.Version != p.Version || ps.Token != p.Token || ps.Kind != p.Kind || ps.EUI != p.EUI {
+			t.Fatalf("scratch header diverges:\nfresh   %+v\nscratch %+v", p, ps)
 		}
 		if p.Version != ProtocolVersion {
 			t.Fatalf("decoded version %d", p.Version)

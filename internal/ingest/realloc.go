@@ -155,7 +155,6 @@ func (r *Reallocator) Step(nowS float64) (*scenario.Delta, error) {
 
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	cur := r.inc.Allocation()
 	n := r.inc.N()
 
 	// Deterministic scan order regardless of map iteration.
@@ -175,7 +174,8 @@ func (r *Reallocator) Step(nowS float64) (*scenario.Delta, error) {
 		if !ok || i >= n {
 			continue
 		}
-		need := lora.SNRThresholdDB(cur.SF[i]) + r.cfg.SNRMarginDB
+		sf, _, _ := r.inc.Assignment(i)
+		need := lora.SNRThresholdDB(sf) + r.cfg.SNRMarginDB
 		if s.EwmaSNRdB < need || s.PRR() < r.cfg.MinPRR {
 			drifting = append(drifting, i)
 			if len(drifting) >= maxReassignPerStep {
@@ -207,20 +207,14 @@ func (r *Reallocator) Step(nowS float64) (*scenario.Delta, error) {
 			delta.Resets = append(delta.Resets, i)
 			continue
 		}
-		delta.Changes = append(delta.Changes, scenario.DeltaChange{Device: i})
+		// A move rewrites only its own device, so its assignment is final
+		// for this step once it moved.
+		sf, tp, ch := r.inc.Assignment(i)
+		delta.Changes = append(delta.Changes, scenario.DeltaChange{Device: i, SF: int(sf), TPdBm: tp, Channel: ch})
 		r.reassigned++
 	}
 	if len(delta.Changes) == 0 && len(delta.Resets) == 0 {
 		return nil, nil
-	}
-	// One snapshot serves every change: a move rewrites only its own
-	// device, so each moved device's assignment is final once it moved.
-	if len(delta.Changes) > 0 {
-		a := r.inc.Allocation()
-		for k := range delta.Changes {
-			c := &delta.Changes[k]
-			c.SF, c.TPdBm, c.Channel = int(a.SF[c.Device]), a.TPdBm[c.Device], a.Channel[c.Device]
-		}
 	}
 	return delta, nil
 }

@@ -10,10 +10,12 @@ import (
 	"bytes"
 	"encoding/base64"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
 	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"eflora/internal/lora"
 	"eflora/internal/slab"
@@ -195,116 +197,417 @@ type txAckPayload struct {
 	} `json:"txpk_ack"`
 }
 
-// canonicalKeys maps the lower-cased spelling of every JSON field the
-// packet path decodes to its exact protocol spelling. strictKeys rejects
-// bodies that spell one of these any other way, because encoding/json
-// matches object keys case-insensitively and would silently accept them.
-var canonicalKeys = map[string]string{
-	"rxpk": "rxpk", "txpk": "txpk", "stat": "stat", "txpk_ack": "txpk_ack",
-	"error": "error", "tmst": "tmst", "time": "time", "freq": "freq",
-	"chan": "chan", "rfch": "rfch", "modu": "modu", "datr": "datr",
-	"codr": "codr", "rssi": "rssi", "lsnr": "lsnr", "size": "size",
-	"data": "data", "imme": "imme", "powe": "powe", "ipol": "ipol",
+// protocolField reports whether name is the exact spelling of a JSON
+// field the packet path decodes. Every such spelling is lower-case ASCII.
+func protocolField(name []byte) bool {
+	switch string(name) {
+	case "rxpk", "txpk", "stat", "txpk_ack", "error", "tmst", "time", "freq",
+		"chan", "rfch", "modu", "datr", "codr", "rssi", "lsnr", "size",
+		"data", "imme", "powe", "ipol":
+		return true
+	}
+	return false
 }
+
+// maxNesting is encoding/json's nesting limit: a body whose objects and
+// arrays nest deeper is rejected by json.Unmarshal.
+const maxNesting = 10000
 
 // ParseScratch holds the decode buffers one ingress loop reuses across
 // datagrams: the packet value, the PUSH_DATA body with its RXPK slice,
-// and the strictKeys walk state (a flat frame stack plus a shared key
-// stack, replacing a per-object map). The Packet returned by
-// DecodePacketInto aliases the scratch and is valid until the next decode
-// with the same scratch. A zero ParseScratch is ready to use; a scratch
-// serves one decode at a time.
+// and the validator's state (a flat frame stack, a shared key stack with
+// each key's hashes beside it, replacing a per-object map, and a byte
+// arena for the keys' lower-cased and unescaped spellings). The Packet
+// returned by DecodePacketInto
+// aliases the scratch and is valid until the next decode with the same
+// scratch. A zero ParseScratch is ready to use; a scratch serves one
+// decode at a time.
 type ParseScratch struct {
 	pkt    Packet
 	push   pushPayload
-	rd     bytes.Reader
-	frames []ksFrame
-	keys   []ksKey
+	frames []vFrame
+	keys   []vKey
+	hashes []vHash
+	kbuf   []byte
 }
 
-// ksFrame is one open object or array during the strictKeys walk. Object
-// frames own the suffix of the key stack starting at keyLo, popped with
-// the frame — sibling keys dedup by a linear scan of that suffix, which
-// for protocol-sized objects (≤14 keys) beats allocating a map per '{'.
-type ksFrame struct {
-	obj       bool
-	expectKey bool
-	keyLo     int32
+// vFrame is one open object or array during validation. Object frames
+// own the suffix of the key and hash stacks starting at keyLo, popped
+// with the frame — sibling keys dedup by a linear scan of that suffix,
+// which for protocol-sized objects (≤14 keys) beats allocating a map per
+// '{'. Scanning the hashes first keeps each step of that scan to two
+// integer compares in a hostile object of thousands of keys.
+type vFrame struct {
+	obj   bool
+	keyLo int32
 }
 
-// ksKey is one object key, case-folded for comparison and as written.
-type ksKey struct {
-	folded, raw string
+// vKey is one object key after unescaping. name aliases the body for a
+// key without an escape or a non-ASCII byte and the scratch's key arena
+// otherwise; lower is its strings.ToLower spelling, in the arena.
+type vKey struct {
+	name, lower []byte
 }
 
-// ksEndValue marks a completed object value, so the next string token at
-// the current nesting level is a key again.
-func (sc *ParseScratch) ksEndValue() {
-	if n := len(sc.frames); n > 0 && sc.frames[n-1].obj {
-		sc.frames[n-1].expectKey = true
-	}
+// vHash holds a key's two fold hashes: FNV-1a of its strings.ToLower
+// spelling and of its foldKey spelling. Both are the hash of the
+// lower-case spelling for an ASCII key.
+type vHash struct {
+	lower, fold uint64
 }
 
-// strictKeys walks a JSON body and rejects the key ambiguities Go's
-// case-insensitive field matching would otherwise resolve silently: two
-// keys in one object that differ only by ASCII case (or repeat exactly),
-// and any case-variant spelling of a field the packet path decodes. The
-// kept FuzzSemtechPushData crasher ({"rXpk":[]}) is exactly such an
-// input. Keys unknown to the codec still pass — gateways send fields this
-// server does not model.
-func (sc *ParseScratch) strictKeys(data []byte) error {
-	sc.rd.Reset(data)
-	dec := json.NewDecoder(&sc.rd)
-	sc.frames, sc.keys = sc.frames[:0], sc.keys[:0]
+// validate checks a JSON body in one pass before json.Unmarshal decodes
+// it. It accepts exactly what json.Unmarshal's syntax check accepts,
+// minus what Go's case-insensitive field matching would resolve
+// silently or what its float64 decoding of an untyped value rejects:
+//
+//   - two keys in one object that match under strings.ToLower or under
+//     bytes.EqualFold (encoding/json's own key match), at any depth;
+//   - a key that matches a field the packet path decodes under either
+//     fold but is not spelled exactly so;
+//   - a number, anywhere, that overflows a float64.
+//
+// Keys compare after unescaping. Objects and arrays nest at most
+// maxNesting deep. Keys unknown to the codec still pass — gateways send
+// fields this server does not model. The kept FuzzSemtechPushData
+// crasher ({"rXpk":[]}) is a case variant.
+//
+// Warm calls allocate nothing unless a key holds an escape or a non-ASCII
+// byte (pinned by TestDecodePacketIntoAllocBudget).
+//
+//eflora:hotpath
+func (sc *ParseScratch) validate(data []byte) error {
+	sc.frames, sc.keys, sc.hashes, sc.kbuf = sc.frames[:0], sc.keys[:0], sc.hashes[:0], sc.kbuf[:0]
+	i, key := 0, false
 	for {
-		tok, err := dec.Token()
-		if err == io.EOF {
-			return nil
+		// A value starts at i, preceded by its key and ':' when key is set.
+		i = skipSpace(data, i)
+		if i == len(data) {
+			return errJSONEnd
+		}
+		if key {
+			if data[i] != '"' {
+				return syntaxError(data, i, "looking for beginning of object key string")
+			}
+			end, plain, err := scanString(data, i)
+			if err != nil {
+				return err
+			}
+			var k vKey
+			var fh uint64
+			if plain {
+				// Both folds agree on ASCII: lower-case the key into the arena.
+				lo, upper := len(sc.kbuf), false
+				for _, c := range data[i+1 : end-1] {
+					if 'A' <= c && c <= 'Z' {
+						c += 'a' - 'A'
+						upper = true
+					}
+					sc.kbuf = append(sc.kbuf, c)
+				}
+				k = vKey{name: data[i+1 : end-1], lower: sc.kbuf[lo:]}
+				if upper && protocolField(k.lower) {
+					return fmt.Errorf("ingest: JSON key %q mismatches protocol field %q", k.name, k.lower)
+				}
+			} else {
+				//eflora:alloc-ok cold: only a key holding an escape or a non-ASCII byte is unquoted, and no protocol field needs either
+				if k, fh, err = sc.coldKey(data[i:end]); err != nil {
+					return err
+				}
+			}
+			h := vHash{lower: fnv64(k.lower), fold: fh}
+			if plain {
+				h.fold = h.lower
+			}
+			first := sc.frames[len(sc.frames)-1].keyLo
+			for j, sh := range sc.hashes[first:] {
+				if sh.lower != h.lower && sh.fold != h.fold {
+					continue
+				}
+				if s := &sc.keys[int(first)+j]; bytes.Equal(s.lower, k.lower) || bytes.EqualFold(s.name, k.name) {
+					return fmt.Errorf("ingest: ambiguous JSON keys %q and %q in one object", s.name, k.name)
+				}
+			}
+			sc.keys = append(sc.keys, k)
+			sc.hashes = append(sc.hashes, h)
+			if i = skipSpace(data, end); i == len(data) {
+				return errJSONEnd
+			}
+			if data[i] != ':' {
+				return syntaxError(data, i, "after object key")
+			}
+			if i = skipSpace(data, i+1); i == len(data) {
+				return errJSONEnd
+			}
+			key = false
+		}
+		var err error
+		switch c := data[i]; c {
+		case '{', '[':
+			if len(sc.frames) == maxNesting {
+				return fmt.Errorf("ingest: JSON nests deeper than %d", maxNesting)
+			}
+			sc.frames = append(sc.frames, vFrame{obj: c == '{', keyLo: int32(len(sc.keys))})
+			i = skipSpace(data, i+1)
+			if i < len(data) && (c == '{' && data[i] == '}' || c == '[' && data[i] == ']') {
+				i++
+				sc.pop()
+				break
+			}
+			key = c == '{'
+			continue
+		case '"':
+			i, _, err = scanString(data, i)
+		case 't':
+			i, err = scanLiteral(data, i, "true")
+		case 'f':
+			i, err = scanLiteral(data, i, "false")
+		case 'n':
+			i, err = scanLiteral(data, i, "null")
+		default:
+			i, err = scanNumber(data, i)
 		}
 		if err != nil {
 			return err
 		}
-		switch t := tok.(type) {
-		case json.Delim:
-			switch t {
-			case '{':
-				sc.frames = append(sc.frames, ksFrame{obj: true, expectKey: true, keyLo: int32(len(sc.keys))})
-			case '[':
-				sc.frames = append(sc.frames, ksFrame{})
-			default: // '}' or ']'
-				if f := sc.frames[len(sc.frames)-1]; f.obj {
-					sc.keys = sc.keys[:f.keyLo]
+		// The value ended: close the containers it completes and step past
+		// the comma to the next value (or key).
+		for {
+			i = skipSpace(data, i)
+			n := len(sc.frames)
+			if n == 0 {
+				if i < len(data) {
+					return syntaxError(data, i, "after top-level value")
 				}
-				sc.frames = sc.frames[:len(sc.frames)-1]
-				sc.ksEndValue()
+				return nil
 			}
-		case string:
-			if n := len(sc.frames); n > 0 && sc.frames[n-1].obj && sc.frames[n-1].expectKey {
-				f := &sc.frames[n-1]
-				folded := strings.ToLower(t)
-				for _, k := range sc.keys[f.keyLo:] {
-					if k.folded == folded {
-						return fmt.Errorf("ingest: ambiguous JSON keys %q and %q in one object", k.raw, t)
-					}
-				}
-				sc.keys = append(sc.keys, ksKey{folded: folded, raw: t})
-				if canon, known := canonicalKeys[folded]; known && t != canon {
-					return fmt.Errorf("ingest: JSON key %q mismatches protocol field %q", t, canon)
-				}
-				f.expectKey = false
+			if i == len(data) {
+				return errJSONEnd
+			}
+			c, obj := data[i], sc.frames[n-1].obj
+			if c == '}' && obj || c == ']' && !obj {
+				i++
+				sc.pop()
 				continue
 			}
-			sc.ksEndValue()
-		default: // number, bool, null
-			sc.ksEndValue()
+			if c != ',' {
+				return syntaxError(data, i, "after a value in an object or array")
+			}
+			i, key = i+1, obj
+			break
 		}
 	}
 }
 
+// pop closes the innermost object or array, dropping an object's keys.
+func (sc *ParseScratch) pop() {
+	f := sc.frames[len(sc.frames)-1]
+	if f.obj {
+		sc.keys, sc.hashes = sc.keys[:f.keyLo], sc.hashes[:f.keyLo]
+	}
+	sc.frames = sc.frames[:len(sc.frames)-1]
+}
+
+// fnv64 is the 64-bit FNV-1a hash of b.
+func fnv64(b []byte) uint64 {
+	h := uint64(14695981039346656037)
+	for _, c := range b {
+		h = (h ^ uint64(c)) * 1099511628211
+	}
+	return h
+}
+
+// coldKey unquotes a key holding an escape or a non-ASCII byte the way
+// encoding/json does (invalid UTF-8 becomes U+FFFD), stores it and its
+// strings.ToLower spelling in the key arena, and rejects it if either
+// fold maps it onto a protocol field it is not spelled as. It also
+// returns the hash of its foldKey spelling.
+func (sc *ParseScratch) coldKey(quoted []byte) (vKey, uint64, error) {
+	var name string
+	if err := json.Unmarshal(quoted, &name); err != nil {
+		return vKey{}, 0, err
+	}
+	lo := len(sc.kbuf)
+	sc.kbuf = append(sc.kbuf, name...)
+	mid := len(sc.kbuf)
+	sc.kbuf = append(sc.kbuf, strings.ToLower(name)...)
+	k, fold := vKey{name: sc.kbuf[lo:mid], lower: sc.kbuf[mid:]}, foldKey(name)
+	if !protocolField(k.name) && (protocolField(k.lower) || protocolField(fold)) {
+		return vKey{}, 0, fmt.Errorf("ingest: JSON key %q mismatches a protocol field", name)
+	}
+	return k, fnv64(fold), nil
+}
+
+// foldKey returns the spelling encoding/json matches keys by:
+// bytes.EqualFold(a, b) holds exactly when foldKey(a) == foldKey(b).
+// Each rune becomes the smallest rune of its case-fold orbit, lower-cased
+// if ASCII, so an ASCII key folds to its lower-case spelling.
+func foldKey(name string) []byte {
+	out := make([]byte, 0, len(name))
+	for _, r := range name {
+		least := r
+		for f := unicode.SimpleFold(r); f != r; f = unicode.SimpleFold(f) {
+			if f < least {
+				least = f
+			}
+		}
+		if 'A' <= least && least <= 'Z' {
+			least += 'a' - 'A'
+		}
+		out = utf8.AppendRune(out, least)
+	}
+	return out
+}
+
+// skipSpace returns the index of the first byte at or after data[i] that
+// is not JSON whitespace (space, tab, CR, LF).
+func skipSpace(data []byte, i int) int {
+	for ; i < len(data); i++ {
+		switch data[i] {
+		case ' ', '\t', '\r', '\n':
+		default:
+			return i
+		}
+	}
+	return i
+}
+
+// scanString checks the string literal whose opening quote is data[i]
+// and returns the index past its closing quote. plain reports that it
+// holds neither an escape nor a byte above 0x7F, so its bytes are its
+// value.
+func scanString(data []byte, i int) (end int, plain bool, err error) {
+	plain = true
+	for i++; i < len(data); i++ {
+		switch c := data[i]; {
+		case c == '"':
+			return i + 1, plain, nil
+		case c == '\\':
+			plain = false
+			if i++; i == len(data) {
+				return i, false, errJSONEnd
+			}
+			switch data[i] {
+			case '"', '\\', '/', 'b', 'f', 'n', 'r', 't':
+			case 'u':
+				for k := 0; k < 4; k++ {
+					if i++; i == len(data) {
+						return i, false, errJSONEnd
+					}
+					if !isHex(data[i]) {
+						return i, false, syntaxError(data, i, "in \\u hexadecimal character escape")
+					}
+				}
+			default:
+				return i, false, syntaxError(data, i, "in string escape code")
+			}
+		case c < 0x20:
+			return i, false, syntaxError(data, i, "in string literal")
+		case c >= utf8.RuneSelf:
+			plain = false
+		}
+	}
+	return i, false, errJSONEnd
+}
+
+func isHex(c byte) bool {
+	return '0' <= c && c <= '9' || 'a' <= c && c <= 'f' || 'A' <= c && c <= 'F'
+}
+
+func isDigit(c byte) bool { return '0' <= c && c <= '9' }
+
+// scanLiteral checks that data[i:] starts with lit (true, false or null)
+// and returns the index past it.
+func scanLiteral(data []byte, i int, lit string) (int, error) {
+	for k := 0; k < len(lit); k++ {
+		if i+k == len(data) {
+			return i + k, errJSONEnd
+		}
+		if data[i+k] != lit[k] {
+			return i + k, syntaxError(data, i+k, "in literal "+lit)
+		}
+	}
+	return i + len(lit), nil
+}
+
+// scanNumber checks the number literal starting at data[i] and returns
+// the index past it. The number must also parse as a float64, as it must
+// when json.Unmarshal decodes it into an interface value; the oracle in
+// fuzz_test.go requires that of every number. A number below 10^308
+// cannot overflow, so strconv.ParseFloat runs only above that bound.
+func scanNumber(data []byte, i int) (int, error) {
+	start := i
+	if data[i] == '-' {
+		i++
+	}
+	intLo := i
+	switch {
+	case i == len(data):
+		return i, errJSONEnd
+	case data[i] == '0':
+		i++
+	case '1' <= data[i] && data[i] <= '9':
+		for i++; i < len(data) && isDigit(data[i]); i++ {
+		}
+	case i == start:
+		return i, syntaxError(data, i, "looking for beginning of value")
+	default:
+		return i, syntaxError(data, i, "in numeric literal")
+	}
+	intDigits := i - intLo
+	if i < len(data) && data[i] == '.' {
+		if i++; i == len(data) {
+			return i, errJSONEnd
+		}
+		if !isDigit(data[i]) {
+			return i, syntaxError(data, i, "after decimal point in numeric literal")
+		}
+		for i++; i < len(data) && isDigit(data[i]); i++ {
+		}
+	}
+	exp := 0
+	if i < len(data) && (data[i] == 'e' || data[i] == 'E') {
+		if i++; i < len(data) && (data[i] == '+' || data[i] == '-') {
+			i++
+		}
+		if i == len(data) {
+			return i, errJSONEnd
+		}
+		if !isDigit(data[i]) {
+			return i, syntaxError(data, i, "in exponent of numeric literal")
+		}
+		neg := data[i-1] == '-'
+		for ; i < len(data) && isDigit(data[i]); i++ {
+			if exp < 1e6 { // saturate far beyond any exponent a float64 takes
+				exp = exp*10 + int(data[i]-'0')
+			}
+		}
+		if neg {
+			exp = -exp
+		}
+	}
+	// The value is below 10^(intDigits+exp).
+	if intDigits+exp > 308 {
+		if _, err := strconv.ParseFloat(string(data[start:i]), 64); err != nil {
+			return i, fmt.Errorf("ingest: JSON number %s overflows a float64", data[start:i])
+		}
+	}
+	return i, nil
+}
+
+// errJSONEnd reports a body that ends inside a value.
+var errJSONEnd = errors.New("ingest: unexpected end of JSON input")
+
+// syntaxError reports the byte at data[i] as invalid in the named
+// context.
+func syntaxError(data []byte, i int, context string) error {
+	return fmt.Errorf("ingest: invalid character %q at offset %d %s", data[i], i, context)
+}
+
 // strictUnmarshal applies the packet path's hardened JSON decoding: the
-// strictKeys scan first, then the ordinary unmarshal.
+// validator first, then the ordinary unmarshal.
 func (sc *ParseScratch) strictUnmarshal(data []byte, v any) error {
-	if err := sc.strictKeys(data); err != nil {
+	if err := sc.validate(data); err != nil {
 		return err
 	}
 	return json.Unmarshal(data, v)

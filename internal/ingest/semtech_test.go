@@ -214,11 +214,16 @@ func TestStrictKeysRejectsAmbiguity(t *testing.T) {
 		return append(append(append([]byte{}, hdr...), eui[:]...), body...)
 	}
 	rejected := []string{
-		`{"rXpk":[]}`,                    // the kept fuzz crasher: case-variant of a decoded field
-		`{"rxpk":[{"DATR":"SF7BW125"}]}`, // nested case variant
-		`{"rxpk":[],"RXPK":[]}`,          // case-folded duplicate
-		`{"rxpk":[{"tmst":1,"tmst":2}]}`, // exact duplicate
-		`{"brd":1,"BRD":2}`,              // duplicate of an unmodeled key
+		`{"rXpk":[]}`,                     // the kept fuzz crasher: case-variant of a decoded field
+		`{"rxpk":[{"DATR":"SF7BW125"}]}`,  // nested case variant
+		`{"rxpk":[],"RXPK":[]}`,           // case-folded duplicate
+		`{"rxpk":[{"tmst":1,"tmst":2}]}`,  // exact duplicate
+		`{"brd":1,"BRD":2}`,               // duplicate of an unmodeled key
+		`{"rxpk":[],"stat":{"TIME":"x"}}`, // case variant in the ignored stat object
+		// U+017F (ſ) folds with s under bytes.EqualFold, encoding/json's
+		// key match, but not under strings.ToLower.
+		`{"rxpk":[{"size":3,"ſize":4,"data":"3q2+7w=="}]}`,
+		`{"rxpk":[{"rſsi":-80,"lſnr":7}]}`,
 	}
 	for _, body := range rejected {
 		if _, err := DecodePacket(mk(body)); err == nil {
@@ -242,6 +247,42 @@ func TestStrictKeysRejectsAmbiguity(t *testing.T) {
 	}
 	if _, err := DecodeDownstream(append([]byte{2, 0, 0, PullResp}, []byte(`{"tXpk":{}}`)...)); err == nil {
 		t.Error("PULL_RESP with case-variant key accepted")
+	}
+	// The validator's list of protocol spellings covers every field the
+	// payload structs decode.
+	for _, name := range refProtocolFields {
+		if !protocolField([]byte(name)) {
+			t.Errorf("payload field %q is not a protocol field", name)
+		}
+	}
+}
+
+// TestDecodePacketIntoAllocBudget pins the warm scratch decode of one
+// nsd-live-shaped datagram (a single rxpk): the validator allocates
+// nothing, so what remains is json.Unmarshal's own state and the RXPK
+// strings it fills.
+func TestDecodePacketIntoAllocBudget(t *testing.T) {
+	buf, err := EncodePushData(7, [8]byte{0xAA, 0x55, 1, 2, 3, 4, 5, 6}, []RXPK{{
+		Tmst: 12_345_678, Freq: 868.1, Chan: 0, Stat: 1,
+		Modu: "LORA", Datr: "SF9BW125", Codr: "4/5",
+		RSSI: -112.25, LSNR: -4.5, Size: 23,
+		Data: base64.StdEncoding.EncodeToString(bytes.Repeat([]byte{0x40}, 23)),
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sc ParseScratch
+	if _, err := DecodePacketInto(buf, &sc); err != nil {
+		t.Fatal(err)
+	}
+	const budget = 11
+	avg := testing.AllocsPerRun(200, func() {
+		if _, err := DecodePacketInto(buf, &sc); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if avg > budget {
+		t.Errorf("warm DecodePacketInto allocates %v per datagram, budget %d", avg, budget)
 	}
 }
 

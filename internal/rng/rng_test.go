@@ -43,7 +43,7 @@ func TestZeroSeedWorks(t *testing.T) {
 	}
 }
 
-func TestFloat64Range01(t *testing.T) {
+func TestFloat64InUnitInterval(t *testing.T) {
 	r := New(7)
 	for i := 0; i < 100000; i++ {
 		v := r.Float64()
