@@ -220,13 +220,7 @@ func (g *Gateway) Arrive(tok, dev int, sf lora.SF, ch int, startS, endS, rxMW fl
 		// expired windows accumulate. A pruned window (to <= startS) can
 		// never block this or any later arrival, so hoisting the prune
 		// above the sensitivity check changes no verdict.
-		wins := g.ackWins[:0]
-		for _, w := range g.ackWins {
-			if w.to > startS {
-				wins = append(wins, w)
-			}
-		}
-		g.ackWins = wins
+		g.pruneAckWins(startS)
 	}
 	if rxMW < g.cfg.Thresholds.SensitivityMW[sf-lora.SF7] {
 		g.Counters.SensitivityMisses++

@@ -31,10 +31,10 @@ func fuzzStream(data []byte) (*Window, []float64) {
 }
 
 // FuzzEngineBatchVsScalar feeds the same event stream through the
-// scalar Arrive/FinishUpTo loop and the Batch kernel, split at the same
-// window cuts, and requires digest equality on per-token outcomes and
-// counters — the differential pin that keeps the two code paths
-// bit-identical.
+// scalar Arrive/FinishUpTo loop, full-window Batch and the Sweep kernel
+// over each window's visible entries, split at the same window cuts, and
+// requires equality of per-token outcomes and counters — the
+// differential pin that keeps the three paths bit-identical.
 func FuzzEngineBatchVsScalar(f *testing.F) {
 	// Capture on/off over a plain overlap pair.
 	pair := []byte{

@@ -6,11 +6,9 @@ import (
 )
 
 // TestRunAllocBudget pins the steady-state allocation count of a Run that
-// reuses a Scratch, at the derived window. The budget is deliberately a
-// little above the measured value (one: the withDefaults capture-threshold
-// pointer) but orders of magnitude below the unpooled cost, so
-// any hot-path regression — a buffer that stopped being reused, a slice
-// that escapes again — trips it immediately.
+// reuses a Scratch, at the derived window: a warm run allocates nothing,
+// so any hot-path regression — a buffer that stopped being reused, a
+// slice or a config value that escapes again — trips it immediately.
 func TestRunAllocBudget(t *testing.T) {
 	net, p, a := goldenNetwork(120, 4)
 	sc := new(Scratch)
@@ -24,9 +22,8 @@ func TestRunAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	const budget = 8
-	if got > budget {
-		t.Errorf("Run with Scratch allocates %v per run, budget %d", got, budget)
+	if got != 0 {
+		t.Errorf("Run with Scratch allocates %v per run, want 0", got)
 	}
 }
 
@@ -45,23 +42,31 @@ func TestRunStreamingAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	const budget = 8
-	if got > budget {
-		t.Errorf("Run at a 60 s window with Scratch allocates %v per run, budget %d", got, budget)
+	if got != 0 {
+		t.Errorf("Run at a 60 s window with Scratch allocates %v per run, want 0", got)
 	}
 }
 
 // TestRunZeroAllocsAtGOMAXPROCS2 pins that a warm run starts no goroutine
 // and allocates nothing on the heap when more than one core is available
 // (testing.AllocsPerRun would force GOMAXPROCS 1): a run is single-threaded
-// at any core count, at the derived window and at a 60 s one.
+// at any core count. It covers Run itself, with its validation and
+// defaults, and the window loop at the derived window and at a 60 s one.
 func TestRunZeroAllocsAtGOMAXPROCS2(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	net, p, a := goldenNetwork(120, 4)
 	sc := new(Scratch)
-	cfg := Config{PacketsPerDevice: 12, Seed: 7, Scratch: sc}.withDefaults()
-	for _, window := range []float64{0, 60} {
-		if _, err := run(net, p, a, cfg, window); err != nil {
+	cfg := Config{PacketsPerDevice: 12, Seed: 7, Scratch: sc}
+	runs := []struct {
+		name string
+		run  func() (*Result, error)
+	}{
+		{"Run", func() (*Result, error) { return Run(net, p, a, cfg) }},
+		{"window=derived", func() (*Result, error) { return run(net, p, a, cfg.withDefaults(), 0) }},
+		{"window=60", func() (*Result, error) { return run(net, p, a, cfg.withDefaults(), 60) }},
+	}
+	for _, r := range runs {
+		if _, err := r.run(); err != nil {
 			t.Fatal(err)
 		}
 		// The fewest heap allocations any of several warm runs made:
@@ -70,7 +75,7 @@ func TestRunZeroAllocsAtGOMAXPROCS2(t *testing.T) {
 		for i := 0; i < 5; i++ {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			if _, err := run(net, p, a, cfg, window); err != nil {
+			if _, err := r.run(); err != nil {
 				t.Fatal(err)
 			}
 			runtime.ReadMemStats(&after)
@@ -79,16 +84,15 @@ func TestRunZeroAllocsAtGOMAXPROCS2(t *testing.T) {
 			}
 		}
 		if best != 0 {
-			t.Errorf("window=%g: a warm run made %d heap allocations, want 0", window, best)
+			t.Errorf("%s: a warm run made %d heap allocations, want 0", r.name, best)
 		}
 	}
 }
 
 // TestRunConfirmedAllocBudget extends the scratch-reuse budget to the
 // confirmed MAC loop: the event slab, the index heaps and the per-gateway
-// engines all live in the Scratch, so a warm RunConfirmed is down to the
-// same fixed per-call overhead as Run (the RNG and the capture-threshold
-// pointer withDefaults materializes).
+// engines all live in the Scratch, so a warm RunConfirmed is down to one
+// allocation: the RNG the event loop keeps.
 func TestRunConfirmedAllocBudget(t *testing.T) {
 	net, p, a := goldenNetwork(60, 2)
 	sc := new(Scratch)
@@ -105,7 +109,7 @@ func TestRunConfirmedAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	const budget = 8
+	const budget = 1
 	if got > budget {
 		t.Errorf("RunConfirmed with Scratch allocates %v per run, budget %d", got, budget)
 	}

@@ -296,7 +296,7 @@ func RunConfirmed(net *model.Network, p model.Params, a model.Allocation, cfg Co
 	r := rng.New(cfg.Seed)
 	gains := model.Gains(net, p)
 	noiseMW := lora.DBmToMilliwatts(p.NoiseDBm)
-	captureLin := lora.DBToLinear(*cfg.CaptureThresholdDB)
+	captureLin := cfg.captureLin()
 
 	c.g = g
 	c.r = r
