@@ -114,7 +114,7 @@ func refDecode(data []byte) (rx []RXPK, ackErr string, err error) {
 		err = refStrictUnmarshal(body, &p)
 		return p.RXPK, "", err
 	case TxAck:
-		if len(bytes.TrimSpace(body)) == 0 {
+		if len(bytes.Trim(body, " \t\r\n")) == 0 {
 			return nil, "", nil
 		}
 		var a txAckPayload
@@ -154,6 +154,28 @@ var contractBodies = []struct {
 	{"fold-only-duplicate", `{"rxpk":[],"stat":{"ſ":1,"S":2}}`, false},
 	{"lower-only-duplicate", `{"rxpk":[],"stat":{"İ":1,"i":2}}`, false},
 	{"distinct-wide-keys", `{"rxpk":[],"stat":{"é":1,"è":2,"\u00e9x":3}}`, true},
+	{"40-keys-fold-duplicate", `{"rxpk":[],"stat":` + wideObject(40, `"AS":0`) + `}`, false},
+	{"2000-keys-fold-duplicate", `{"rxpk":[],"stat":` + wideObject(2000, `"AS":0`) + `}`, false},
+	{"2000-keys-distinct", `{"rxpk":[],"stat":` + wideObject(2000, "") + `}`, true},
+	{"nested-wide-objects", `{"rxpk":[],"stat":` + wideObject(40, `"in":`+wideObject(40, "")+`,"k40":0`) + `}`, true},
+	{"nested-wide-duplicate-after-inner", `{"rxpk":[],"stat":` + wideObject(40, `"in":`+wideObject(40, "")+`,"K39":0`) + `}`, false},
+}
+
+// wideObject renders an object of n keys, "aſ" then "k1", "k2", …, with
+// last, when not empty, as one more member. "AS" matches "aſ" under
+// bytes.EqualFold but not under strings.ToLower, so it is the fold-only
+// duplicate of the object's first key.
+func wideObject(n int, last string) string {
+	var b strings.Builder
+	b.WriteString(`{"aſ":0`)
+	for i := 1; i < n; i++ {
+		fmt.Fprintf(&b, `,"k%d":0`, i)
+	}
+	if last != "" {
+		b.WriteString("," + last)
+	}
+	b.WriteByte('}')
+	return b.String()
 }
 
 // TestValidatorContract checks each contract body's verdict on both the
@@ -194,6 +216,9 @@ func FuzzSemtechPushData(f *testing.F) {
 	f.Add([]byte{1, 0, 0, PushData, 0, 0, 0, 0, 0, 0, 0, 0})                                               // wrong version
 	f.Add(append([]byte{ProtocolVersion, 9, 9, PushData, 0, 0, 0, 0, 0, 0, 0, 0}, []byte(`{"rxpk":[`)...)) // bad JSON
 	f.Add(append([]byte{ProtocolVersion, 1, 0, TxAck, 1, 2, 3, 4, 5, 6, 7, 8}, []byte(`{"txpk_ack":{}}`)...))
+	for _, body := range txAckSpaceBodies {
+		f.Add(append([]byte{ProtocolVersion, 1, 0, TxAck, 1, 2, 3, 4, 5, 6, 7, 8}, body.body...))
+	}
 	for _, c := range contractBodies {
 		f.Add(append([]byte{ProtocolVersion, 2, 0, PushData, 1, 2, 3, 4, 5, 6, 7, 8}, c.body...))
 	}
