@@ -13,6 +13,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 
 	"eflora/internal/exp"
@@ -38,6 +39,18 @@ func run(args []string, out *os.File) error {
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	// exp.Config replaces a non-positive value by its default, and a
+	// non-finite scale yields no device count, so either would run
+	// something other than what was asked for.
+	if math.IsNaN(*scale) || math.IsInf(*scale, 0) || *scale <= 0 {
+		return fmt.Errorf("-scale %v: want a finite value above 0", *scale)
+	}
+	if *trials < 1 {
+		return fmt.Errorf("-trials %d: want at least 1", *trials)
+	}
+	if *packets < 1 {
+		return fmt.Errorf("-packets %d: want at least 1", *packets)
 	}
 	if *list {
 		for _, eid := range exp.IDs() {

@@ -48,6 +48,34 @@ func TestExpUnknownID(t *testing.T) {
 	}
 }
 
+// TestExpRejectsOutOfRangeFlags pins that a value exp.Config would
+// replace by its default, or that would reach the model as a non-finite
+// device count or duty cycle, fails with an error naming the flag instead
+// of running something else.
+func TestExpRejectsOutOfRangeFlags(t *testing.T) {
+	for _, tc := range []struct{ flag, value string }{
+		{"-scale", "+Inf"},
+		{"-scale", "-Inf"},
+		{"-scale", "NaN"},
+		{"-scale", "0"},
+		{"-scale", "-1"},
+		{"-trials", "0"},
+		{"-trials", "-2"},
+		{"-packets", "0"},
+		{"-packets", "-1"},
+	} {
+		f, err := os.CreateTemp(t.TempDir(), "out")
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = run([]string{"-exp", "fig6", tc.flag, tc.value}, f)
+		f.Close()
+		if err == nil || !strings.Contains(err.Error(), tc.flag+" ") {
+			t.Errorf("%s %s: err = %v, want an error naming %s", tc.flag, tc.value, err, tc.flag)
+		}
+	}
+}
+
 func TestExpTinyFigure(t *testing.T) {
 	out := capture(t, []string{"-exp", "fig10", "-scale", "0.02", "-trials", "1", "-packets", "10"})
 	if !strings.Contains(out, "Convergence time") {

@@ -16,8 +16,6 @@ import (
 type Anneal struct {
 	// Steps is the number of proposal steps (default 20000).
 	Steps int
-	// Mode selects the evaluator mode (default ModeExact).
-	Mode model.Mode
 	// Restarts runs several independent chains, keeping the best
 	// (default 2).
 	Restarts int
@@ -33,9 +31,6 @@ const (
 func (an Anneal) withDefaults() Anneal {
 	if an.Steps <= 0 {
 		an.Steps = 20000
-	}
-	if an.Mode == 0 {
-		an.Mode = model.ModeExact
 	}
 	if an.Restarts <= 0 {
 		an.Restarts = 2
@@ -84,7 +79,7 @@ func (an Anneal) Allocate(net *model.Network, p model.Params, r *rng.RNG) (model
 			}
 			cur.Channel[i] = r.Intn(nch)
 		}
-		ev, err := model.NewEvaluator(net, p, cur, an.Mode)
+		ev, err := model.NewEvaluator(net, p, cur, model.ModeExact)
 		if err != nil {
 			return model.Allocation{}, err
 		}

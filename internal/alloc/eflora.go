@@ -18,9 +18,6 @@ type Options struct {
 	Delta float64
 	// MaxPasses caps the outer iterations as a safety net (default 10).
 	MaxPasses int
-	// Mode selects the evaluator's interference handling (default
-	// ModeExact).
-	Mode model.Mode
 	// FixedTPdBm, when non-nil, pins every device to this transmission
 	// power — the EF-LoRa-14dBm ablation of Fig. 9.
 	FixedTPdBm *float64
@@ -42,9 +39,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxPasses <= 0 {
 		o.MaxPasses = 10
-	}
-	if o.Mode == 0 {
-		o.Mode = model.ModeExact
 	}
 	return o
 }
@@ -149,7 +143,7 @@ func (a *EFLoRa) AllocateWithReport(net *model.Network, p model.Params, r *rng.R
 		if !ok {
 			continue
 		}
-		ev, err := model.NewEvaluator(net, p, init, a.opts.Mode)
+		ev, err := model.NewEvaluator(net, p, init, model.ModeExact)
 		if err != nil {
 			return model.Allocation{}, rep, err
 		}
@@ -169,7 +163,7 @@ func (a *EFLoRa) AllocateWithReport(net *model.Network, p model.Params, r *rng.R
 	// drift by an ULP now and then over many commits, and RecomputeAll
 	// does not re-add them, so bestMin can miss the allocation's true
 	// minimum in the last bit.
-	final, err := EvaluateMinEE(net, p, bestAlloc, a.opts.Mode)
+	final, err := EvaluateMinEE(net, p, bestAlloc, model.ModeExact)
 	if err != nil {
 		return model.Allocation{}, rep, err
 	}

@@ -16,8 +16,6 @@ import (
 // networks of a handful of devices (see TestGreedyNearOptimal).
 // exhaustiveMaxStates guards against accidental explosion.
 type Exhaustive struct {
-	// Mode selects the evaluator mode (default ModeExact).
-	Mode model.Mode
 	// RestrictChannels limits the channel choices to the first k channels
 	// (0 = all); with symmetric channels this shrinks the space without
 	// changing the achievable optimum structure.
@@ -29,9 +27,6 @@ const exhaustiveMaxStates = 5_000_000
 
 // Allocate implements Allocator by enumerating the full space.
 func (x Exhaustive) Allocate(net *model.Network, p model.Params, _ *rng.RNG) (model.Allocation, error) {
-	if x.Mode == 0 {
-		x.Mode = model.ModeExact
-	}
 	if err := p.Validate(); err != nil {
 		return model.Allocation{}, err
 	}
@@ -84,7 +79,7 @@ func (x Exhaustive) Allocate(net *model.Network, p model.Params, _ *rng.RNG) (mo
 		c := cands[i][0]
 		cur.SF[i], cur.TPdBm[i], cur.Channel[i] = c.sf, c.tp, c.ch
 	}
-	ev, err := model.NewEvaluator(net, p, cur, x.Mode)
+	ev, err := model.NewEvaluator(net, p, cur, model.ModeExact)
 	if err != nil {
 		return model.Allocation{}, err
 	}

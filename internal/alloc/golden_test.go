@@ -63,7 +63,6 @@ func TestEFLoRaGolden(t *testing.T) {
 	}{
 		{"fixedtp14", Options{FixedTPdBm: &tp14}},
 		{"randomorder", Options{RandomOrder: true}},
-		{"ppp", Options{Mode: model.ModePPP}},
 		{"starts1", Options{Starts: 1}},
 	}
 	paramVariants := []struct {

@@ -172,7 +172,7 @@ func (h *Hierarchical) AllocateWithReport(net *model.Network, p model.Params, r 
 		return model.Allocation{}, rep, err
 	}
 
-	minEE, err := EvaluateMinEE(net, p, merged, h.opts.Cell.withDefaults().Mode)
+	minEE, err := EvaluateMinEE(net, p, merged, model.ModeExact)
 	if err != nil {
 		return model.Allocation{}, rep, err
 	}

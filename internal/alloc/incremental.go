@@ -76,7 +76,7 @@ func (inc *Incremental) ensureEval() error {
 		return nil
 	}
 	inc.gains = model.Gains(&inc.net, inc.p)
-	ev, err := model.NewEvaluator(&inc.net, inc.p, inc.alloc, inc.opts.Mode)
+	ev, err := model.NewEvaluator(&inc.net, inc.p, inc.alloc, model.ModeExact)
 	if err != nil {
 		return err
 	}
@@ -164,7 +164,7 @@ func (inc *Incremental) AddDevice(pos geo.Point, env int) (int, error) {
 	inc.alloc.TPdBm = append(inc.alloc.TPdBm, tp)
 	inc.alloc.Channel = append(inc.alloc.Channel, 0)
 
-	ev, err := model.NewEvaluator(&inc.net, inc.p, inc.alloc, inc.opts.Mode)
+	ev, err := model.NewEvaluator(&inc.net, inc.p, inc.alloc, model.ModeExact)
 	if err != nil {
 		return 0, err
 	}
@@ -292,7 +292,7 @@ func (inc *Incremental) RemoveDevice(i int) error {
 
 // MinEE evaluates the current allocation's minimum energy efficiency.
 func (inc *Incremental) MinEE() (float64, error) {
-	return EvaluateMinEE(&inc.net, inc.p, inc.alloc, inc.opts.Mode)
+	return EvaluateMinEE(&inc.net, inc.p, inc.alloc, model.ModeExact)
 }
 
 // Reoptimize runs the full EF-LoRa greedy on the current deployment,

@@ -19,8 +19,7 @@ type Strategy struct {
 	// reasonably solve; the tournament skips larger scenario sizes.
 	MaxDevices int
 	// New constructs the allocator. Options fields a strategy does not
-	// understand are ignored (Legacy, ADR, RS-LoRa); FixedTPdBm and Mode
-	// pass through where meaningful.
+	// understand are ignored (Legacy, ADR, RS-LoRa, Anneal, Exhaustive).
 	New func(opts Options) Allocator
 }
 
@@ -51,9 +50,7 @@ func Strategies() []Strategy {
 		{
 			Key:        "anneal",
 			MaxDevices: 2000,
-			New: func(opts Options) Allocator {
-				return Anneal{Mode: opts.Mode}
-			},
+			New:        func(Options) Allocator { return Anneal{} },
 		},
 		{
 			Key:     "hier",
@@ -65,9 +62,7 @@ func Strategies() []Strategy {
 		{
 			Key:        "exhaustive",
 			MaxDevices: 3,
-			New: func(opts Options) Allocator {
-				return Exhaustive{Mode: opts.Mode, RestrictChannels: 2}
-			},
+			New:        func(Options) Allocator { return Exhaustive{RestrictChannels: 2} },
 		},
 	}
 }

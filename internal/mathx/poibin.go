@@ -1,3 +1,6 @@
+// Package mathx supplies the incrementally updatable Poisson-binomial
+// distribution behind the analytical model's gateway-capacity probability
+// (paper Eq. 12).
 package mathx
 
 import (

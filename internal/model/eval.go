@@ -8,21 +8,15 @@ import (
 	"eflora/internal/mathx"
 )
 
-// Mode selects how the evaluator computes the co-SF interference term of
-// the PDR.
+// Mode names the evaluator's interference model. It has one value,
+// ModeExact, and NewEvaluator rejects any other.
 type Mode int
 
-const (
-	// ModeExact models the paper's collision rule directly: a packet
-	// survives at a gateway only if no co-SF co-channel transmission that
-	// is visible to that gateway overlaps it in time (the unslotted-ALOHA
-	// vulnerable window), matching what the packet simulator implements.
-	ModeExact Mode = iota + 1
-	// ModePPP is the paper's reduced-overhead formulation (Eq. 18-20):
-	// co-SF interference enters the SNR through the Laplace transform of
-	// a Poisson point process of the group's density.
-	ModePPP
-)
+// ModeExact models the paper's collision rule directly: a packet survives
+// at a gateway only if no co-SF co-channel transmission that is visible to
+// that gateway overlaps it in time (the unslotted-ALOHA vulnerable window),
+// matching what the packet simulator implements.
+const ModeExact Mode = 1
 
 // group aggregates the devices sharing one (SF, channel) pair.
 type group struct {
@@ -42,7 +36,7 @@ type group struct {
 	minIndex int
 }
 
-// Evaluator computes per-device energy efficiency (paper Eq. 17/18) for a
+// Evaluator computes per-device energy efficiency (paper Eq. 17) for a
 // network under an allocation, with O(G)-per-device incremental updates so
 // the greedy allocator can evaluate candidate re-allocations cheaply.
 //
@@ -57,11 +51,10 @@ type group struct {
 // RecomputeAll, the read paths MinEEIf, MinEEIfAbove and Explain refresh
 // θ rows and reuse scratch buffers.
 type Evaluator struct {
-	net  *Network
-	p    Params
-	mode Mode
-	// interSF is set when the inter-SF extension enters the PDR: ModeExact
-	// with a positive rejection factor.
+	net *Network
+	p   Params
+	// interSF is set when the inter-SF extension enters the PDR: a
+	// positive rejection factor.
 	interSF bool
 
 	n, g, nch int
@@ -74,7 +67,6 @@ type Evaluator struct {
 	floorMW [6]float64 // max(thLin·noise, ss): the binding reception floor
 	noiseMW float64
 	lbits   float64
-	density float64 // devices per m² (for ModePPP)
 
 	// Current assignment.
 	sf    []lora.SF
@@ -149,7 +141,7 @@ type exposure struct {
 }
 
 // NewEvaluator builds an evaluator for the given network, parameters and
-// initial allocation. The mode selects exact or PPP interference handling.
+// initial allocation. The mode must be ModeExact.
 func NewEvaluator(net *Network, p Params, alloc Allocation, mode Mode) (*Evaluator, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -160,23 +152,22 @@ func NewEvaluator(net *Network, p Params, alloc Allocation, mode Mode) (*Evaluat
 	if err := alloc.Validate(net.N(), p); err != nil {
 		return nil, err
 	}
-	if mode != ModeExact && mode != ModePPP {
+	if mode != ModeExact {
 		return nil, fmt.Errorf("model: invalid mode %d", mode)
 	}
 	e := &Evaluator{
-		net:  net,
-		p:    p,
-		mode: mode,
-		n:    net.N(),
-		g:    net.G(),
-		nch:  p.Plan.NumChannels(),
+		net: net,
+		p:   p,
+		n:   net.N(),
+		g:   net.G(),
+		nch: p.Plan.NumChannels(),
 	}
 	e.lbits = p.AppPayloadBits()
 	e.noiseMW = lora.DBmToMilliwatts(p.NoiseDBm)
 	if p.InterSFRejectionDB > 0 {
 		e.interSFRej = lora.DBToLinear(-p.InterSFRejectionDB)
 	}
-	e.interSF = mode == ModeExact && e.interSFRej > 0
+	e.interSF = e.interSFRej > 0
 	for _, s := range lora.SFs() {
 		si := sfIndex(s)
 		e.toaBySF[si] = p.TimeOnAir(s)
@@ -185,7 +176,6 @@ func NewEvaluator(net *Network, p Params, alloc Allocation, mode Mode) (*Evaluat
 		e.floorMW[si] = math.Max(e.thLin[si]*e.noiseMW, e.ssMW[si])
 	}
 	e.gain = Gains(net, p)
-	e.density = deviceDensity(net)
 
 	e.sf = make([]lora.SF, e.n)
 	e.tpDBm = make([]float64, e.n)
@@ -256,27 +246,6 @@ func NewEvaluator(net *Network, p Params, alloc Allocation, mode Mode) (*Evaluat
 	}
 	e.RecomputeAll()
 	return e, nil
-}
-
-// deviceDensity estimates devices per square meter from the deployment's
-// bounding circle around its centroid.
-func deviceDensity(net *Network) float64 {
-	var cx, cy float64
-	for _, d := range net.Devices {
-		cx += d.X
-		cy += d.Y
-	}
-	nf := float64(len(net.Devices))
-	cx /= nf
-	cy /= nf
-	maxR := 1.0
-	for _, d := range net.Devices {
-		r := math.Hypot(d.X-cx, d.Y-cy)
-		if r > maxR {
-			maxR = r
-		}
-	}
-	return nf / (math.Pi * maxR * maxR)
 }
 
 func sfIndex(s lora.SF) int { return int(s) - int(lora.SF7) }
@@ -393,14 +362,8 @@ func (e *Evaluator) eeCompute(i int, s *setting, x *exposure) float64 {
 	theta := e.thetaRow(i)
 	// h is the paper's Eq. 14 contention factor.
 	var h float64
-	if e.mode == ModePPP || e.interSF {
+	if e.interSF {
 		h = 1 - math.Exp(-s.alpha*float64(x.total))
-	}
-	var env PathLoss
-	var lambdaSC float64
-	if e.mode == ModePPP {
-		env = e.p.Environments[e.net.EnvOf(i)]
-		lambdaSC = e.density * float64(x.total) / float64(e.n)
 	}
 	prodFail := 1.0
 	// Collision survival is a SHARED event across gateways: an
@@ -415,41 +378,30 @@ func (e *Evaluator) eeCompute(i int, s *setting, x *exposure) float64 {
 		if pa <= 0 {
 			continue
 		}
-		var pdr float64
-		if e.mode == ModePPP {
-			// Paper Eq. 18: the Laplace transform of PPP interference of
-			// the group's density takes the place of the explicit
-			// collision term.
-			l := mathx.LaplacePPPInterference(th*h/pa, s.tpmw*env.Amplitude(), lambdaSC, env.Exponent)
-			pdr = l * s.fade[k]
-		} else {
-			// Hard-collision model matching the simulator (and the
-			// paper's stated rule): the packet survives only if no
-			// visible co-SF co-channel transmission overlaps its
-			// vulnerable window of ≈ T_i + T_j, i.e. per peer
-			// probability (α_i + α_j)·vis_j, aggregated as
-			// exp(-(α_i·Σvis + Σα_j·vis_j)).
-			visEx, qEx := x.visSum[k], x.qSum[k]
-			if x.withSelf {
-				visEx -= e.vis[i][k]
-				qEx -= e.q[i][k]
-			}
-			wSum += s.vis[k]
-			wExposure += s.vis[k] * (s.alpha*visEx + qEx)
-			pdr = s.fade[k]
-			if e.interSF {
-				// Imperfect-orthogonality extension: co-channel other-SF
-				// power leaks into the SNR denominator, attenuated by
-				// the rejection factor and scaled by the overlap
-				// fraction.
-				floor := math.Max(th*(e.noiseMW+e.interSFRej*h*x.otherSF[k]), ss)
-				pdr = math.Exp(-floor / pa)
-			}
+		// Hard-collision model matching the simulator (and the paper's
+		// stated rule): the packet survives only if no visible co-SF
+		// co-channel transmission overlaps its vulnerable window of
+		// ≈ T_i + T_j, i.e. per peer probability (α_i + α_j)·vis_j,
+		// aggregated as exp(-(α_i·Σvis + Σα_j·vis_j)).
+		visEx, qEx := x.visSum[k], x.qSum[k]
+		if x.withSelf {
+			visEx -= e.vis[i][k]
+			qEx -= e.q[i][k]
+		}
+		wSum += s.vis[k]
+		wExposure += s.vis[k] * (s.alpha*visEx + qEx)
+		pdr := s.fade[k]
+		if e.interSF {
+			// Imperfect-orthogonality extension: co-channel other-SF
+			// power leaks into the SNR denominator, attenuated by the
+			// rejection factor and scaled by the overlap fraction.
+			floor := math.Max(th*(e.noiseMW+e.interSFRej*h*x.otherSF[k]), ss)
+			pdr = math.Exp(-floor / pa)
 		}
 		prodFail *= 1 - theta[k]*pdr
 	}
 	prr := 1 - prodFail
-	if e.mode == ModeExact && wSum > 0 {
+	if wSum > 0 {
 		prr *= math.Exp(-wExposure / wSum)
 	}
 	if e.p.Objective == ObjectiveThroughput {

@@ -35,11 +35,11 @@ func feasibleAllocation(net *Network, p Params) Allocation {
 	return a
 }
 
-func newTestEvaluator(t *testing.T, nDev, nGW int, seed uint64, mode Mode) *Evaluator {
+func newTestEvaluator(t *testing.T, nDev, nGW int, seed uint64) *Evaluator {
 	t.Helper()
 	net := testNetwork(nDev, nGW, seed)
 	p := DefaultParams()
-	e, err := NewEvaluator(net, p, feasibleAllocation(net, p), mode)
+	e, err := NewEvaluator(net, p, feasibleAllocation(net, p), ModeExact)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,8 +51,11 @@ func TestEvaluatorConstructorValidates(t *testing.T) {
 	p := DefaultParams()
 	alloc := feasibleAllocation(net, p)
 
-	if _, err := NewEvaluator(net, p, alloc, Mode(99)); err == nil {
-		t.Error("invalid mode accepted")
+	// Mode(2) is the value the deleted Poisson-point-process mode held.
+	for _, mode := range []Mode{Mode(2), Mode(99)} {
+		if _, err := NewEvaluator(net, p, alloc, mode); err == nil {
+			t.Errorf("invalid mode %d accepted", mode)
+		}
 	}
 	bad := p
 	bad.GatewayCapacity = 0
@@ -70,7 +73,7 @@ func TestEvaluatorConstructorValidates(t *testing.T) {
 }
 
 func TestEEValuesSane(t *testing.T) {
-	e := newTestEvaluator(t, 200, 3, 42, ModeExact)
+	e := newTestEvaluator(t, 200, 3, 42)
 	for i, ee := range e.EEAll() {
 		if ee < 0 || math.IsNaN(ee) || math.IsInf(ee, 0) {
 			t.Fatalf("EE[%d] = %v", i, ee)
@@ -99,7 +102,7 @@ func TestEEValuesSane(t *testing.T) {
 }
 
 func TestMinEEMatchesEEAll(t *testing.T) {
-	e := newTestEvaluator(t, 150, 2, 7, ModeExact)
+	e := newTestEvaluator(t, 150, 2, 7)
 	min, idx := e.MinEE()
 	all := e.EEAll()
 	want := math.Inf(1)
@@ -158,7 +161,7 @@ func TestSetDeviceMatchesFreshEvaluator(t *testing.T) {
 }
 
 func TestSetDeviceRejectsInvalid(t *testing.T) {
-	e := newTestEvaluator(t, 10, 1, 1, ModeExact)
+	e := newTestEvaluator(t, 10, 1, 1)
 	if err := e.SetDevice(-1, lora.SF7, 14, 0); err == nil {
 		t.Error("negative index accepted")
 	}
@@ -210,7 +213,7 @@ func TestMinEEIfAgreesWithCommit(t *testing.T) {
 }
 
 func TestMinEEIfDoesNotMutate(t *testing.T) {
-	e := newTestEvaluator(t, 50, 2, 13, ModeExact)
+	e := newTestEvaluator(t, 50, 2, 13)
 	before, _ := e.MinEE()
 	beforeAll := e.EEAll()
 	_ = e.MinEEIf(7, lora.SF12, 2, 4)
@@ -311,53 +314,6 @@ func TestMoreGatewaysImprovePRR(t *testing.T) {
 	}
 }
 
-func TestPPPModeRoughlyTracksExact(t *testing.T) {
-	// The PPP/Laplace fast path is an approximation; require agreement on
-	// ordering and coarse magnitude for the minimum EE.
-	net := testNetwork(300, 3, 29)
-	p := DefaultParams()
-	a := feasibleAllocation(net, p)
-	exact, err := NewEvaluator(net, p, a, ModeExact)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ppp, err := NewEvaluator(net, p, a, ModePPP)
-	if err != nil {
-		t.Fatal(err)
-	}
-	me, _ := exact.MinEE()
-	mp, _ := ppp.MinEE()
-	if me <= 0 || mp <= 0 {
-		t.Fatalf("non-positive minima: exact %v, ppp %v", me, mp)
-	}
-	// The PPP/Laplace formulation integrates interferers arbitrarily
-	// close to each gateway and is therefore systematically pessimistic
-	// versus the hard-collision exact mode; require the right ordering
-	// and a strong per-device correlation rather than a tight ratio.
-	if mp > me*1.5 {
-		t.Errorf("PPP min EE %v should not exceed exact %v", mp, me)
-	}
-	exEE, ppEE := exact.EEAll(), ppp.EEAll()
-	var sx, sy float64
-	for i := range exEE {
-		sx += exEE[i]
-		sy += ppEE[i]
-	}
-	mx, my := sx/float64(len(exEE)), sy/float64(len(ppEE))
-	var cov, vx, vy float64
-	for i := range exEE {
-		cov += (exEE[i] - mx) * (ppEE[i] - my)
-		vx += (exEE[i] - mx) * (exEE[i] - mx)
-		vy += (ppEE[i] - my) * (ppEE[i] - my)
-	}
-	if vx > 0 && vy > 0 {
-		corr := cov / math.Sqrt(vx*vy)
-		if corr < 0.5 {
-			t.Errorf("exact-vs-PPP EE correlation = %v, want > 0.5", corr)
-		}
-	}
-}
-
 func TestInterSFExtensionReducesEE(t *testing.T) {
 	net := testNetwork(200, 2, 31)
 	p := DefaultParams()
@@ -408,7 +364,7 @@ func TestPerDeviceIntervalExtension(t *testing.T) {
 }
 
 func TestAllocationSnapshotRoundTrip(t *testing.T) {
-	e := newTestEvaluator(t, 30, 2, 41, ModeExact)
+	e := newTestEvaluator(t, 30, 2, 41)
 	if err := e.SetDevice(4, lora.SF11, 8, 2); err != nil {
 		t.Fatal(err)
 	}

@@ -50,9 +50,7 @@ type Breakdown struct {
 }
 
 // Explain decomposes device i's cached energy efficiency into its
-// physical factors, for debugging allocations and reporting. It is valid
-// for ModeExact evaluators; PPP mode folds interference into a Laplace
-// factor that has no per-gateway decomposition.
+// physical factors, for debugging allocations and reporting.
 func (e *Evaluator) Explain(i int) Breakdown {
 	gr := e.groupOf(e.sf[i], e.ch[i])
 	sf := e.sf[i]

@@ -10,7 +10,7 @@ import (
 )
 
 func TestExplainConsistentWithEE(t *testing.T) {
-	e := newTestEvaluator(t, 120, 3, 51, ModeExact)
+	e := newTestEvaluator(t, 120, 3, 51)
 	for i := 0; i < 120; i += 7 {
 		b := e.Explain(i)
 		if b.Device != i {
@@ -41,7 +41,7 @@ func TestExplainConsistentWithEE(t *testing.T) {
 
 func TestExplainReconstructsPRR(t *testing.T) {
 	// PRR must equal collisionSurvival * (1 - prod(1 - theta*pFade)).
-	e := newTestEvaluator(t, 60, 2, 53, ModeExact)
+	e := newTestEvaluator(t, 60, 2, 53)
 	for i := 0; i < 60; i++ {
 		b := e.Explain(i)
 		prodFail := 1.0
@@ -83,7 +83,7 @@ func TestExplainMarginMatchesDistance(t *testing.T) {
 }
 
 func TestExplainString(t *testing.T) {
-	e := newTestEvaluator(t, 20, 2, 57, ModeExact)
+	e := newTestEvaluator(t, 20, 2, 57)
 	s := e.Explain(3).String()
 	for _, want := range []string{"device 3", "PRR", "gw 0", "gw 1", "margin"} {
 		if !strings.Contains(s, want) {

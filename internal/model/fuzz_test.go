@@ -40,10 +40,10 @@ func fuzzEvalScenario(seed, knobs uint64) (*Network, Params, Allocation) {
 }
 
 // FuzzEvaluatorConsistency drives the incremental evaluator through a
-// random SetDevice burst in both interference modes, then checks every
-// cached metric against a freshly constructed evaluator (after the
-// RecomputeAll flush). This is the strongest guard on the incremental
-// group/exposure/capacity bookkeeping the allocator relies on.
+// random SetDevice burst, then checks every cached metric against a
+// freshly constructed evaluator (after the RecomputeAll flush). This is
+// the strongest guard on the incremental group/exposure/capacity
+// bookkeeping the allocator relies on.
 func FuzzEvaluatorConsistency(f *testing.F) {
 	for v := uint64(0); v < 5; v++ {
 		f.Add(uint64(20260706)+v, v)
@@ -51,47 +51,45 @@ func FuzzEvaluatorConsistency(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed, knobs uint64) {
 		net, p, a := fuzzEvalScenario(seed, knobs)
 		tpLevels := p.Plan.TxPowerLevels()
-		for _, mode := range []Mode{ModeExact, ModePPP} {
-			r := rng.New(seed ^ 0xa0761d6478bd642f)
-			ev, err := NewEvaluator(net, p, a, mode)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for op := 0; op < 60; op++ {
-				i := r.Intn(net.N())
-				sf := lora.SF7 + lora.SF(r.Intn(6))
-				tp := tpLevels[r.Intn(len(tpLevels))]
-				ch := r.Intn(p.Plan.NumChannels())
-				// Interleave trials (must not mutate) with commits.
-				if op%3 == 0 {
-					before, _ := ev.MinEE()
-					_ = ev.MinEEIf(i, sf, tp, ch)
-					after, _ := ev.MinEE()
-					if before != after {
-						t.Fatalf("mode %d: MinEEIf mutated state (%v -> %v)", mode, before, after)
-					}
-					continue
+		r := rng.New(seed ^ 0xa0761d6478bd642f)
+		ev, err := NewEvaluator(net, p, a, ModeExact)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for op := 0; op < 60; op++ {
+			i := r.Intn(net.N())
+			sf := lora.SF7 + lora.SF(r.Intn(6))
+			tp := tpLevels[r.Intn(len(tpLevels))]
+			ch := r.Intn(p.Plan.NumChannels())
+			// Interleave trials (must not mutate) with commits.
+			if op%3 == 0 {
+				before, _ := ev.MinEE()
+				_ = ev.MinEEIf(i, sf, tp, ch)
+				after, _ := ev.MinEE()
+				if before != after {
+					t.Fatalf("MinEEIf mutated state (%v -> %v)", before, after)
 				}
-				if err := ev.SetDevice(i, sf, tp, ch); err != nil {
-					t.Fatalf("SetDevice: %v", err)
-				}
+				continue
 			}
-			ev.RecomputeAll()
-			fresh, err := NewEvaluator(net, p, ev.Allocation(), mode)
-			if err != nil {
-				t.Fatalf("fresh: %v", err)
+			if err := ev.SetDevice(i, sf, tp, ch); err != nil {
+				t.Fatalf("SetDevice: %v", err)
 			}
-			got, want := ev.EEAll(), fresh.EEAll()
-			for i := range got {
-				if math.Abs(got[i]-want[i]) > 1e-9*math.Max(1e-12, math.Abs(want[i])) {
-					t.Fatalf("mode %d: EE[%d] incremental %v vs fresh %v", mode, i, got[i], want[i])
-				}
+		}
+		ev.RecomputeAll()
+		fresh, err := NewEvaluator(net, p, ev.Allocation(), ModeExact)
+		if err != nil {
+			t.Fatalf("fresh: %v", err)
+		}
+		got, want := ev.EEAll(), fresh.EEAll()
+		for i := range got {
+			if math.Abs(got[i]-want[i]) > 1e-9*math.Max(1e-12, math.Abs(want[i])) {
+				t.Fatalf("EE[%d] incremental %v vs fresh %v", i, got[i], want[i])
 			}
-			gm, gi := ev.MinEE()
-			fm, fi := fresh.MinEE()
-			if math.Abs(gm-fm) > 1e-9*math.Max(1e-12, math.Abs(fm)) || gi != fi {
-				t.Fatalf("mode %d: MinEE (%v, %d) vs fresh (%v, %d)", mode, gm, gi, fm, fi)
-			}
+		}
+		gm, gi := ev.MinEE()
+		fm, fi := fresh.MinEE()
+		if math.Abs(gm-fm) > 1e-9*math.Max(1e-12, math.Abs(fm)) || gi != fi {
+			t.Fatalf("MinEE (%v, %d) vs fresh (%v, %d)", gm, gi, fm, fi)
 		}
 	})
 }
@@ -159,9 +157,9 @@ func checkPrologue(t *testing.T, ev *Evaluator, i int, sf lora.SF, tpDBm float64
 }
 
 // FuzzEvaluatorRowsFresh interleaves commits, flushes and candidate
-// probes at random, in both interference modes, and checks after every
-// step that no committed row or candidate prologue the evaluator would
-// serve is stale (checkRowsFresh, checkPrologue). FuzzEvaluatorConsistency compares state only after a
+// probes at random, and checks after every step that no committed row or
+// candidate prologue the evaluator would serve is stale (checkRowsFresh,
+// checkPrologue). FuzzEvaluatorConsistency compares state only after a
 // RecomputeAll flush, so it cannot see a commit that forgets to bump the
 // epoch; this target can.
 func FuzzEvaluatorRowsFresh(f *testing.F) {
@@ -172,147 +170,139 @@ func FuzzEvaluatorRowsFresh(f *testing.F) {
 		net, p, a := fuzzEvalScenario(seed, knobs)
 		tpLevels := p.Plan.TxPowerLevels()
 		nch := p.Plan.NumChannels()
-		for _, mode := range []Mode{ModeExact, ModePPP} {
-			ev, err := NewEvaluator(net, p, a, mode)
-			if err != nil {
-				t.Fatal(err)
-			}
-			checkRowsFresh(t, ev, "NewEvaluator")
-			r := rng.New(seed ^ 0x5851f42d4c957f2d)
-			served := 0
-			for op := 0; op < 80; op++ {
-				i := r.Intn(net.N())
-				sf := lora.SF7 + lora.SF(r.Intn(6))
-				tp := tpLevels[r.Intn(len(tpLevels))]
-				var step string
-				switch r.Intn(8) {
-				case 0, 1, 2:
-					step = fmt.Sprintf("op %d SetDevice(%d)", op, i)
-					if err := ev.SetDevice(i, sf, tp, r.Intn(nch)); err != nil {
-						t.Fatalf("%s: %v", step, err)
-					}
-				case 3:
-					step = fmt.Sprintf("op %d RecomputeAll", op)
-					ev.RecomputeAll()
-				case 4, 5:
-					step = fmt.Sprintf("op %d MinEEIf(%d)", op, i)
-					ev.MinEEIf(i, sf, tp, r.Intn(nch))
-					checkPrologue(t, ev, i, sf, tp, step)
-				default:
-					// Every TP level and channel of one (device, SF) in
-					// the greedy's order, so a kept prologue is reused
-					// across channels and must be replaced across powers.
-					step = fmt.Sprintf("op %d MinEEIfAbove(%d, %v) over all powers and channels", op, i, sf)
-					cur, _ := ev.MinEE()
-					for _, tp := range tpLevels {
-						for ch := 0; ch < nch; ch++ {
-							ev.MinEEIfAbove(i, sf, tp, ch, cur)
-						}
-						checkPrologue(t, ev, i, sf, tp, step)
-					}
+		ev, err := NewEvaluator(net, p, a, ModeExact)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkRowsFresh(t, ev, "NewEvaluator")
+		r := rng.New(seed ^ 0x5851f42d4c957f2d)
+		served := 0
+		for op := 0; op < 80; op++ {
+			i := r.Intn(net.N())
+			sf := lora.SF7 + lora.SF(r.Intn(6))
+			tp := tpLevels[r.Intn(len(tpLevels))]
+			var step string
+			switch r.Intn(8) {
+			case 0, 1, 2:
+				step = fmt.Sprintf("op %d SetDevice(%d)", op, i)
+				if err := ev.SetDevice(i, sf, tp, r.Intn(nch)); err != nil {
+					t.Fatalf("%s: %v", step, err)
 				}
-				served += checkRowsFresh(t, ev, fmt.Sprintf("mode %d %s", mode, step))
+			case 3:
+				step = fmt.Sprintf("op %d RecomputeAll", op)
+				ev.RecomputeAll()
+			case 4, 5:
+				step = fmt.Sprintf("op %d MinEEIf(%d)", op, i)
+				ev.MinEEIf(i, sf, tp, r.Intn(nch))
+				checkPrologue(t, ev, i, sf, tp, step)
+			default:
+				// Every TP level and channel of one (device, SF) in
+				// the greedy's order, so a kept prologue is reused
+				// across channels and must be replaced across powers.
+				step = fmt.Sprintf("op %d MinEEIfAbove(%d, %v) over all powers and channels", op, i, sf)
+				cur, _ := ev.MinEE()
+				for _, tp := range tpLevels {
+					for ch := 0; ch < nch; ch++ {
+						ev.MinEEIfAbove(i, sf, tp, ch, cur)
+					}
+					checkPrologue(t, ev, i, sf, tp, step)
+				}
 			}
-			if served == 0 {
-				t.Fatalf("mode %d: no θ row was current at any check", mode)
-			}
+			served += checkRowsFresh(t, ev, step)
+		}
+		if served == 0 {
+			t.Fatal("no θ row was current at any check")
 		}
 	})
 }
 
 // FuzzEvaluatorInvariants checks physical invariants across fuzz-chosen
-// configurations and both interference modes: EE and PRR are finite,
-// non-negative and PRR <= 1.
+// configurations: EE and PRR are finite, non-negative and PRR <= 1.
 func FuzzEvaluatorInvariants(f *testing.F) {
 	for trial := uint64(0); trial < 10; trial++ {
 		f.Add(uint64(424242)+trial, trial)
 	}
 	f.Fuzz(func(t *testing.T, seed, knobs uint64) {
 		net, p, a := fuzzEvalScenario(seed, knobs)
-		for _, mode := range []Mode{ModeExact, ModePPP} {
-			ev, err := NewEvaluator(net, p, a, mode)
-			if err != nil {
-				t.Fatal(err)
+		ev, err := NewEvaluator(net, p, a, ModeExact)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < net.N(); i++ {
+			ee := ev.EE(i)
+			prr := ev.PRR(i)
+			if math.IsNaN(ee) || math.IsInf(ee, 0) || ee < 0 {
+				t.Fatalf("EE[%d] = %v", i, ee)
 			}
-			for i := 0; i < net.N(); i++ {
-				ee := ev.EE(i)
-				prr := ev.PRR(i)
-				if math.IsNaN(ee) || math.IsInf(ee, 0) || ee < 0 {
-					t.Fatalf("mode %d: EE[%d] = %v", mode, i, ee)
-				}
-				if prr < -1e-9 || prr > 1+1e-9 {
-					t.Fatalf("mode %d: PRR[%d] = %v", mode, i, prr)
-				}
+			if prr < -1e-9 || prr > 1+1e-9 {
+				t.Fatalf("PRR[%d] = %v", i, prr)
 			}
 		}
 	})
 }
 
 // checkBlockingGroupsSound drives one fuzz scenario through a random
-// SetDevice burst in both interference modes, then checks the pruning
-// rule against MinEEIfAbove: every (SF, TP, channel) move that
-// BlockingGroups rules out for a device must evaluate to at most the
-// threshold, at t = MinEE() and at thresholds above it (the runner-up
-// group minimum exactly, and halfway to the largest EE). It returns how
-// many verdicts ruled out every move of a device and how many left
-// exactly one group.
+// SetDevice burst, then checks the pruning rule against MinEEIfAbove:
+// every (SF, TP, channel) move that BlockingGroups rules out for a device
+// must evaluate to at most the threshold, at t = MinEE() and at
+// thresholds above it (the runner-up group minimum exactly, and halfway
+// to the largest EE). It returns how many verdicts ruled out every move
+// of a device and how many left exactly one group.
 func checkBlockingGroupsSound(t *testing.T, seed, knobs uint64) (skipAll, oneGroup int) {
 	t.Helper()
 	net, p, a := fuzzEvalScenario(seed, knobs)
 	tpLevels := p.Plan.TxPowerLevels()
 	nch := p.Plan.NumChannels()
-	for _, mode := range []Mode{ModeExact, ModePPP} {
-		ev, err := NewEvaluator(net, p, a, mode)
-		if err != nil {
-			t.Fatal(err)
+	ev, err := NewEvaluator(net, p, a, ModeExact)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rng.New(seed ^ 0x9e3779b97f4a7c15)
+	for op := 0; op < 40; op++ {
+		i := r.Intn(net.N())
+		sf := lora.SF7 + lora.SF(r.Intn(6))
+		if err := ev.SetDevice(i, sf, tpLevels[r.Intn(len(tpLevels))], r.Intn(nch)); err != nil {
+			t.Fatalf("SetDevice: %v", err)
 		}
-		r := rng.New(seed ^ 0x9e3779b97f4a7c15)
-		for op := 0; op < 40; op++ {
-			i := r.Intn(net.N())
-			sf := lora.SF7 + lora.SF(r.Intn(6))
-			if err := ev.SetDevice(i, sf, tpLevels[r.Intn(len(tpLevels))], r.Intn(nch)); err != nil {
-				t.Fatalf("SetDevice: %v", err)
+	}
+	// The scan runs on exactly this state: SetDevice refreshed only the
+	// two groups it touched, so other group minima may be stale.
+	minEE, _ := ev.MinEE()
+	maxEE := math.Inf(-1)
+	for _, ee := range ev.EEAll() {
+		maxEE = math.Max(maxEE, ee)
+	}
+	// The runner-up group minimum sits exactly on a second group's
+	// cached value, the boundary of the rule's "at or below".
+	runnerUp := math.Inf(1)
+	for _, gr := range ev.groups {
+		if gr.minEE > minEE && gr.minEE < runnerUp {
+			runnerUp = gr.minEE
+		}
+	}
+	thresholds := []float64{minEE, minEE + (maxEE-minEE)/2}
+	if !math.IsInf(runnerUp, 1) {
+		thresholds = append(thresholds, runnerUp)
+	}
+	for _, th := range thresholds {
+		for i := 0; i < net.N(); i++ {
+			n, bsf, bch := ev.BlockingGroups(i, th)
+			switch {
+			case n >= 2:
+				skipAll++
+			case n == 1:
+				oneGroup++
 			}
-		}
-		// The scan runs on exactly this state: SetDevice refreshed only the
-		// two groups it touched, so other group minima may be stale.
-		minEE, _ := ev.MinEE()
-		maxEE := math.Inf(-1)
-		for _, ee := range ev.EEAll() {
-			maxEE = math.Max(maxEE, ee)
-		}
-		// The runner-up group minimum sits exactly on a second group's
-		// cached value, the boundary of the rule's "at or below".
-		runnerUp := math.Inf(1)
-		for _, gr := range ev.groups {
-			if gr.minEE > minEE && gr.minEE < runnerUp {
-				runnerUp = gr.minEE
-			}
-		}
-		thresholds := []float64{minEE, minEE + (maxEE-minEE)/2}
-		if !math.IsInf(runnerUp, 1) {
-			thresholds = append(thresholds, runnerUp)
-		}
-		for _, th := range thresholds {
-			for i := 0; i < net.N(); i++ {
-				n, bsf, bch := ev.BlockingGroups(i, th)
-				switch {
-				case n >= 2:
-					skipAll++
-				case n == 1:
-					oneGroup++
-				}
-				for _, sf := range lora.SFs() {
-					for _, tp := range tpLevels {
-						for ch := 0; ch < nch; ch++ {
-							if n == 0 || (n == 1 && sf == bsf && ch == bch) {
-								continue
-							}
-							if got := ev.MinEEIfAbove(i, sf, tp, ch, th); got > th {
-								t.Fatalf("mode %d: device %d move (%v, %v dBm, ch %d) ruled out at t=%v "+
-									"(%d blocking groups, first %v/ch %d) but MinEEIfAbove = %v",
-									mode, i, sf, tp, ch, th, n, bsf, bch, got)
-							}
+			for _, sf := range lora.SFs() {
+				for _, tp := range tpLevels {
+					for ch := 0; ch < nch; ch++ {
+						if n == 0 || (n == 1 && sf == bsf && ch == bch) {
+							continue
+						}
+						if got := ev.MinEEIfAbove(i, sf, tp, ch, th); got > th {
+							t.Fatalf("device %d move (%v, %v dBm, ch %d) ruled out at t=%v "+
+								"(%d blocking groups, first %v/ch %d) but MinEEIfAbove = %v",
+								i, sf, tp, ch, th, n, bsf, bch, got)
 						}
 					}
 				}

@@ -3,8 +3,7 @@
 // (Eq. 8/16), ALOHA contention (Eq. 14-15), per-link packet delivery ratio
 // under Rayleigh fading (Eq. 10), the gateway eight-packet capacity factor
 // (Eq. 12), multi-gateway packet reception ratio (Eq. 13) and per-device
-// energy efficiency (Eq. 17), including the fast Laplace-transform form on
-// a Poisson point process (Eq. 18-20).
+// energy efficiency (Eq. 17).
 package model
 
 import (
@@ -76,14 +75,6 @@ func (pl PathLoss) Gain(d float64) float64 {
 // GainDB returns the attenuation in dB (a negative number).
 func (pl PathLoss) GainDB(d float64) float64 {
 	return 10 * math.Log10(pl.Gain(d))
-}
-
-// Amplitude returns the constant A of the power-law form a(d) ≈ A·d^{-β},
-// i.e. (c/(4π·f))^β. The stochastic-geometry Laplace transform (paper
-// Eq. 19) needs this amplitude to keep the attenuation function's units
-// consistent; for NLoS models it approximates the base slope only.
-func (pl PathLoss) Amplitude() float64 {
-	return math.Pow(SpeedOfLight/(4*math.Pi*pl.FrequencyHz), pl.Exponent)
 }
 
 // MaxRange returns the largest distance at which a transmitter at tpDBm is

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"eflora/internal/alloc"
 	"eflora/internal/geo"
 	"eflora/internal/lora"
 	"eflora/internal/model"
@@ -110,5 +111,68 @@ func TestModelSimConformance(t *testing.T) {
 	simMean := stats.Mean(simAll)
 	if gap := math.Abs(modelMean - simMean); gap > 0.02 {
 		t.Errorf("network-mean PRR: model %.4f vs sim %.4f (gap %.4f > 0.02)", modelMean, simMean, gap)
+	}
+}
+
+// TestModelSimConformancePaperRegime checks the network-mean PRR at the
+// paper's Fig. 6 operating point: 600 devices and 3 gateways on the 5 km
+// disc at 5 % duty, under an RS-LoRa allocation, with the simulator
+// averaged over 4 seeds × 40 packets. Here the model is pessimistic: over
+// deployments 1–10 its mean PRR sat 0.052–0.064 below the simulator's
+// (EF-LoRa allocations of deployments 1–3 gave 0.052–0.057), and the
+// simulator's seed-to-seed spread stayed under 0.004. The known
+// candidates for that gap are the approximations named above, the
+// shared-collision weighting and θ's independence assumption. So the
+// band is one-sided: the model may sit up to 0.08 below the simulator,
+// above every measured deployment, but no more than 0.02 above it, the
+// light-load test's bound. Dropping the capacity factor (θ forced to 1)
+// moves the gap to +0.033 and fails it.
+func TestModelSimConformancePaperRegime(t *testing.T) {
+	const (
+		devices = 600
+		gw      = 3
+		radiusM = 5000
+		seeds   = 4
+		packets = 40
+		// maxBelow and maxAbove bound model − sim on either side.
+		maxBelow = 0.08
+		maxAbove = 0.02
+	)
+	net := &model.Network{
+		Devices:  geo.UniformDisc(devices, radiusM, rng.New(1)),
+		Gateways: geo.GridGateways(gw, radiusM),
+	}
+	p := model.DefaultParams()
+	p.TrafficDutyCycle = 0.05
+	a, err := alloc.RSLoRa{}.Allocate(net, p, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev, err := model.NewEvaluator(net, p, a, model.ModeExact)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var modelMean float64
+	for i := 0; i < devices; i++ {
+		modelMean += ev.PRR(i)
+	}
+	modelMean /= devices
+
+	sc := new(Scratch)
+	simMeans := make([]float64, 0, seeds)
+	for s := uint64(1); s <= seeds; s++ {
+		res, err := Run(net, p, a, Config{PacketsPerDevice: packets, Seed: s, Scratch: sc})
+		if err != nil {
+			t.Fatal(err)
+		}
+		simMeans = append(simMeans, stats.Mean(res.PRR))
+	}
+	simMean := stats.Mean(simMeans)
+	gap := modelMean - simMean
+	t.Logf("network-mean PRR: model %.4f, sim %.4f (per seed %.4f); model - sim = %+.4f",
+		modelMean, simMean, simMeans, gap)
+	if gap < -maxBelow || gap > maxAbove {
+		t.Errorf("network-mean PRR: model %.4f vs sim %.4f (model - sim = %+.4f, want within [-%.2f, +%.2f])",
+			modelMean, simMean, gap, maxBelow, maxAbove)
 	}
 }
