@@ -69,7 +69,6 @@ func TestEFLoRaGolden(t *testing.T) {
 		name string
 		edit func(*model.Params)
 	}{
-		{"intersf16", func(p *model.Params) { p.InterSFRejectionDB = 16 }},
 		{"throughput", func(p *model.Params) { p.Objective = model.ObjectiveThroughput }},
 		{"capacity2", func(p *model.Params) { p.GatewayCapacity = 2 }},
 	}

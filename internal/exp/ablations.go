@@ -130,37 +130,6 @@ func runAblationCapture(cfg Config) (*Result, error) {
 	return &Result{Text: b.String(), Values: values}, nil
 }
 
-// runAblationInterSF quantifies the imperfect-orthogonality extension the
-// paper defers to future work: co-channel transmissions with different SFs
-// leak into the SNR with 16 dB rejection.
-func runAblationInterSF(cfg Config) (*Result, error) {
-	devices := cfg.scaled(2000)
-	values := make(map[string]float64)
-	var rows [][]string
-	for _, rej := range []float64{0, 16} {
-		p := cfg.params(nil)
-		p.InterSFRejectionDB = rej
-		ts, err := runMethodTrials(cfg, devices, 3, &p, "eflora", alloc.Options{})
-		if err != nil {
-			return nil, err
-		}
-		label, key := "orthogonal SFs (paper)", "orthogonal"
-		if rej > 0 {
-			label, key = "16 dB inter-SF rejection", "intersf"
-		}
-		values[key+"_minEE"] = ts.MinEE
-		rows = append(rows, []string{label, bpmJ(ts.MinEE)})
-	}
-	var b strings.Builder
-	b.WriteString(plot.Table([]string{"Orthogonality model", "min EE (bits/mJ)"}, rows))
-	if values["orthogonal_minEE"] > 0 {
-		loss := 1 - values["intersf_minEE"]/values["orthogonal_minEE"]
-		values["intersf_loss"] = loss
-		fmt.Fprintf(&b, "\nImperfect orthogonality changes the allocated min EE by %+.1f%%.\n", -loss*100)
-	}
-	return &Result{Text: b.String(), Values: values}, nil
-}
-
 // runAblationConfirmed compares the ETX-scaled lifetime approximation with
 // a true confirmed-traffic simulation, where retransmission load feeds
 // back into collisions.

@@ -122,7 +122,6 @@ var registry = []runner{
 	{"ablation-adr", "Ablation: closed-loop LoRaWAN ADR convergence vs one-shot EF-LoRa", runAblationADR},
 	{"ablation-capture", "Ablation: destroy-both collision rule vs 6 dB capture", runAblationCapture},
 	{"ablation-confirmed", "Ablation: ETX lifetime approximation vs confirmed-traffic simulation", runAblationConfirmed},
-	{"ablation-intersf", "Ablation: perfect vs imperfect SF orthogonality", runAblationInterSF},
 	{"ablation-order", "Ablation: density-first vs random device ordering", runAblationOrder},
 }
 

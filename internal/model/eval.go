@@ -24,9 +24,6 @@ type group struct {
 	// follow through Evaluator.next. count is the number of members.
 	head  int32
 	count int
-	// sumPG[k] = Σ_{j in group} p_j·gain_{j,k} (mW): the mean co-channel
-	// power used by the inter-SF soft-interference extension.
-	sumPG []float64
 	// visSum[k] = Σ_j vis_{j,k} and qSum[k] = Σ_j α_j·vis_{j,k}: the
 	// collision-exposure sums of the hard overlap rule.
 	visSum, qSum []float64
@@ -53,19 +50,14 @@ type group struct {
 type Evaluator struct {
 	net *Network
 	p   Params
-	// interSF is set when the inter-SF extension enters the PDR: a
-	// positive rejection factor.
-	interSF bool
 
 	n, g, nch int
 
 	// Static caches; the per-SF arrays are indexed by sfIndex.
 	gain    [][]float64 // [device][gateway] linear attenuation
 	toaBySF [6]float64
-	thLin   [6]float64 // linear SNR threshold
 	ssMW    [6]float64 // sensitivity in mW
-	floorMW [6]float64 // max(thLin·noise, ss): the binding reception floor
-	noiseMW float64
+	floorMW [6]float64 // max(SNR threshold·noise, ss): the binding reception floor
 	lbits   float64
 
 	// Current assignment.
@@ -79,7 +71,7 @@ type Evaluator struct {
 	// Committed rows, [device][gateway], sharing one backing array.
 	vis  [][]float64 // P{signal clears sensitivity} = exp(-ss/pa)
 	q    [][]float64 // α·vis, the capacity trial prob
-	fade [][]float64 // exp(-floor/pa): the fading PDR without inter-SF power
+	fade [][]float64 // exp(-floor/pa): the fading PDR
 	// theta is the capacity factor θ (paper Eq. 12); row j is valid while
 	// thetaEpoch[j] == epoch (see thetaRow).
 	theta      [][]float64
@@ -87,7 +79,6 @@ type Evaluator struct {
 	epoch      uint64
 
 	groups []group // [sfIndex*nch + channel]
-	chSum  [][]float64
 	capDP  []*mathx.PoissonBinomial
 
 	// next[j] and prev[j] are device j's neighbours in its group's member
@@ -95,14 +86,12 @@ type Evaluator struct {
 	// allocates.
 	next, prev []int32
 
-	interSFRej float64 // linear rejection factor; 0 disables
-
 	ee []float64
 
 	// MinEEIfAbove scratch: the last candidate's prologue, and the
-	// exposure sums and other-SF power of the group being scanned.
-	cand               prologue
-	visX, qX, otherSFX []float64
+	// exposure sums of the group being scanned.
+	cand     prologue
+	visX, qX []float64
 }
 
 // setting is one device's (SF, power) choice together with the factors
@@ -128,16 +117,11 @@ type prologue struct {
 // exposure is what the members of one (SF, channel) group face under the
 // committed allocation or a candidate move.
 type exposure struct {
-	// total is the group's device count.
-	total int
 	// visSum[k] and qSum[k] sum vis and α·vis at gateway k over the
 	// group. With withSelf set they include the evaluated device's
 	// committed row, which eeCompute subtracts.
 	visSum, qSum []float64
 	withSelf     bool
-	// otherSF[k] is the co-channel other-SF mean power (mW) at gateway k;
-	// set only when the inter-SF extension is on.
-	otherSF []float64
 }
 
 // NewEvaluator builds an evaluator for the given network, parameters and
@@ -163,17 +147,13 @@ func NewEvaluator(net *Network, p Params, alloc Allocation, mode Mode) (*Evaluat
 		nch: p.Plan.NumChannels(),
 	}
 	e.lbits = p.AppPayloadBits()
-	e.noiseMW = lora.DBmToMilliwatts(p.NoiseDBm)
-	if p.InterSFRejectionDB > 0 {
-		e.interSFRej = lora.DBToLinear(-p.InterSFRejectionDB)
-	}
-	e.interSF = e.interSFRej > 0
+	noiseMW := lora.DBmToMilliwatts(p.NoiseDBm)
 	for _, s := range lora.SFs() {
 		si := sfIndex(s)
+		thLin := lora.DBToLinear(lora.SNRThresholdDB(s))
 		e.toaBySF[si] = p.TimeOnAir(s)
-		e.thLin[si] = lora.DBToLinear(lora.SNRThresholdDB(s))
 		e.ssMW[si] = lora.DBmToMilliwatts(lora.SensitivityDBm(s))
-		e.floorMW[si] = math.Max(e.thLin[si]*e.noiseMW, e.ssMW[si])
+		e.floorMW[si] = math.Max(thLin*noiseMW, e.ssMW[si])
 	}
 	e.gain = Gains(net, p)
 
@@ -186,9 +166,9 @@ func NewEvaluator(net *Network, p Params, alloc Allocation, mode Mode) (*Evaluat
 	e.ee = make([]float64, e.n)
 	e.thetaEpoch = make([]uint64, e.n)
 	// One backing array for every per-gateway row and buffer: the
-	// committed rows, the groups' and channels' sums, and the scratch.
+	// committed rows, the groups' sums and the scratch.
 	ng := len(lora.SFs()) * e.nch
-	buf := make([]float64, (4*e.n+3*ng+e.nch+6)*e.g)
+	buf := make([]float64, (4*e.n+2*ng+5)*e.g)
 	row := func() []float64 {
 		r := buf[:e.g:e.g]
 		buf = buf[e.g:]
@@ -205,21 +185,16 @@ func NewEvaluator(net *Network, p Params, alloc Allocation, mode Mode) (*Evaluat
 	for gi := range e.groups {
 		e.groups[gi] = group{
 			head:     -1,
-			sumPG:    row(),
 			visSum:   row(),
 			qSum:     row(),
 			minEE:    math.Inf(1),
 			minIndex: -1,
 		}
 	}
-	e.chSum = make([][]float64, e.nch)
-	for c := range e.chSum {
-		e.chSum[c] = row()
-	}
 	e.next = make([]int32, e.n)
 	e.prev = make([]int32, e.n)
 	e.cand = prologue{i: -1, setting: setting{vis: row(), fade: row()}, q: row()}
-	e.visX, e.qX, e.otherSFX = row(), row(), row()
+	e.visX, e.qX = row(), row()
 	copy(e.sf, alloc.SF)
 	copy(e.tpDBm, alloc.TPdBm)
 	copy(e.ch, alloc.Channel)
@@ -234,10 +209,8 @@ func NewEvaluator(net *Network, p Params, alloc Allocation, mode Mode) (*Evaluat
 		gr := e.groupOf(e.sf[i], e.ch[i])
 		e.link(gr, i)
 		for k := 0; k < e.g; k++ {
-			gr.sumPG[k] += e.tpMW[i] * e.gain[i][k]
 			gr.visSum[k] += e.vis[i][k]
 			gr.qSum[k] += e.q[i][k]
-			e.chSum[e.ch[i]][k] += e.tpMW[i] * e.gain[i][k]
 		}
 	}
 	e.capDP = make([]*mathx.PoissonBinomial, e.g)
@@ -316,25 +289,6 @@ func (e *Evaluator) committed(j int) setting {
 	return setting{sf: e.sf[j], tpmw: e.tpMW[j], alpha: e.alpha[j], es: e.es[j], vis: e.vis[j], fade: e.fade[j]}
 }
 
-// otherSF returns the other-SF mean power (mW) that the members of group
-// gr on channel ch see at each gateway: the channel's total minus the
-// group's own, plus pg·gain_i when device i's power pg joins that
-// remainder (negative when it leaves; 0 for no change). It returns nil
-// unless the inter-SF extension is on.
-func (e *Evaluator) otherSF(ch int, gr *group, i int, pg float64) []float64 {
-	if !e.interSF {
-		return nil
-	}
-	for k := range e.otherSFX {
-		s := e.chSum[ch][k] - gr.sumPG[k]
-		if pg != 0 {
-			s += pg * e.gain[i][k]
-		}
-		e.otherSFX[k] = s
-	}
-	return e.otherSFX
-}
-
 // rebuildCapacity recomputes every per-gateway Poisson-binomial capacity
 // distribution from scratch, clearing any numerical drift from incremental
 // removals. The DP tables are allocated once in NewEvaluator and reset in
@@ -357,14 +311,7 @@ func (e *Evaluator) rebuildCapacity() {
 //
 //eflora:hotpath
 func (e *Evaluator) eeCompute(i int, s *setting, x *exposure) float64 {
-	si := sfIndex(s.sf)
-	th, ss := e.thLin[si], e.ssMW[si]
 	theta := e.thetaRow(i)
-	// h is the paper's Eq. 14 contention factor.
-	var h float64
-	if e.interSF {
-		h = 1 - math.Exp(-s.alpha*float64(x.total))
-	}
 	prodFail := 1.0
 	// Collision survival is a SHARED event across gateways: an
 	// overlapping co-group transmission occupies the same time slice at
@@ -390,15 +337,7 @@ func (e *Evaluator) eeCompute(i int, s *setting, x *exposure) float64 {
 		}
 		wSum += s.vis[k]
 		wExposure += s.vis[k] * (s.alpha*visEx + qEx)
-		pdr := s.fade[k]
-		if e.interSF {
-			// Imperfect-orthogonality extension: co-channel other-SF
-			// power leaks into the SNR denominator, attenuated by the
-			// rejection factor and scaled by the overlap fraction.
-			floor := math.Max(th*(e.noiseMW+e.interSFRej*h*x.otherSF[k]), ss)
-			pdr = math.Exp(-floor / pa)
-		}
-		prodFail *= 1 - theta[k]*pdr
+		prodFail *= 1 - theta[k]*s.fade[k]
 	}
 	prr := 1 - prodFail
 	if wSum > 0 {
@@ -419,20 +358,19 @@ func (e *Evaluator) RecomputeAll() {
 	e.rebuildCapacity()
 	e.epoch++
 	for gi := range e.groups {
-		e.refreshGroup(&e.groups[gi], gi%e.nch)
+		e.refreshGroup(&e.groups[gi])
 	}
 }
 
-// refreshGroup recomputes the EE of every member of gr, a group on
-// channel ch, and the group minimum. Ties on the minimum break toward the
-// lowest device index, so the result does not depend on member order.
+// refreshGroup recomputes the EE of every member of gr and the group
+// minimum. Ties on the minimum break toward the lowest device index, so
+// the result does not depend on member order.
 //
 //eflora:hotpath
-func (e *Evaluator) refreshGroup(gr *group, ch int) {
+func (e *Evaluator) refreshGroup(gr *group) {
 	gr.minEE = math.Inf(1)
 	gr.minIndex = -1
-	x := exposure{total: gr.count, visSum: gr.visSum, qSum: gr.qSum, withSelf: true,
-		otherSF: e.otherSF(ch, gr, 0, 0)}
+	x := exposure{visSum: gr.visSum, qSum: gr.qSum, withSelf: true}
 	for j := int(gr.head); j >= 0; j = int(e.next[j]) {
 		s := e.committed(j)
 		e.ee[j] = e.eeCompute(j, &s, &x)
@@ -519,24 +457,12 @@ func (e *Evaluator) candidate(i int, sf lora.SF, tpDBm float64) *prologue {
 //eflora:hotpath
 func (e *Evaluator) MinEEIfAbove(i int, sf lora.SF, tpDBm float64, ch int, threshold float64) float64 {
 	c := e.candidate(i, sf, tpDBm)
-	oldCh := e.ch[i]
-	oldGr, newGr := e.groupOf(e.sf[i], oldCh), e.groupOf(sf, ch)
+	oldGr, newGr := e.groupOf(e.sf[i], e.ch[i]), e.groupOf(sf, ch)
 	same := oldGr == newGr
 
 	// Candidate EE of device i itself: its committed contribution stays
-	// in the new group's exposure sums only if it stays in the group,
-	// and its old power leaves the channel's other-SF remainder when it
-	// changes SF on the same channel.
-	newCount := newGr.count
-	var pgOld float64
-	if !same {
-		newCount++
-		if oldCh == ch {
-			pgOld = -e.tpMW[i]
-		}
-	}
-	x := exposure{total: newCount, visSum: newGr.visSum, qSum: newGr.qSum, withSelf: same,
-		otherSF: e.otherSF(ch, newGr, i, pgOld)}
+	// in the new group's exposure sums only if it stays in the group.
+	x := exposure{visSum: newGr.visSum, qSum: newGr.qSum, withSelf: same}
 	min := e.eeCompute(i, &c.setting, &x)
 	if min <= threshold {
 		return min
@@ -545,10 +471,6 @@ func (e *Evaluator) MinEEIfAbove(i int, sf lora.SF, tpDBm float64, ch int, thres
 	// Fold in the untouched groups' cached minima before the expensive
 	// member scans: if any of them is already at or below the threshold
 	// the candidate cannot win and we bail out after O(1) work per group.
-	// When the inter-SF extension is enabled, co-channel groups of other
-	// SFs are also perturbed; we accept their cached values here
-	// (second-order, refreshed on commit) to keep candidate evaluation
-	// O(affected).
 	for gi := range e.groups {
 		gr := &e.groups[gi]
 		if gr == oldGr || gr == newGr {
@@ -564,43 +486,31 @@ func (e *Evaluator) MinEEIfAbove(i int, sf lora.SF, tpDBm float64, ch int, thres
 
 	if same {
 		// Same group, possibly different TP: peers see i's exposure
-		// change. chSum gains (new-old) and the group sum gains the
-		// same, so the other-SF remainder is unchanged.
+		// change.
 		for k := 0; k < e.g; k++ {
 			e.visX[k] = newGr.visSum[k] - e.vis[i][k] + c.vis[k]
 			e.qX[k] = newGr.qSum[k] - e.q[i][k] + c.q[k]
 		}
-		x = exposure{total: newCount, visSum: e.visX, qSum: e.qX, withSelf: true,
-			otherSF: e.otherSF(ch, newGr, i, 0)}
+		x = exposure{visSum: e.visX, qSum: e.qX, withSelf: true}
 		return e.membersMin(newGr, i, &x, min, threshold)
 	}
-	// Members of the old group (i leaves): count-1, exposure minus i's
-	// old contribution. chSum[oldCh] loses i's old power and the group
-	// sum loses it too, so the other-SF remainder keeps its value —
-	// except that when i stays on the same channel with a new SF, its
-	// new power arrives as other-SF interference.
+	// Members of the old group (i leaves): exposure minus i's old
+	// contribution.
 	for k := 0; k < e.g; k++ {
 		e.visX[k] = oldGr.visSum[k] - e.vis[i][k]
 		e.qX[k] = oldGr.qSum[k] - e.q[i][k]
 	}
-	var pgNew float64
-	if oldCh == ch {
-		pgNew = c.tpmw
-	}
-	x = exposure{total: oldGr.count - 1, visSum: e.visX, qSum: e.qX, withSelf: true,
-		otherSF: e.otherSF(oldCh, oldGr, i, pgNew)}
+	x = exposure{visSum: e.visX, qSum: e.qX, withSelf: true}
 	if min = e.membersMin(oldGr, i, &x, min, threshold); min <= threshold {
 		return min
 	}
-	// Members of the new group (i joins). chSum[ch] gains i's new power
-	// and the group sum gains it too, cancelling out — but when i left
-	// the same channel (different SF), its old other-SF power disappears.
+	// Members of the new group (i joins): exposure plus i's new
+	// contribution.
 	for k := 0; k < e.g; k++ {
 		e.visX[k] = newGr.visSum[k] + c.vis[k]
 		e.qX[k] = newGr.qSum[k] + c.q[k]
 	}
-	x = exposure{total: newCount, visSum: e.visX, qSum: e.qX, withSelf: true,
-		otherSF: e.otherSF(ch, newGr, i, pgOld)}
+	x = exposure{visSum: e.visX, qSum: e.qX, withSelf: true}
 	return e.membersMin(newGr, i, &x, min, threshold)
 }
 
@@ -673,17 +583,13 @@ func (e *Evaluator) SetDevice(i int, sf lora.SF, tpDBm float64, ch int) error {
 	if tpDBm < e.p.Plan.MinTxPowerDBm-1e-9 || tpDBm > e.p.Plan.MaxTxPowerDBm+1e-9 {
 		return fmt.Errorf("model: TP %v outside plan range", tpDBm)
 	}
-	oldCh := e.ch[i]
-	oldGr, newGr := e.groupOf(e.sf[i], oldCh), e.groupOf(sf, ch)
+	oldGr, newGr := e.groupOf(e.sf[i], e.ch[i]), e.groupOf(sf, ch)
 	tpmw := lora.DBmToMilliwatts(tpDBm)
 
 	// Remove i's old footprint.
 	for k := 0; k < e.g; k++ {
-		pg := e.tpMW[i] * e.gain[i][k]
-		oldGr.sumPG[k] -= pg
 		oldGr.visSum[k] -= e.vis[i][k]
 		oldGr.qSum[k] -= e.q[i][k]
-		e.chSum[oldCh][k] -= pg
 		e.capDP[k].Remove(e.q[i][k])
 	}
 	e.unlink(oldGr, i)
@@ -699,20 +605,17 @@ func (e *Evaluator) SetDevice(i int, sf lora.SF, tpDBm float64, ch int) error {
 	e.es[i] = e.p.Profile.TransmissionEnergy(tpDBm, toa)
 	e.linkFactors(i, sf, tpmw, e.alpha[i], e.vis[i], e.q[i], e.fade[i])
 	for k := 0; k < e.g; k++ {
-		pg := tpmw * e.gain[i][k]
-		newGr.sumPG[k] += pg
 		newGr.visSum[k] += e.vis[i][k]
 		newGr.qSum[k] += e.q[i][k]
-		e.chSum[ch][k] += pg
 		e.capDP[k].Add(e.q[i][k])
 	}
 	e.link(newGr, i)
 
 	// The capacity distributions changed, so every θ row is stale.
 	e.epoch++
-	e.refreshGroup(oldGr, oldCh)
+	e.refreshGroup(oldGr)
 	if newGr != oldGr {
-		e.refreshGroup(newGr, ch)
+		e.refreshGroup(newGr)
 	}
 	return nil
 }

@@ -314,24 +314,64 @@ func TestMoreGatewaysImprovePRR(t *testing.T) {
 	}
 }
 
-func TestInterSFExtensionReducesEE(t *testing.T) {
-	net := testNetwork(200, 2, 31)
-	p := DefaultParams()
-	a := feasibleAllocation(net, p)
-	base, err := NewEvaluator(net, p, a, ModeExact)
-	if err != nil {
-		t.Fatal(err)
+// TestCommitLeavesOtherGroupsExact pins the premise of the incremental
+// evaluator: a SetDevice commit changes only the two (SF, channel) groups
+// it touches, so refreshing those two leaves every cached group minimum
+// exact. The capacity factor θ, the one term a commit leaves stale until
+// RecomputeAll, is 1 up to rounding here, because every gateway can
+// demodulate more packets than there are devices; the test never flushes.
+func TestCommitLeavesOtherGroupsExact(t *testing.T) {
+	var checked, bad int
+	var worst float64
+	for seed := uint64(1); seed <= 20; seed++ {
+		net, p, a := fuzzEvalScenario(seed, 0)
+		p.TrafficDutyCycle = 0.05
+		p.GatewayCapacity = net.N() + 1
+		ev, err := NewEvaluator(net, p, a, ModeExact)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tpLevels := p.Plan.TxPowerLevels()
+		r := rng.New(seed ^ 0x2545f4914f6cdd1d)
+		for op := 0; op < 20; op++ {
+			i := r.Intn(net.N())
+			sf := lora.SF7 + lora.SF(r.Intn(6))
+			tp := tpLevels[r.Intn(len(tpLevels))]
+			if err := ev.SetDevice(i, sf, tp, r.Intn(p.Plan.NumChannels())); err != nil {
+				t.Fatal(err)
+			}
+			fresh, err := NewEvaluator(net, p, ev.Allocation(), ModeExact)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for gi := range ev.groups {
+				got, want := ev.groups[gi].minEE, fresh.groups[gi].minEE
+				if math.IsInf(want, 1) && math.IsInf(got, 1) {
+					continue
+				}
+				checked++
+				rel := math.Abs(got-want) / math.Abs(want)
+				if got == want {
+					rel = 0
+				}
+				if !(rel <= worst) {
+					worst = rel
+				}
+				if !(rel <= 1e-9) {
+					bad++
+					if bad == 1 {
+						t.Errorf("seed %d commit %d: group %d cached min EE %v, fresh %v",
+							seed, op, gi, got, want)
+					}
+				}
+			}
+		}
 	}
-	p2 := p
-	p2.InterSFRejectionDB = 16
-	withInter, err := NewEvaluator(net, p2, a, ModeExact)
-	if err != nil {
-		t.Fatal(err)
+	if checked == 0 {
+		t.Fatal("no non-empty group was compared")
 	}
-	mb, _ := base.MinEE()
-	mi, _ := withInter.MinEE()
-	if mi > mb+1e-12 {
-		t.Errorf("inter-SF interference raised min EE: %v > %v", mi, mb)
+	if bad > 0 {
+		t.Errorf("%d of %d group minima off by more than 1e-9 relative; worst %.3g", bad, checked, worst)
 	}
 }
 

@@ -19,7 +19,9 @@ func fuzzEvalScenario(seed, knobs uint64) (*Network, Params, Allocation) {
 	case 1:
 		p.TrafficDutyCycle = 0.05
 	case 2:
-		p.InterSFRejectionDB = 16
+		// Overload: duty-cycle traffic against a two-packet gateway.
+		p.TrafficDutyCycle = 0.05
+		p.GatewayCapacity = 2
 	case 3:
 		p.Objective = ObjectiveThroughput
 	case 4:

@@ -47,11 +47,6 @@ type Params struct {
 	GatewayCapacity int
 	// Profile is the device energy model.
 	Profile radio.Profile
-	// InterSFRejectionDB, when non-zero, enables the imperfect-orthogonality
-	// extension (paper Section III-E): co-channel transmissions with a
-	// different SF leak into the SNR denominator attenuated by this many dB
-	// (a positive value, e.g. 16).
-	InterSFRejectionDB float64
 	// Objective selects the per-device metric whose network minimum the
 	// evaluator reports and the greedy allocator maximizes. The default
 	// is the paper's energy efficiency; ObjectiveThroughput realizes the
@@ -136,9 +131,6 @@ func (p Params) Validate() error {
 	}
 	if p.GatewayCapacity <= 0 {
 		return fmt.Errorf("model: gateway capacity must be positive")
-	}
-	if p.InterSFRejectionDB < 0 {
-		return fmt.Errorf("model: inter-SF rejection must be non-negative dB")
 	}
 	return nil
 }

@@ -1,9 +1,11 @@
 // Package model implements the analytical multi-gateway LoRa network model
-// of the paper's Section III: path loss (Eq. 9), co-SF interference and SNR
-// (Eq. 8/16), ALOHA contention (Eq. 14-15), per-link packet delivery ratio
+// of the paper's Section III: path loss (Eq. 9), SNR against noise alone
+// (Eq. 8/16 with no interference power), per-link packet delivery ratio
 // under Rayleigh fading (Eq. 10), the gateway eight-packet capacity factor
 // (Eq. 12), multi-gateway packet reception ratio (Eq. 13) and per-device
-// energy efficiency (Eq. 17).
+// energy efficiency (Eq. 17). Co-SF interference is a collision-survival
+// factor over the unslotted-ALOHA vulnerable window, in place of the ALOHA
+// contention of Eq. 14-15; SFs are orthogonal.
 package model
 
 import (
