@@ -101,7 +101,7 @@ func runFig6(cfg Config) (*Result, error) {
 	sweep := []int{500, 1000, 2000, 3000, 4000, 5000}
 	values := make(map[string]float64)
 	var c plot.Chart
-	c.Title = fmt.Sprintf("Minimum energy efficiency vs end devices (3 gateways, scale %.2f)", cfg.Scale)
+	c.Title = fmt.Sprintf("Minimum energy efficiency vs end devices (3 gateways, scale %g)", cfg.Scale)
 	c.XLabel = "end devices (paper scale)"
 	c.YLabel = "min EE (bits/mJ)"
 	c.YStartZero = true
@@ -121,7 +121,7 @@ func runFig6(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	for ni, nPaper := range sweep {
-		row := []string{fmt.Sprintf("%d", nPaper)}
+		row := []string{fmt.Sprintf("%d (%d scaled)", nPaper, cfg.scaled(nPaper))}
 		for mi, m := range evalMethods {
 			ts := grid[ni*len(evalMethods)+mi]
 			series[m] = append(series[m], core.BitsPerMilliJoule(ts.MinEE))
@@ -216,7 +216,7 @@ func runFig8(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	for di, d := range deployments {
-		labels = append(labels, fmt.Sprintf("%dGW/%dED", d.gw, d.dev))
+		labels = append(labels, fmt.Sprintf("%dGW/%dED (%d scaled)", d.gw, d.dev, cfg.scaled(d.dev)))
 		for mi, m := range evalMethods {
 			ts := grid[di*len(evalMethods)+mi]
 			days := lifetime.Days(ts.LifetimeS)
