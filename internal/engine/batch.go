@@ -2,15 +2,17 @@
 // state machine: one call consumes a whole transmission window laid out
 // in parallel columns and produces the same verdicts, counters and
 // carry-over state the scalar Arrive/FinishUpTo loop would — bit for
-// bit. The scalar API stays for the confirmed and live drivers, whose
-// events arrive one at a time. Sweep is the one kernel: it runs the
-// entries of a window that cleared sensitivity through two passes over
-// columns,
+// bit. Sweep is the only receiver path the simulators drive; the scalar
+// API stays for the live frontend, whose events arrive one at a time,
+// the daemon's downlink probe and the tests' references. Sweep is the
+// one kernel: it runs the entries of a window that cleared sensitivity
+// through two passes over columns,
 //
-//  1. a fused sequential sweep in arrival order — half-duplex, the
-//     collision scan against the in-flight set and demodulator
-//     capacity, the per-event order of the scalar API inlined over the
-//     columns with one flag byte per entry — and
+//  1. a fused sequential sweep in arrival order — retiring the
+//     receptions that ended, half-duplex, the collision scan against the
+//     in-flight set and demodulator capacity, the per-event order of the
+//     scalar API inlined over the columns with one flag byte per entry —
+//     and
 //  2. a token-order SNR-verdict pass emitting Done entries.
 //
 // Batch takes the full window with its received-power column, splits
@@ -134,6 +136,26 @@ func (g *Gateway) markCollided(c int32, nc int) {
 	}
 }
 
+// retire hands a reception leaving the sweep's open list to the driver's
+// hook if it will be delivered, and registers the window the hook
+// returns. Its cell is a carried reception below nc or selected entry
+// sel[cell-nc] of the window whose column 0 carries token tok0.
+func (g *Gateway) retire(a openRx, tok0 int, sel []int32, nc int, retire Retire) {
+	var tok int
+	var collided bool
+	if c := int(a.cell); c < nc {
+		tok, collided = g.active[c].tok, g.active[c].collided
+	} else {
+		tok, collided = tok0+int(sel[c-nc]), g.batch.flags[c-nc]&bfCollided != 0
+	}
+	if collided || !g.decodable(a.rx, a.sf) {
+		return
+	}
+	if from, to, ok := retire(tok); ok {
+		g.AddAckWindow(from, to)
+	}
+}
+
 // pruneAckWins drops the half-duplex windows that end at or before t:
 // they can block no arrival starting at or after t.
 func (g *Gateway) pruneAckWins(t float64) {
@@ -180,8 +202,21 @@ func (g *Gateway) Batch(w *Window, rxMW []float64, cut float64, dst []Done) []Do
 		sel = append(sel, int32(i))
 	}
 	b.sel = sel
-	return g.Sweep(w, sel, rxMW, cut, dst)
+	return g.Sweep(w, sel, rxMW, cut, dst, nil)
 }
+
+// Retire is Sweep's optional hook for a half-duplex driver. Sweep calls
+// it once for each reception it retires as decodable (uncollided and
+// above its SNR threshold, so its verdict will be OutcomeDelivered), at
+// the point where that verdict becomes final: at the first selected
+// arrival that starts at or after the reception's end, or, for a
+// reception still open with end <= cut, when the arrival pass ends. When
+// ok is set, Sweep registers [from, to) as AddAckWindow would before it
+// checks any later arrival, so a downlink the driver schedules for the
+// reception blocks the arrivals it overlaps within the same window. The
+// scalar equivalent calls the hook for each delivery FinishUpTo returns
+// before the next Arrive.
+type Retire func(tok int) (from, to float64, ok bool)
 
 // Sweep is Batch over a selection of the window: sel lists, in
 // ascending order, the entries that cleared sensitivity at this
@@ -193,10 +228,11 @@ func (g *Gateway) Batch(w *Window, rxMW []float64, cut float64, dst []Done) []Do
 // w.Tok0 + sel[j], so carry-over and the caller's token bookkeeping do
 // not depend on the selection. Done order is carried completions first,
 // then the selected entries in token order. The cut and carry-over
-// rules are Batch's.
+// rules are Batch's. retire, when non-nil, is called for each reception
+// the sweep retires as decodable (see Retire); Batch passes nil.
 //
 //eflora:hotpath
-func (g *Gateway) Sweep(w *Window, sel []int32, rxMW []float64, cut float64, dst []Done) []Done {
+func (g *Gateway) Sweep(w *Window, sel []int32, rxMW []float64, cut float64, dst []Done, retire Retire) []Done {
 	b := &g.batch
 	nc := len(g.active)
 	flags := slab.GrowZero(b.flags, len(sel))
@@ -204,7 +240,7 @@ func (g *Gateway) Sweep(w *Window, sel []int32, rxMW []float64, cut float64, dst
 
 	// Pass 1: fused sequential sweep in arrival order. open tracks the
 	// locked receptions still in flight (the scalar active list), seeded
-	// from the carry-over; every arrival prunes expired entries — the
+	// from the carry-over; every arrival retires expired entries — the
 	// FinishUpTo(start) the scalar drivers run per event, minus the
 	// verdicts, which wait for pass 2 — then runs the scalar Arrive's
 	// checks in the scalar order. The capacity bound caps len(open), so
@@ -218,16 +254,18 @@ func (g *Gateway) Sweep(w *Window, sel []int32, rxMW []float64, cut float64, dst
 	}
 	for j, i := range sel {
 		start := w.StartS[i]
-		if g.cfg.HalfDuplex {
-			g.pruneAckWins(start)
-		}
 		live := open[:0]
 		for _, a := range open {
 			if a.end > start {
 				live = append(live, a)
+			} else if retire != nil {
+				g.retire(a, w.Tok0, sel, nc, retire)
 			}
 		}
 		open = live
+		if g.cfg.HalfDuplex {
+			g.pruneAckWins(start)
+		}
 		// Collision scan before the half-duplex and capacity checks: a
 		// transmission that never locks is still RF energy on the air
 		// and corrupts locked receptions all the same; collision marks
@@ -280,6 +318,13 @@ func (g *Gateway) Sweep(w *Window, sel []int32, rxMW []float64, cut float64, dst
 		open = append(open, openRx{end: w.EndS[i], rx: pi, dev: dev,
 			ch: ch, cell: int32(nc + j), sf: sf})
 	}
+	if retire != nil {
+		for _, a := range open {
+			if a.end <= cut {
+				g.retire(a, w.Tok0, sel, nc, retire)
+			}
+		}
+	}
 	b.open = open[:0]
 	if n := w.Len(); g.cfg.HalfDuplex && n > 0 {
 		// The scalar Arrive prunes at every arrival, unselected ones
@@ -301,7 +346,6 @@ func (g *Gateway) Sweep(w *Window, sel []int32, rxMW []float64, cut float64, dst
 		dst = append(dst, g.verdict(rx))
 	}
 	g.active = keepAct
-	snr := &g.cfg.Thresholds.SNRLin
 	for j, i := range sel {
 		f := flags[j]
 		tok := w.Tok0 + int(i)
@@ -319,7 +363,7 @@ func (g *Gateway) Sweep(w *Window, sel []int32, rxMW []float64, cut float64, dst
 			case f&bfCollided != 0:
 				g.Counters.CollisionLosses++
 				o = OutcomeCollided
-			case rxMW[i]/g.cfg.NoiseMW >= snr[w.SF[i]-lora.SF7]:
+			case g.decodable(rxMW[i], w.SF[i]):
 				o = OutcomeDelivered
 			}
 			dst = append(dst, Done{Tok: tok, Outcome: o, RxMW: rxMW[i]})

@@ -11,8 +11,10 @@ import (
 
 // runScalar replays one event stream through the scalar API, applying
 // the same verdict mapping the batch drivers use (failures become Done
-// entries), and returns outcomes keyed by token plus the counters.
-func runScalar(cfg Config, w *Window, rxMW []float64, cuts []float64, acks [][2]float64) (map[int]Done, Counters) {
+// entries), and returns outcomes keyed by token plus the counters. With
+// a retire hook it registers the hook's window for each delivery
+// FinishUpTo returns, before the next arrival.
+func runScalar(cfg Config, w *Window, rxMW []float64, cuts []float64, acks [][2]float64, retire Retire) (map[int]Done, Counters) {
 	var g Gateway
 	g.Reset(cfg)
 	for _, a := range acks {
@@ -20,13 +22,22 @@ func runScalar(cfg Config, w *Window, rxMW []float64, cuts []float64, acks [][2]
 	}
 	out := map[int]Done{}
 	var done []Done
+	finish := func(t float64) {
+		done = g.FinishUpTo(t, done[:0])
+		for _, d := range done {
+			out[d.Tok] = d
+			if retire == nil || d.Outcome != OutcomeDelivered {
+				continue
+			}
+			if from, to, ok := retire(d.Tok); ok {
+				g.AddAckWindow(from, to)
+			}
+		}
+	}
 	i := 0
 	for _, cut := range cuts {
 		for ; i < w.Len() && w.StartS[i] < cut; i++ {
-			done = g.FinishUpTo(w.StartS[i], done[:0])
-			for _, d := range done {
-				out[d.Tok] = d
-			}
+			finish(w.StartS[i])
 			tok := w.Tok0 + i
 			switch g.Arrive(tok, int(w.Dev[i]), w.SF[i], int(w.Ch[i]), w.StartS[i], w.EndS[i], rxMW[i]) {
 			case VerdictNoSignal:
@@ -35,10 +46,7 @@ func runScalar(cfg Config, w *Window, rxMW []float64, cuts []float64, acks [][2]
 				out[tok] = Done{Tok: tok, Outcome: OutcomeCapacity}
 			}
 		}
-		done = g.FinishUpTo(cut, done[:0])
-		for _, d := range done {
-			out[d.Tok] = d
-		}
+		finish(cut)
 	}
 	return out, g.Counters
 }
@@ -57,8 +65,8 @@ func eachWindow(w *Window, cuts []float64, fn func(sub *Window, lo int, cut floa
 }
 
 // runBatch replays the same stream through Batch, splitting the window
-// at the same cuts.
-func runBatch(cfg Config, w *Window, rxMW []float64, cuts []float64, acks [][2]float64) (map[int]Done, Counters) {
+// at the same cuts. Batch takes no retire hook.
+func runBatch(cfg Config, w *Window, rxMW []float64, cuts []float64, acks [][2]float64, _ Retire) (map[int]Done, Counters) {
 	var g Gateway
 	g.Reset(cfg)
 	for _, a := range acks {
@@ -75,13 +83,13 @@ func runBatch(cfg Config, w *Window, rxMW []float64, cuts []float64, acks [][2]f
 	return out, g.Counters
 }
 
-// runSweep replays the same stream through Sweep, the way sim.Run
-// drives it: each window's entries below sensitivity are dropped from
-// the selection and counted by the driver, and the rest go to the
-// kernel under their window tokens. The misses are added back as
-// NoSignal verdicts and sensitivity misses, so the result compares
-// directly with runBatch's.
-func runSweep(cfg Config, w *Window, rxMW []float64, cuts []float64, acks [][2]float64) (map[int]Done, Counters) {
+// runSweep replays the same stream through Sweep, the way the
+// simulators drive it: each window's entries below sensitivity are
+// dropped from the selection and counted by the driver, and the rest go
+// to the kernel under their window tokens, with the retire hook. The
+// misses are added back as NoSignal verdicts and sensitivity misses, so
+// the result compares directly with the scalar loop's.
+func runSweep(cfg Config, w *Window, rxMW []float64, cuts []float64, acks [][2]float64, retire Retire) (map[int]Done, Counters) {
 	var g Gateway
 	g.Reset(cfg)
 	for _, a := range acks {
@@ -101,7 +109,7 @@ func runSweep(cfg Config, w *Window, rxMW []float64, cuts []float64, acks [][2]f
 				out[sub.Tok0+e] = Done{Tok: sub.Tok0 + e, Outcome: OutcomeNoSignal}
 			}
 		}
-		done = g.Sweep(sub, sel, rxMW[lo:lo+sub.Len()], cut, done[:0])
+		done = g.Sweep(sub, sel, rxMW[lo:lo+sub.Len()], cut, done[:0], retire)
 		for _, d := range done {
 			if d.Outcome == OutcomeNoSignal {
 				panic("Sweep emitted a NoSignal verdict")
@@ -114,17 +122,37 @@ func runSweep(cfg Config, w *Window, rxMW []float64, cuts []float64, acks [][2]f
 	return out, ctr
 }
 
-// diffStreams runs one stream through the scalar API, full-window Batch
-// and the Sweep kernel over the visible entries at the given cuts, and
-// fails on any outcome or counter divergence.
-func diffStreams(t *testing.T, cfg Config, w *Window, rxMW []float64, cuts []float64, acks [][2]float64) {
+// ackHook is a half-duplex driver's retire hook over w: it acknowledges
+// every delivered reception whose token is not a multiple of 3, with a
+// downlink of dur seconds starting delay seconds after the uplink ends.
+// The skipped tokens stand for receptions a lower gateway acknowledges.
+func ackHook(w *Window, delay, dur float64) Retire {
+	return func(tok int) (float64, float64, bool) {
+		if tok%3 == 0 {
+			return 0, 0, false
+		}
+		from := w.EndS[tok-w.Tok0] + delay
+		return from, from + dur, true
+	}
+}
+
+// diffStreams runs one stream through the scalar API and the Sweep
+// kernel over the visible entries at the given cuts, both with the
+// retire hook, and, when there is no hook, through full-window Batch as
+// well; it fails on any outcome or counter divergence.
+func diffStreams(t *testing.T, cfg Config, w *Window, rxMW []float64, cuts []float64, acks [][2]float64, retire Retire) {
 	t.Helper()
-	wantOut, wantCtr := runScalar(cfg, w, rxMW, cuts, acks)
-	for _, path := range []struct {
+	wantOut, wantCtr := runScalar(cfg, w, rxMW, cuts, acks, retire)
+	type path struct {
 		name string
-		run  func(Config, *Window, []float64, []float64, [][2]float64) (map[int]Done, Counters)
-	}{{"batch", runBatch}, {"sweep", runSweep}} {
-		gotOut, gotCtr := path.run(cfg, w, rxMW, cuts, acks)
+		run  func(Config, *Window, []float64, []float64, [][2]float64, Retire) (map[int]Done, Counters)
+	}
+	paths := []path{{"sweep", runSweep}}
+	if retire == nil {
+		paths = append(paths, path{"batch", runBatch})
+	}
+	for _, path := range paths {
+		gotOut, gotCtr := path.run(cfg, w, rxMW, cuts, acks, retire)
 		if gotCtr != wantCtr {
 			t.Errorf("counters diverge: %s %+v, scalar %+v", path.name, gotCtr, wantCtr)
 		}
@@ -194,9 +222,46 @@ func TestBatchMatchesScalarRandomStreams(t *testing.T) {
 			{1, 1, 4, 4, math.Inf(1)},
 		}
 		for _, cuts := range cutSets {
-			diffStreams(t, cfg, w, rx, cuts, acks)
+			diffStreams(t, cfg, w, rx, cuts, acks, nil)
+			if halfDuplex {
+				diffStreams(t, cfg, w, rx, cuts, acks, ackHook(w, r.Float64(), 0.05+r.Float64()))
+			}
 		}
 	}
+}
+
+// TestSweepRetireBlocksWithinWindow pins the retire hook's timing: a
+// downlink acknowledging a reception blocks an arrival in the same
+// window that overlaps it, but not one that started before the
+// reception ended.
+func TestSweepRetireBlocksWithinWindow(t *testing.T) {
+	cfg := testConfig(false, true)
+	cfg.Capacity = 8
+	w := &Window{}
+	w.Append(0, lora.SF7, 0, 0, 1, 1)     // tok 0: delivered, ends at 1
+	w.Append(1, lora.SF7, 1, 0.5, 2.5, 1) // tok 1: started before the end: locks
+	w.Append(2, lora.SF7, 1, 2.6, 3, 1)   // tok 2: inside the ACK [1.5, 2.7): blocked
+	w.Append(3, lora.SF7, 1, 2.8, 3.2, 1) // tok 3: after the ACK: locks
+	rx := []float64{strongMW, strongMW, strongMW, strongMW}
+	hook := func(tok int) (float64, float64, bool) {
+		if tok != 0 {
+			return 0, 0, false
+		}
+		return 1.5, 2.7, true
+	}
+	var g Gateway
+	g.Reset(cfg)
+	done := g.Sweep(w, []int32{0, 1, 2, 3}, rx, math.Inf(1), nil, hook)
+	want := map[int]Outcome{0: OutcomeDelivered, 1: OutcomeDelivered, 2: OutcomeCapacity, 3: OutcomeDelivered}
+	for _, d := range done {
+		if d.Outcome != want[d.Tok] {
+			t.Errorf("tok %d outcome = %v, want %v", d.Tok, d.Outcome, want[d.Tok])
+		}
+	}
+	if g.Counters.AckBlocked != 1 {
+		t.Errorf("ack blocked = %d, want 1", g.Counters.AckBlocked)
+	}
+	diffStreams(t, cfg, w, rx, []float64{math.Inf(1)}, nil, hook)
 }
 
 func TestBatchCarryOverCollision(t *testing.T) {
@@ -207,7 +272,7 @@ func TestBatchCarryOverCollision(t *testing.T) {
 	w.Append(0, lora.SF7, 0, 0.5, 3, 1)
 	w.Append(1, lora.SF7, 0, 1.5, 4, 1)
 	rx := []float64{strongMW, strongMW}
-	diffStreams(t, testConfig(false, false), w, rx, []float64{1, 2, math.Inf(1)}, nil)
+	diffStreams(t, testConfig(false, false), w, rx, []float64{1, 2, math.Inf(1)}, nil, nil)
 
 	var g Gateway
 	g.Reset(testConfig(false, false))
@@ -285,7 +350,7 @@ func TestBatchWarmIsAllocationFree(t *testing.T) {
 	avg = testing.AllocsPerRun(50, func() {
 		g.Reset(cfg)
 		g.AddAckWindow(1, 2)
-		done = g.Sweep(w, sel, rx, math.Inf(1), done[:0])
+		done = g.Sweep(w, sel, rx, math.Inf(1), done[:0], nil)
 	})
 	if avg != 0 {
 		t.Errorf("warm Sweep allocates %v per window, want 0", avg)
@@ -381,7 +446,7 @@ func BenchmarkBatch(b *testing.B) {
 		run  func() []Done
 	}{
 		{"full", func() []Done { return g.Batch(w, rx, math.Inf(1), done[:0]) }},
-		{"selection", func() []Done { return g.Sweep(w, sel, rx, math.Inf(1), done[:0]) }},
+		{"selection", func() []Done { return g.Sweep(w, sel, rx, math.Inf(1), done[:0], nil) }},
 	} {
 		b.Run(bm.name, func(b *testing.B) {
 			b.ReportAllocs()

@@ -1,7 +1,7 @@
 // Package engine implements the gateway receiver state machine shared by
-// every consumer of the reception physics: the batch unconfirmed
-// simulator (sim.Run), the confirmed MAC event loop (sim.RunConfirmed)
-// and the live serving path (ingest.Frontend). One implementation of
+// every consumer of the reception physics: both packet simulators
+// (sim.Run and sim.RunConfirmed, which share one windowed loop) and the
+// live serving path (ingest.Frontend). One implementation of
 //
 //   - per-SF sensitivity and SNR decoding thresholds,
 //   - same-SF same-channel collision with the optional capture effect,
@@ -12,12 +12,15 @@
 // replaces the three hand-mirrored copies the repository used to carry,
 // so a physics fix lands everywhere at once.
 //
-// A Gateway is driven by arrival and completion events in nondecreasing
-// time order. Drivers own everything above the receiver: schedules,
-// retransmission policy, fading draws, de-duplication across gateways.
-// The engine owns everything a single receiver decides: whether an
-// arrival locks a demodulator, which overlapping receptions it corrupts
-// and what verdict each reception earns when it completes.
+// A Gateway is driven either window by window through Sweep (or Batch),
+// the simulators' path, or event by event through the scalar Arrive and
+// FinishUpTo, in nondecreasing time order: the live frontend, the
+// daemon's downlink probe and the tests' references. Drivers own
+// everything above the receiver: schedules, retransmission policy,
+// fading draws, de-duplication across gateways. The engine owns
+// everything a single receiver decides: whether an arrival locks a
+// demodulator, which overlapping receptions it corrupts and what verdict
+// each reception earns when it completes.
 //
 // All methods are allocation-free after buffer warm-up (the arena slices
 // retain their high-water capacity across Reset), so the engine can sit
@@ -75,7 +78,7 @@ type Verdict uint8
 
 const (
 	// VerdictLocked: the reception occupies a demodulator; its Outcome
-	// arrives later via FinishUpTo or Complete.
+	// arrives later via FinishUpTo.
 	VerdictLocked Verdict = iota
 	// VerdictNoSignal: below sensitivity; invisible to this gateway (no
 	// demodulator occupied, collides with nobody).
@@ -286,26 +289,6 @@ func (g *Gateway) FinishUpTo(cut float64, dst []Done) []Done {
 	return dst
 }
 
-// Complete finishes the single reception identified by tok, removing it
-// from the active set (swap-remove). ok is false when tok never locked at
-// this gateway (or already completed) — the confirmed driver calls
-// Complete unconditionally per gateway at each transmission end.
-//
-//eflora:hotpath
-func (g *Gateway) Complete(tok int) (Done, bool) {
-	for i := range g.active {
-		if g.active[i].tok != tok {
-			continue
-		}
-		rx := g.active[i]
-		last := len(g.active) - 1
-		g.active[i] = g.active[last]
-		g.active = g.active[:last]
-		return g.verdict(rx), true
-	}
-	return Done{}, false
-}
-
 // verdict scores one completed reception and charges the counters.
 func (g *Gateway) verdict(rx reception) Done {
 	o := OutcomeFaded
@@ -313,10 +296,16 @@ func (g *Gateway) verdict(rx reception) Done {
 	case rx.collided:
 		g.Counters.CollisionLosses++
 		o = OutcomeCollided
-	case rx.rxMW/g.cfg.NoiseMW >= g.cfg.Thresholds.SNRLin[rx.sf-lora.SF7]:
+	case g.decodable(rx.rxMW, rx.sf):
 		o = OutcomeDelivered
 	}
 	return Done{Tok: rx.tok, Outcome: o, RxMW: rx.rxMW}
+}
+
+// decodable reports whether an uncollided reception at power rxMW clears
+// its spreading factor's SNR threshold.
+func (g *Gateway) decodable(rxMW float64, sf lora.SF) bool {
+	return rxMW/g.cfg.NoiseMW >= g.cfg.Thresholds.SNRLin[sf-lora.SF7]
 }
 
 // AddAckWindow registers a half-duplex window [from, to) during which

@@ -155,22 +155,6 @@ func TestFinishUpToCompletesInOrderAndKeepsInFlight(t *testing.T) {
 	}
 }
 
-func TestCompleteRemovesSingleReception(t *testing.T) {
-	var g Gateway
-	g.Reset(testConfig(false, false))
-	g.Arrive(7, 0, lora.SF7, 0, 0, 1, strongMW)
-	if _, ok := g.Complete(3); ok {
-		t.Fatal("Complete(3) found a reception that never locked")
-	}
-	d, ok := g.Complete(7)
-	if !ok || d.Tok != 7 || d.Outcome != OutcomeDelivered || d.RxMW != strongMW {
-		t.Fatalf("Complete(7) = %+v, %v", d, ok)
-	}
-	if _, ok := g.Complete(7); ok {
-		t.Fatal("Complete(7) twice")
-	}
-}
-
 func TestSNRDecidesFadedVersusDelivered(t *testing.T) {
 	var g Gateway
 	g.Reset(testConfig(false, false))

@@ -34,7 +34,9 @@ func fuzzStream(data []byte) (*Window, []float64) {
 // scalar Arrive/FinishUpTo loop, full-window Batch and the Sweep kernel
 // over each window's visible entries, split at the same window cuts, and
 // requires equality of per-token outcomes and counters — the
-// differential pin that keeps the three paths bit-identical.
+// differential pin that keeps the three paths bit-identical. Half-duplex
+// streams run a second time with a retire hook, through the scalar loop
+// and Sweep.
 func FuzzEngineBatchVsScalar(f *testing.F) {
 	// Capture on/off over a plain overlap pair.
 	pair := []byte{
@@ -81,6 +83,12 @@ func FuzzEngineBatchVsScalar(f *testing.F) {
 			from := float64(cutSeed % 7)
 			acks = append(acks, [2]float64{from, from + 1.5}, [2]float64{from + 3, from + 3})
 		}
-		diffStreams(t, cfg, w, rx, cuts, acks)
+		diffStreams(t, cfg, w, rx, cuts, acks, nil)
+		if halfDuplex {
+			// The retire hook's downlinks start within a stride of the
+			// uplink's end, so they block arrivals in the same window.
+			delay := float64(cutSeed>>4%8) / 8 * stride
+			diffStreams(t, cfg, w, rx, cuts, acks, ackHook(w, delay, 0.25+float64(cutSeed>>7%4)))
+		}
 	})
 }

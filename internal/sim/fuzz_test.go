@@ -147,11 +147,10 @@ func FuzzConfirmedInvariants(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed, knobs uint64) {
 		net, p, a := fuzzScenario(seed, knobs)
 		r := rng.New(seed ^ 0xc2b2ae3d27d4eb4f)
-		res, err := RunConfirmed(net, p, a, ConfirmedConfig{
+		res, err := runConfirmed(net, p, a, ConfirmedConfig{
 			Config:         Config{PacketsPerDevice: 8 + r.Intn(10), Seed: knobs},
-			MaxAttempts:    1 + r.Intn(8),
 			HalfDuplexAcks: knobs%2 == 1,
-		})
+		}, 0, 1+r.Intn(MaxTransmissions))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -146,15 +146,14 @@ func TestGoldenDeterminism(t *testing.T) {
 	golden.Check(t, "testdata/golden_determinism.txt", out.String(), *update)
 }
 
-// TestGoldenDeterminismConfirmed pins the confirmed-traffic engine the
-// same way (it is sequential, so only one digest per variant).
+// TestGoldenDeterminismConfirmed pins confirmed traffic the same way, at
+// four attempts per packet with half-duplex ACKs.
 func TestGoldenDeterminismConfirmed(t *testing.T) {
 	net, p, a := goldenNetwork(60, 2)
-	res, err := RunConfirmed(net, p, a, ConfirmedConfig{
-		Config:         Config{PacketsPerDevice: 8, Seed: 11},
-		MaxAttempts:    4,
+	res, err := runConfirmed(net, p, a, ConfirmedConfig{
+		Config:         Config{PacketsPerDevice: 8, Seed: 11}.withDefaults(),
 		HalfDuplexAcks: true,
-	})
+	}, 0, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,25 +10,30 @@
 //     and channel at a gateway are both lost, regardless of overlap size),
 //     with an optional capture-effect variant,
 //   - the SX1301 demodulator limit (at most GatewayCapacity concurrent
-//     locks per gateway), and
+//     locks per gateway),
 //   - network-server de-duplication (a packet is delivered if any gateway
-//     decodes it).
+//     decodes it), and
+//   - for confirmed traffic (RunConfirmed), retransmission after an ACK
+//     timeout and random backoff, and optionally the half-duplex cost of
+//     the acknowledgements.
 //
-// Run streams the transmission schedule through time windows: a scan of
-// the devices emits each window's transmissions, a linear-time bucket
-// pass puts them in (start, device) order, and the gateways replay the
-// window in ascending order, each against its own receiver state, while
-// in-flight receptions carry over to the next one. Resident schedule
-// memory is O(devices + window) whatever the run length. A run is
-// single-threaded — the figures fan out over whole runs instead (package
-// exp) — and draws all randomness in schedule order and merges verdicts
-// in gateway order, so it produces bit-identical results at any window
-// length.
+// Run and RunConfirmed share one loop, which streams the transmission
+// schedule through time windows: a scan of the devices emits each
+// window's transmissions, retransmissions included, a linear-time bucket
+// pass puts them in (start, device, attempt) order, and the gateways
+// replay the window in ascending order, each against its own receiver
+// state, while in-flight receptions carry over to the next one. Resident
+// schedule memory is O(devices + window) whatever the run length. A run
+// is single-threaded — the figures fan out over whole runs instead
+// (package exp) — and draws all randomness in schedule order or from
+// per-device streams and merges verdicts in gateway order, so it
+// produces bit-identical results at any window length.
 //
 // The reception physics itself — lock, overlap/capture, capacity,
 // half-duplex blocking, the SNR decision — lives in the shared
-// engine.Gateway state machine; this package drives it with schedules
-// and owns the cross-gateway merge.
+// engine.Gateway state machine, which the loop drives through its Sweep
+// kernel; this package owns the schedule, the retransmission policy and
+// the cross-gateway merge.
 package sim
 
 import (
@@ -137,7 +142,8 @@ type Result struct {
 }
 
 // engineConfig assembles the shared receiver state machine's parameters
-// from this package's knobs. halfDuplex is on only for confirmed traffic.
+// from this package's knobs. halfDuplex is on only for confirmed traffic
+// with ConfirmedConfig.HalfDuplexAcks.
 func engineConfig(p model.Params, captureLin, noiseMW float64, capture, halfDuplex bool) engine.Config {
 	return engine.Config{
 		Capture:    capture,
@@ -193,10 +199,12 @@ func deviceSchedule(sc *Scratch, net *model.Network, p model.Params, a model.All
 	return simEnd, nil
 }
 
-// initResult readies the scratch-backed Result for a run over the given
+// initResult readies the scratch-backed result for a run over the given
 // schedule: per-device slices sized and cleared, counters zeroed,
-// optional fields nil'd out (Run re-points them when their option is on).
-func initResult(sc *Scratch, n int, simEnd float64, measureSNR bool) *Result {
+// optional fields nil'd out (the loop re-points them when their option
+// is on). Every device starts with its first transmissions counted as
+// attempts and generated packets.
+func initResult(sc *Scratch, n int, simEnd float64, measureSNR bool) *ConfirmedResult {
 	res := &sc.res
 	res.Attempts = slab.Grow(res.Attempts, n)
 	res.Delivered = slab.GrowZero(res.Delivered, n)
@@ -210,9 +218,9 @@ func initResult(sc *Scratch, n int, simEnd float64, measureSNR bool) *Result {
 	res.CollisionLosses, res.CapacityDrops, res.SensitivityMisses = 0, 0, 0
 	res.Trace = nil
 	res.MaxSNRdB = nil
-	for i := 0; i < n; i++ {
-		res.Attempts[i] = sc.packets[i]
-	}
+	copy(res.Attempts, sc.packets)
+	res.Generated = sc.packets
+	res.Retransmissions, res.Abandoned, res.AckBlocked = 0, 0, 0
 	if measureSNR {
 		sc.maxSNR = slab.Grow(sc.maxSNR, n)
 		res.MaxSNRdB = sc.maxSNR
@@ -267,6 +275,9 @@ func validate(net *model.Network, p model.Params, a model.Allocation) error {
 	}
 	if err := net.Validate(p); err != nil {
 		return err
+	}
+	if n := net.N(); n > maxDevices {
+		return fmt.Errorf("sim: %d devices exceed the simulator's limit of %d", n, maxDevices)
 	}
 	return a.Validate(net.N(), p)
 }
