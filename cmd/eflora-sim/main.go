@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strings"
 
@@ -50,6 +51,28 @@ func run(args []string, out *os.File) error {
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	// A count below 1 or a non-positive radius would otherwise be
+	// replaced by its default, and a non-finite value would reach the
+	// model, so either would run something other than what was asked for.
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"-devices", *devices}, {"-gateways", *gateways}, {"-packets", *packets}} {
+		if f.v < 1 {
+			return fmt.Errorf("%s %d: want at least 1", f.name, f.v)
+		}
+	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"-radius", *radius}, {"-battery", *batteryMAH}} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) || f.v <= 0 {
+			return fmt.Errorf("%s %v: want a finite value above 0", f.name, f.v)
+		}
+	}
+	if math.IsNaN(*captureDB) || math.IsInf(*captureDB, 0) {
+		return fmt.Errorf("-capture-db %v: want a finite value", *captureDB)
 	}
 
 	var (

@@ -81,3 +81,36 @@ func TestSimRejectsMissingScenario(t *testing.T) {
 		t.Error("missing scenario accepted")
 	}
 }
+
+// TestSimRejectsOutOfRangeFlags pins that a value the simulator would
+// replace by its default, or that would reach the model as a non-finite
+// number, fails with an error naming the flag before any work is done
+// instead of running something else.
+func TestSimRejectsOutOfRangeFlags(t *testing.T) {
+	for _, tc := range []struct{ flag, value string }{
+		{"-devices", "0"},
+		{"-devices", "-5"},
+		{"-gateways", "0"},
+		{"-packets", "0"},
+		{"-packets", "-3"},
+		{"-radius", "-5"},
+		{"-radius", "0"},
+		{"-radius", "NaN"},
+		{"-radius", "+Inf"},
+		{"-battery", "0"},
+		{"-battery", "-1"},
+		{"-battery", "NaN"},
+		{"-capture-db", "NaN"},
+		{"-capture-db", "-Inf"},
+	} {
+		f, err := os.CreateTemp(t.TempDir(), "out")
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = run([]string{"-devices", "20", "-gateways", "1", "-packets", "5", tc.flag, tc.value}, f)
+		f.Close()
+		if err == nil || !strings.Contains(err.Error(), tc.flag+" ") {
+			t.Errorf("%s %s: err = %v, want an error naming %s", tc.flag, tc.value, err, tc.flag)
+		}
+	}
+}

@@ -12,6 +12,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"sort"
 	"strings"
@@ -57,6 +58,26 @@ func run(args []string, out *os.File) error {
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	// A count below 1 or a non-positive radius or threshold would
+	// otherwise be replaced by its default, and a non-finite value would
+	// reach the model, so either would run something other than what was
+	// asked for.
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"-devices", *devices}, {"-gateways", *gateways}} {
+		if f.v < 1 {
+			return fmt.Errorf("%s %d: want at least 1", f.name, f.v)
+		}
+	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"-radius", *radius}, {"-delta", *delta}} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) || f.v <= 0 {
+			return fmt.Errorf("%s %v: want a finite value above 0", f.name, f.v)
+		}
 	}
 	netw, err := core.Build(core.Scenario{
 		Devices:  *devices,

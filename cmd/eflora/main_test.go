@@ -80,3 +80,33 @@ func TestRunEachAllocator(t *testing.T) {
 		}
 	}
 }
+
+// TestEfloraRejectsOutOfRangeFlags pins that a value the allocator or
+// the deployment would replace by its default, or that would reach the
+// model as a non-finite number, fails with an error naming the flag
+// instead of running something else.
+func TestEfloraRejectsOutOfRangeFlags(t *testing.T) {
+	for _, tc := range []struct{ flag, value string }{
+		{"-devices", "0"},
+		{"-devices", "-1"},
+		{"-gateways", "0"},
+		{"-radius", "-5"},
+		{"-radius", "0"},
+		{"-radius", "NaN"},
+		{"-radius", "-Inf"},
+		{"-delta", "0"},
+		{"-delta", "-0.5"},
+		{"-delta", "NaN"},
+		{"-delta", "+Inf"},
+	} {
+		f, err := os.CreateTemp(t.TempDir(), "out")
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = run([]string{"-devices", "20", "-gateways", "1", tc.flag, tc.value}, f)
+		f.Close()
+		if err == nil || !strings.Contains(err.Error(), tc.flag+" ") {
+			t.Errorf("%s %s: err = %v, want an error naming %s", tc.flag, tc.value, err, tc.flag)
+		}
+	}
+}

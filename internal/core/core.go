@@ -6,6 +6,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"eflora/internal/alloc"
@@ -51,8 +52,12 @@ type Network struct {
 	Seed   uint64
 }
 
-// Build generates the deployment of a scenario.
+// Build generates the deployment of a scenario. A non-finite radius is
+// an error; a zero one means the default.
 func Build(s Scenario) (*Network, error) {
+	if math.IsNaN(s.RadiusM) || math.IsInf(s.RadiusM, 0) {
+		return nil, fmt.Errorf("core: radius %v m is not finite", s.RadiusM)
+	}
 	s = s.withDefaults()
 	p := model.DefaultParams()
 	if s.Params != nil {

@@ -42,6 +42,22 @@ func TestBuildRejectsBadParams(t *testing.T) {
 	}
 }
 
+func TestBuildRejectsNonFiniteRadius(t *testing.T) {
+	for _, r := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := Build(Scenario{Devices: 10, RadiusM: r}); err == nil {
+			t.Errorf("radius %v accepted", r)
+		}
+	}
+	// Zero keeps meaning the default.
+	netw, err := Build(Scenario{Devices: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if netw.Net.N() != 10 {
+		t.Errorf("built %d devices, want 10", netw.Net.N())
+	}
+}
+
 func TestAllocatorByName(t *testing.T) {
 	names := []string{"eflora", "EF-LoRa", "legacy", "Legacy-LoRa", "rslora", "RS-LoRa", "eflora-fixed", "adr",
 		"anneal", "hier", "Hierarchical", "exhaustive"}
