@@ -114,11 +114,12 @@ func TestModelSimConformance(t *testing.T) {
 	}
 }
 
-// TestModelSimConformancePaperRegime checks the network-mean PRR at two
-// of the paper's operating points: 600 devices on the 5 km disc at 5 %
-// duty, under an RS-LoRa allocation, with the simulator averaged over
-// 4 seeds × 40 packets, and 3 gateways (Fig. 6) or 5 (Fig. 4). Each row
-// bounds model − sim on either side.
+// TestModelSimConformancePaperRegime checks the network-mean PRR at three
+// of the paper's operating points: 600 devices at 5 % duty, under an
+// RS-LoRa allocation, with the simulator averaged over 4 seeds × 40
+// packets, on the 5 km disc with 3 gateways (Fig. 6) or 5 (Fig. 4), and
+// on Fig. 9's 2.5 km disc with 3 gateways. Each row bounds model − sim on
+// either side.
 //
 // At 3 gateways the model is pessimistic: over deployments 1–10 its mean
 // PRR sat 0.052–0.064 below the simulator's (EF-LoRa allocations of
@@ -135,26 +136,34 @@ func TestModelSimConformance(t *testing.T) {
 // Here the 3-gateway band would miss a dropped capacity factor: θ forced
 // to 1 moves the gap only to +0.0079. A doubled collision exposure moves
 // it to −0.098. The band [−0.02, 0] fails both.
+//
+// On the 2.5 km disc the gap is the largest of the three: −0.168 on
+// deployment 1 (model 0.191, sim 0.358) and −0.142 to −0.182 over
+// deployments 1–10, with a seed spread of at most 0.003. θ forced to 1
+// moves it to +0.074, and a doubled collision exposure in eeCompute to
+// −0.233 (−0.219 to −0.233 over deployments 1–3). The band [−0.20,
+// +0.02] fails both.
 func TestModelSimConformancePaperRegime(t *testing.T) {
 	const (
 		devices = 600
-		radiusM = 5000
 		seeds   = 4
 		packets = 40
 	)
 	for _, tc := range []struct {
-		name string
-		gw   int
+		name    string
+		gw      int
+		radiusM float64
 		// maxBelow and maxAbove bound model − sim on either side.
 		maxBelow, maxAbove float64
 	}{
-		{"fig6-600x3", 3, 0.08, 0.02},
-		{"fig4-600x5", 5, 0.02, 0},
+		{"fig6-600x3", 3, 5000, 0.08, 0.02},
+		{"fig4-600x5", 5, 5000, 0.02, 0},
+		{"fig9-600x3", 3, 2500, 0.20, 0.02},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			net := &model.Network{
-				Devices:  geo.UniformDisc(devices, radiusM, rng.New(1)),
-				Gateways: geo.GridGateways(tc.gw, radiusM),
+				Devices:  geo.UniformDisc(devices, tc.radiusM, rng.New(1)),
+				Gateways: geo.GridGateways(tc.gw, tc.radiusM),
 			}
 			p := model.DefaultParams()
 			p.TrafficDutyCycle = 0.05
