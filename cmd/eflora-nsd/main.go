@@ -886,7 +886,11 @@ func runDownlinkExchange(s *server, netw *core.Network, a model.Allocation, rt *
 	var applied, unheard, unsent, probes, blocked int
 	windows := [3]int{}
 	firstApplied := ""
-	probeTok := 0
+	// Each probe enters its gateway's engine as a one-entry window cut at
+	// its own start.
+	var probe engine.Window
+	var probeDone []engine.Done
+	probeRxMW := []float64{lora.DBmToMilliwatts(-60)}
 	for k, c := range delta.Changes {
 		i := c.Device
 		last := rt.LastUp[i]
@@ -937,10 +941,13 @@ func runDownlinkExchange(s *server, netw *core.Network, a model.Allocation, rt *
 				// The gateway is deaf while its downlink is in the air:
 				// probe the half-duplex window with a strong uplink.
 				probes++
-				probeTok++
 				mid := (startS + endS) / 2
-				if v := engines[frame.Gateway].Arrive(probeTok, i, a.SF[i], a.Channel[i],
-					mid, endS+0.01, lora.DBmToMilliwatts(-60)); v == engine.VerdictBlocked {
+				eng := &engines[frame.Gateway]
+				before := eng.Counters.AckBlocked
+				probe.Reset(probes)
+				probe.Append(i, a.SF[i], a.Channel[i], mid, endS+0.01, 0)
+				probeDone = eng.Batch(&probe, probeRxMW, mid, probeDone[:0])
+				if eng.Counters.AckBlocked > before {
 					blocked++
 				}
 				w, err := sim.Receive(&frame.TXPK, startS)

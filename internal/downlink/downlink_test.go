@@ -295,13 +295,20 @@ func TestGatewaySimJudgesAndBlocks(t *testing.T) {
 	if errStr != ingest.TxErrNone || startS != 101 || endS <= startS {
 		t.Fatalf("accept = %v %v %q", startS, endS, errStr)
 	}
-	// An uplink overlapping the downlink is lost to half duplex.
-	strong := lora.DBmToMilliwatts(-50)
-	if v := eng.Arrive(1, 1, lora.SF9, 0, startS+0.001, startS+0.05, strong); v != engine.VerdictBlocked {
-		t.Errorf("overlapping uplink verdict = %v", v)
+	// An uplink overlapping the downlink is lost to half duplex; one after
+	// it locks. Each enters as a one-entry window cut at its own start.
+	strong := []float64{lora.DBmToMilliwatts(-50)}
+	var w engine.Window
+	w.Reset(1)
+	w.Append(1, lora.SF9, 0, startS+0.001, startS+0.05, 0)
+	done := eng.Batch(&w, strong, startS+0.001, nil)
+	if len(done) != 1 || done[0].Outcome != engine.OutcomeCapacity || eng.Counters.AckBlocked != 1 {
+		t.Errorf("overlapping uplink: done = %+v, counters = %+v; want it blocked", done, eng.Counters)
 	}
-	if v := eng.Arrive(2, 2, lora.SF9, 0, endS+0.1, endS+0.2, strong); v != engine.VerdictLocked {
-		t.Errorf("clear uplink verdict = %v", v)
+	w.Reset(2)
+	w.Append(2, lora.SF9, 0, endS+0.1, endS+0.2, 0)
+	if done = eng.Batch(&w, strong, endS+0.1, done[:0]); len(done) != 0 {
+		t.Errorf("clear uplink: done = %+v, want it locked", done)
 	}
 }
 

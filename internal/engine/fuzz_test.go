@@ -31,12 +31,15 @@ func fuzzStream(data []byte) (*Window, []float64) {
 }
 
 // FuzzEngineBatchVsScalar feeds the same event stream through the
-// scalar Arrive/FinishUpTo loop, full-window Batch and the Sweep kernel
-// over each window's visible entries, split at the same window cuts, and
-// requires equality of per-token outcomes and counters — the
-// differential pin that keeps the three paths bit-identical. Half-duplex
-// streams run a second time with a retire hook, through the scalar loop
-// and Sweep.
+// scalar reference receiver (arriveScalar and FinishUpTo), full-window
+// Batch, the Sweep kernel over each window's visible entries, and
+// per-event Batch — one arrival per call cut at its own start, the live
+// frontend's pattern — split at the same window cuts, and requires
+// equality of per-token outcomes and counters. Half-duplex streams run a
+// second time with a retire hook, through the reference and Sweep. A
+// zero start delta gives the next transmission the same start, so the
+// fuzzer reaches the runs of equal starts the frontend's clock clamp
+// produces.
 func FuzzEngineBatchVsScalar(f *testing.F) {
 	// Capture on/off over a plain overlap pair.
 	pair := []byte{
@@ -63,6 +66,16 @@ func FuzzEngineBatchVsScalar(f *testing.F) {
 		0, 0, 8, 64, 10,
 		1, 0, 2, 64, 90,
 		2, 0, 2, 64, 31,
+	})
+	// Runs of equal starts under capture and half-duplex, as the live
+	// frontend's clock clamp produces them.
+	f.Add(true, true, uint8(3), uint64(5), []byte{
+		0, 0, 8, 64, 60,
+		1, 0, 0, 64, 58,
+		2, 0, 0, 64, 40,
+		3, 1, 0, 64, 60,
+		4, 0, 16, 64, 60,
+		5, 0, 0, 64, 60,
 	})
 	f.Fuzz(func(t *testing.T, capture, halfDuplex bool, capacity uint8, cutSeed uint64, data []byte) {
 		w, rx := fuzzStream(data)

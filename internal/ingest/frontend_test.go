@@ -3,7 +3,6 @@ package ingest
 import (
 	"testing"
 
-	"eflora/internal/engine"
 	"eflora/internal/lora"
 )
 
@@ -16,12 +15,12 @@ func TestFrontendCountsOverlapCollisions(t *testing.T) {
 	f := NewFrontend(FrontendConfig{Plan: lora.EU868()})
 	// Two equal-power frames: neither has the capture advantage, so both die.
 	rx := feRXPK(868.1, -60, "SF7BW125")
-	if v, ok := f.Observe(0, &rx, 0); !ok || v != engine.VerdictLocked {
-		t.Fatalf("first frame: verdict=%v ok=%v", v, ok)
+	if locked, ok := f.Observe(0, &rx, 0); !ok || !locked {
+		t.Fatalf("first frame: locked=%v ok=%v", locked, ok)
 	}
 	// Same channel, same SF, overlapping in time (SF7/20B is ~tens of ms).
-	if v, ok := f.Observe(0, &rx, 0.01); !ok || v != engine.VerdictLocked {
-		t.Fatalf("second frame: verdict=%v ok=%v", v, ok)
+	if locked, ok := f.Observe(0, &rx, 0.01); !ok || !locked {
+		t.Fatalf("second frame: locked=%v ok=%v", locked, ok)
 	}
 	f.Advance(10) // both frames long over
 	c := f.Counters()
@@ -41,8 +40,8 @@ func TestFrontendCountsOverlapCollisions(t *testing.T) {
 func TestFrontendSensitivityAndCapacity(t *testing.T) {
 	f := NewFrontend(FrontendConfig{Plan: lora.EU868(), Capacity: 2})
 	weak := feRXPK(868.1, -150, "SF7BW125") // below SF7 sensitivity
-	if v, _ := f.Observe(0, &weak, 0); v != engine.VerdictNoSignal {
-		t.Fatalf("weak frame verdict = %v, want no-signal", v)
+	if locked, _ := f.Observe(0, &weak, 0); locked {
+		t.Fatal("frame below sensitivity locked a demodulator")
 	}
 	// Fill both demodulators on distinct channels, then overflow.
 	ch0 := feRXPK(868.1, -60, "SF12BW125") // long air time keeps them locked
@@ -50,8 +49,8 @@ func TestFrontendSensitivityAndCapacity(t *testing.T) {
 	ch2 := feRXPK(868.5, -60, "SF12BW125")
 	f.Observe(0, &ch0, 1)
 	f.Observe(0, &ch1, 1.01)
-	if v, _ := f.Observe(0, &ch2, 1.02); v != engine.VerdictNoCapacity {
-		t.Fatalf("third concurrent frame verdict = %v, want no-capacity", v)
+	if locked, _ := f.Observe(0, &ch2, 1.02); locked {
+		t.Fatal("third concurrent frame locked one of two demodulators")
 	}
 	c := f.Counters()
 	if c.SensitivityMisses != 1 || c.CapacityDrops != 1 {
@@ -93,9 +92,9 @@ func TestChannelTableResolvesPlan(t *testing.T) {
 }
 
 // TestObserveAllocBudget enforces the live-path half of the zero-alloc
-// claim: once the gateway table, engine arenas and Done buffers are warm,
-// Observe — datarate parse, channel lookup, clock clamp, engine arrival —
-// allocates nothing per frame.
+// claim: once the gateway table, engine arenas, window and Done buffer are
+// warm, Observe — datarate parse, channel lookup, clock clamp, one-entry
+// Batch — allocates nothing per frame.
 func TestObserveAllocBudget(t *testing.T) {
 	f := NewFrontend(FrontendConfig{Plan: lora.EU868()})
 	rx := feRXPK(868.1, -60, "SF7BW125")
@@ -133,8 +132,8 @@ func TestFrontendClampsClockRegressions(t *testing.T) {
 	f.Observe(0, &rx, 5)
 	// A reordered frame with an earlier arrival time must not violate the
 	// engine's nondecreasing-time contract (it is clamped to 5).
-	if v, ok := f.Observe(0, &rx, 4); !ok || v != engine.VerdictLocked {
-		t.Fatalf("reordered frame: verdict=%v ok=%v", v, ok)
+	if locked, ok := f.Observe(0, &rx, 4); !ok || !locked {
+		t.Fatalf("reordered frame: locked=%v ok=%v", locked, ok)
 	}
 	f.Advance(10)
 	if got := f.Counters().CollisionLosses; got != 2 {

@@ -60,9 +60,10 @@ func (h *refHeap) top() *refTx { return &(*h.txs)[h.idx[0]] }
 
 // refRunConfirmed is the scalar event loop confirmed traffic used to run
 // on, kept as the reference the windowed loop is checked against. It
-// materializes every attempt and walks start and end events in time order
-// through the scalar engine API, one Arrive per start and gateway and a
-// FinishUpTo at each end, and registers each delivered uplink's
+// materializes every attempt and walks start and end events in time order,
+// an end at time t before a start at t. Each start enters every gateway's
+// engine as a one-entry Batch window cut at the start, each end runs
+// FinishUpTo on every gateway, and it registers each delivered uplink's
 // acknowledgement at its lowest delivering gateway when the end event is
 // handled. It consumes randomness the way the windowed loop does: every
 // jitter first, device-major, from the master stream; the fading of each
@@ -123,17 +124,23 @@ func refRunConfirmed(net *model.Network, p model.Params, a model.Allocation, cfg
 	}
 
 	var done []engine.Done
+	var win engine.Window
+	rx := make([]float64, 1)
 	for starts.Len() > 0 || ends.Len() > 0 {
 		if ends.Len() == 0 || starts.Len() > 0 && starts.top().start < ends.top().end {
 			t := heap.Pop(starts).(int)
 			tx := &txs[t]
 			res.Attempts[tx.dev]++
-			sf, ch := a.SF[tx.dev], a.Channel[tx.dev]
+			win.Reset(t)
+			win.Append(tx.dev, a.SF[tx.dev], a.Channel[tx.dev], tx.start, tx.end, 0)
 			for k := range eng {
-				rx := sc.tpMW[tx.dev] * gains[tx.dev][k] * r.RayleighPowerGain()
-				switch eng[k].Arrive(t, tx.dev, sf, ch, tx.start, tx.end, rx) {
-				case engine.VerdictBlocked, engine.VerdictNoCapacity:
-					tx.outcome = max(tx.outcome, OutcomeCapacity)
+				rx[0] = sc.tpMW[tx.dev] * gains[tx.dev][k] * r.RayleighPowerGain()
+				// Every reception that ended by this start has been
+				// completed at its end event, so the only Done is the
+				// arrival's own no-signal or capacity verdict.
+				done = eng[k].Batch(&win, rx, tx.start, done[:0])
+				for _, d := range done {
+					tx.outcome = max(tx.outcome, d.Outcome)
 				}
 			}
 			heap.Push(ends, t)
