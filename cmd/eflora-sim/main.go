@@ -114,6 +114,7 @@ func run(args []string, out *os.File) error {
 	}
 
 	var res *sim.Result
+	var summary string
 	simCfg := sim.Config{
 		PacketsPerDevice:   *packets,
 		Seed:               *seed + 1,
@@ -135,17 +136,18 @@ func run(args []string, out *os.File) error {
 			fmt.Fprintf(out, ", %d uplinks lost to ACK transmissions", cres.AckBlocked)
 		}
 		fmt.Fprintln(out)
-		res = &cres.Result
+		res, summary = &cres.Result, cres.Summary()
 	} else {
 		var err error
 		if res, err = netw.Simulate(a, simCfg); err != nil {
 			return err
 		}
+		summary = res.Summary()
 	}
 
 	fmt.Fprintf(out, "Simulated %s on %d devices / %d gateways for %.0f s (>=%d packets/device)\n\n",
 		*allocator, netw.Net.N(), netw.Net.G(), res.SimTimeS, *packets)
-	fmt.Fprintln(out, res.Summary())
+	fmt.Fprintln(out, summary)
 
 	prr := stats.Summarize(res.PRR)
 	fmt.Fprintf(out, "\nPRR: min %.3f / mean %.3f / max %.3f\n", prr.Min, prr.Mean, prr.Max)

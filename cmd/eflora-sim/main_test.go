@@ -1,9 +1,12 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -38,6 +41,22 @@ func TestSimConfirmed(t *testing.T) {
 	out := capture(t, []string{"-devices", "40", "-gateways", "1", "-packets", "10", "-confirmed"})
 	if !strings.Contains(out, "retransmissions") {
 		t.Errorf("confirmed output missing retransmissions:\n%s", out)
+	}
+}
+
+// TestSimConfirmedSummaryCountsPackets requires -confirmed's summary line
+// to count packets and transmissions apart, with prr dividing the
+// deliveries by the packets.
+func TestSimConfirmedSummaryCountsPackets(t *testing.T) {
+	out := capture(t, []string{"-devices", "40", "-gateways", "1", "-packets", "10", "-confirmed"})
+	m := regexp.MustCompile(`packets=(\d+) transmissions=(\d+) delivered=(\d+) prr=(\S+) `).FindStringSubmatch(out)
+	if m == nil || strings.Contains(out, "attempts=") {
+		t.Fatalf("confirmed summary does not count packets and transmissions apart:\n%s", out)
+	}
+	packets, _ := strconv.Atoi(m[1])
+	delivered, _ := strconv.Atoi(m[3])
+	if want := fmt.Sprintf("%.3f", float64(delivered)/float64(packets)); m[4] != want {
+		t.Errorf("prr=%s, want delivered/packets = %s:\n%s", m[4], want, out)
 	}
 }
 

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+
 	"eflora/internal/model"
 	"eflora/internal/rng"
 	"eflora/internal/slab"
@@ -47,23 +49,34 @@ type ConfirmedResult struct {
 	AckBlocked int
 }
 
+// Summary renders headline statistics for logs. Attempts counts
+// transmissions here, so the delivery ratio divides by the generated
+// packets, as PRR does.
+func (r *ConfirmedResult) Summary() string {
+	packets := total(r.Generated)
+	return fmt.Sprintf("packets=%d transmissions=%d %s", packets, total(r.Attempts), r.deliverySummary(packets))
+}
+
 // RunConfirmed simulates confirmed uplink traffic with retransmissions.
 // It runs Run's windowed loop with windows of DefaultAckTimeoutS:
 // a transmission's verdict is final at the first window cut at or after
 // its end, and a failed transmission's retry, which starts at least
-// DefaultAckTimeoutS after that end, enters a later window's device scan
-// at its own device. Jitter and fading are drawn exactly as Run draws
-// them, retransmissions' fading included, and each device draws its
-// backoffs from its own stream seeded from Config.Seed and its index. So
-// with one attempt per packet and HalfDuplexAcks off the run equals Run's
-// on every Result field except RetxAvgPowerW, and the schedule streams in
+// DefaultAckTimeoutS after that end, waits in a queue of retransmissions
+// until the window it starts in. There it joins the window's entries
+// after the device scan's first transmissions, and the window's
+// ordering pass puts it in (start, device, attempt) order among them.
+// Jitter and fading are drawn exactly as Run draws them,
+// retransmissions' fading included, and each device draws its backoffs
+// from its own stream seeded from Config.Seed and its index. So with one
+// attempt per packet and HalfDuplexAcks off the run equals Run's on
+// every Result field except RetxAvgPowerW, and the schedule streams in
 // O(devices + window) memory.
 //
-// Config.Trace is honoured: one record per transmission attempt, appended
-// in schedule order (by start, device and attempt) as Run appends them,
-// no longer in completion order. Config.MeasureSNR is now honoured too,
-// as in Run. With a Config.Scratch the returned result aliases the
-// scratch's buffers under the same contract as Run.
+// Config.Trace records one PacketRecord per transmission attempt in
+// schedule order (by start, device and attempt), as Run appends them,
+// and Config.MeasureSNR records each device's best delivered SNR, as in
+// Run. With a Config.Scratch the returned result aliases the scratch's
+// buffers under the same contract as Run.
 func RunConfirmed(net *model.Network, p model.Params, a model.Allocation, cfg ConfirmedConfig) (*ConfirmedResult, error) {
 	if err := validate(net, p, a); err != nil {
 		return nil, err

@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"eflora/internal/geo"
@@ -117,6 +119,31 @@ func TestConfirmedLoadFeedback(t *testing.T) {
 	total := res.Attempts[0] + res.Attempts[1]
 	if total <= 200 {
 		t.Errorf("total attempts %d should exceed generated 200", total)
+	}
+}
+
+// TestConfirmedSummaryCountsPackets requires the confirmed summary to
+// name the transmissions and to divide the deliveries by the generated
+// packets, as PRR does, not by the transmissions that retries inflate.
+func TestConfirmedSummaryCountsPackets(t *testing.T) {
+	net, p, a := goldenNetwork(120, 2)
+	res, err := RunConfirmed(net, p, a, ConfirmedConfig{Config: Config{PacketsPerDevice: 10, Seed: 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Retransmissions == 0 {
+		t.Fatal("no retransmissions: transmissions equal packets")
+	}
+	packets, transmissions, delivered := 0, 0, 0
+	for i := range res.Generated {
+		packets += res.Generated[i]
+		transmissions += res.Attempts[i]
+		delivered += res.Delivered[i]
+	}
+	want := fmt.Sprintf("packets=%d transmissions=%d delivered=%d prr=%.3f ",
+		packets, transmissions, delivered, float64(delivered)/float64(packets))
+	if got := res.Summary(); !strings.HasPrefix(got, want) {
+		t.Errorf("summary %q, want prefix %q", got, want)
 	}
 }
 

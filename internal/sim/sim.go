@@ -293,15 +293,27 @@ func Run(net *model.Network, p model.Params, a model.Allocation, cfg Config) (*R
 
 // Summary renders headline statistics for logs.
 func (r *Result) Summary() string {
-	totalAttempts, totalDelivered := 0, 0
-	for i := range r.Attempts {
-		totalAttempts += r.Attempts[i]
-		totalDelivered += r.Delivered[i]
-	}
+	attempts := total(r.Attempts)
+	return fmt.Sprintf("attempts=%d %s", attempts, r.deliverySummary(attempts))
+}
+
+// deliverySummary renders the deliveries, their ratio to sent and the
+// loss counters.
+func (r *Result) deliverySummary(sent int) string {
+	delivered := total(r.Delivered)
 	prr := 0.0
-	if totalAttempts > 0 {
-		prr = float64(totalDelivered) / float64(totalAttempts)
+	if sent > 0 {
+		prr = float64(delivered) / float64(sent)
 	}
-	return fmt.Sprintf("attempts=%d delivered=%d prr=%.3f collisions=%d capacity_drops=%d sensitivity_misses=%d",
-		totalAttempts, totalDelivered, prr, r.CollisionLosses, r.CapacityDrops, r.SensitivityMisses)
+	return fmt.Sprintf("delivered=%d prr=%.3f collisions=%d capacity_drops=%d sensitivity_misses=%d",
+		delivered, prr, r.CollisionLosses, r.CapacityDrops, r.SensitivityMisses)
+}
+
+// total sums per-device counts.
+func total(xs []int) int {
+	n := 0
+	for _, x := range xs {
+		n += x
+	}
+	return n
 }
