@@ -23,9 +23,10 @@ type benchRecording struct {
 // recording is regenerated with
 //
 //	EFLORA_HEAVY_BENCH=1 go run ./cmd/eflora-bench \
-//	    -bench 'HierarchicalAllocate|ExactGreedyAllocate' \
-//	    -benchtime 1x -o BENCH_alloc.json
+//	    -bench 'HierarchicalAllocate|ExactGreedyAllocate|EFLoRaAllocate' \
+//	    -benchtime 1x -count 3 -o BENCH_alloc.json
 //
+// which stores each benchmark's median of three runs in ns_per_op.
 // so the test stays cheap (a JSON read) while the claim itself is
 // re-verifiable on demand.
 func TestHierarchicalScaleRecording(t *testing.T) {

@@ -13,9 +13,18 @@
 //
 //	eflora-bench -bench 'Sequential|Parallel' -cpu 1,2,4 -o BENCH_sim.json
 //
-// Diff mode compares two recordings benchmark-by-benchmark and exits
-// non-zero when any shared benchmark regressed beyond the threshold ratio
-// on time, bytes or allocations:
+// The -count flag is passed through to `go test -count`: each benchmark
+// then runs N times, and the recording stores its median ns/op (and the
+// medians of its bytes and allocations) together with the sample count
+// and the ns/op minimum and maximum. At the default -count 1 those three
+// fields are omitted and a recording reads as before:
+//
+//	eflora-bench -bench 'EFLoRaAllocate' -benchtime 1x -count 3 -o BENCH_alloc.json
+//
+// Diff mode compares two recordings benchmark-by-benchmark (medians, for
+// a recording made with -count N) and exits non-zero when any shared
+// benchmark regressed beyond the threshold ratio on time, bytes or
+// allocations:
 //
 //	eflora-bench -diff -threshold 1.3 old.json BENCH_sim.json
 //
@@ -39,6 +48,7 @@ import (
 	"os"
 	"os/exec"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -60,13 +70,73 @@ type Host struct {
 	CPUs   int    `json:"cpus"`
 }
 
-// Benchmark is one `go test -bench -benchmem` result line.
+// Benchmark is one `go test -bench -benchmem` result line, or the
+// medians of the lines one benchmark printed under -count N.
 type Benchmark struct {
 	Name        string  `json:"name"`
 	Iterations  int     `json:"iterations"`
 	NsPerOp     float64 `json:"ns_per_op"`
 	BytesPerOp  float64 `json:"bytes_per_op"`
 	AllocsPerOp float64 `json:"allocs_per_op"`
+	// Samples is the number of lines the medians were taken over, and
+	// NsPerOpMin and NsPerOpMax bound their ns/op; all three are omitted
+	// for a single line.
+	Samples    int     `json:"samples,omitempty"`
+	NsPerOpMin float64 `json:"ns_per_op_min,omitempty"`
+	NsPerOpMax float64 `json:"ns_per_op_max,omitempty"`
+}
+
+// groupSamples folds the lines `go test -count N` prints for each
+// benchmark into one entry per name, in order of first appearance. A name
+// printed once passes through unchanged; otherwise the entry holds the
+// median of each metric over the lines, their number, and the ns/op
+// minimum and maximum.
+func groupSamples(lines []Benchmark) []Benchmark {
+	var names []string
+	byName := map[string][]Benchmark{}
+	for _, b := range lines {
+		if _, ok := byName[b.Name]; !ok {
+			names = append(names, b.Name)
+		}
+		byName[b.Name] = append(byName[b.Name], b)
+	}
+	out := make([]Benchmark, 0, len(names))
+	for _, name := range names {
+		samples := byName[name]
+		if len(samples) == 1 {
+			out = append(out, samples[0])
+			continue
+		}
+		var iters, ns, bytes, allocs []float64
+		for _, b := range samples {
+			iters = append(iters, float64(b.Iterations))
+			ns = append(ns, b.NsPerOp)
+			bytes = append(bytes, b.BytesPerOp)
+			allocs = append(allocs, b.AllocsPerOp)
+		}
+		out = append(out, Benchmark{
+			Name:        name,
+			Iterations:  int(median(iters)),
+			NsPerOp:     median(ns),
+			BytesPerOp:  median(bytes),
+			AllocsPerOp: median(allocs),
+			Samples:     len(samples),
+			NsPerOpMin:  slices.Min(ns),
+			NsPerOpMax:  slices.Max(ns),
+		})
+	}
+	return out
+}
+
+// median returns the middle value of v, or the mean of the two middle
+// values when len(v) is even. It sorts v in place.
+func median(v []float64) float64 {
+	slices.Sort(v)
+	n := len(v)
+	if n%2 == 1 {
+		return v[n/2]
+	}
+	return (v[n/2-1] + v[n/2]) / 2
 }
 
 // parseBenchOutput extracts benchmark result lines and host metadata from
@@ -320,9 +390,9 @@ func writeRecording(w io.Writer, rec Recording) error {
 	return err
 }
 
-func runRecord(benchRe, benchtime, timeout, pkg, outPath, desc, cpu string) error {
+func runRecord(benchRe, benchtime, timeout, pkg, outPath, desc, cpu string, count int) error {
 	args := []string{"test", "-run", "^$", "-bench", benchRe,
-		"-benchtime", benchtime, "-timeout", timeout, "-benchmem", "-count=1"}
+		"-benchtime", benchtime, "-timeout", timeout, "-benchmem", "-count=" + strconv.Itoa(count)}
 	if cpu != "" {
 		args = append(args, "-cpu", cpu)
 	}
@@ -335,10 +405,11 @@ func runRecord(benchRe, benchtime, timeout, pkg, outPath, desc, cpu string) erro
 		os.Stderr.Write(out)
 		return fmt.Errorf("go test -bench: %w", err)
 	}
-	benches, host, err := parseBenchOutput(strings.NewReader(string(out)))
+	lines, host, err := parseBenchOutput(strings.NewReader(string(out)))
 	if err != nil {
 		return err
 	}
+	benches := groupSamples(lines)
 	if len(benches) == 0 {
 		os.Stderr.Write(out)
 		return fmt.Errorf("no benchmark results matched %q", benchRe)
@@ -422,9 +493,14 @@ func main() {
 		desc      = flag.String("description", "", "record mode: recording description")
 		cpu       = flag.String("cpu", "", "record mode: -cpu list passed to go test (e.g. 1,2,4) to record per-core scaling curves")
 		scaling   = flag.Float64("scaling-threshold", 1.25, "diff mode: failure ratio for old/new parallel speedup at each proc count (0 disables)")
+		count     = flag.Int("count", 1, "record mode: -count passed to go test; each benchmark's median over its runs is recorded")
 	)
 	flag.Parse()
 	var err error
+	if *count < 1 {
+		fmt.Fprintf(os.Stderr, "eflora-bench: -count must be at least 1, got %d\n", *count)
+		os.Exit(2)
+	}
 	if *diff {
 		if flag.NArg() != 2 {
 			fmt.Fprintln(os.Stderr, "usage: eflora-bench -diff [-threshold R] [-scaling-threshold R] old.json new.json")
@@ -432,7 +508,7 @@ func main() {
 		}
 		err = runDiff(flag.Arg(0), flag.Arg(1), *threshold, *scaling)
 	} else {
-		err = runRecord(*benchRe, *benchtime, *timeout, *pkg, *outPath, *desc, *cpu)
+		err = runRecord(*benchRe, *benchtime, *timeout, *pkg, *outPath, *desc, *cpu, *count)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "eflora-bench:", err)

@@ -202,3 +202,88 @@ func TestScalingCurves(t *testing.T) {
 		t.Errorf("curve Solo = %v", s)
 	}
 }
+
+// countOutput is `go test -bench -benchmem -count 3` output: every
+// benchmark prints one line per run.
+const countOutput = `goos: linux
+goarch: amd64
+cpu: Intel(R) Xeon(R) Processor
+BenchmarkEFLoRaAllocate-2 	       1	 300 ns/op	 1000 B/op	 10 allocs/op
+BenchmarkTimeOnAir-2 	     100	  95 ns/op
+BenchmarkEFLoRaAllocate-2 	       1	 100 ns/op	 3000 B/op	 30 allocs/op
+BenchmarkEFLoRaAllocate-2 	       1	 200 ns/op	 2000 B/op	 20 allocs/op
+BenchmarkHierarchicalAllocate1k-2 	       1	 50 ns/op	 10 B/op	 1 allocs/op
+BenchmarkHierarchicalAllocate1k-2 	       3	 70 ns/op	 30 B/op	 3 allocs/op
+PASS
+`
+
+func TestGroupSamples(t *testing.T) {
+	lines, _, err := parseBenchOutput(strings.NewReader(countOutput))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := groupSamples(lines)
+	want := []Benchmark{
+		{Name: "BenchmarkEFLoRaAllocate-2", Iterations: 1, NsPerOp: 200, BytesPerOp: 2000, AllocsPerOp: 20,
+			Samples: 3, NsPerOpMin: 100, NsPerOpMax: 300},
+		// A single line passes through with no spread fields.
+		{Name: "BenchmarkTimeOnAir-2", Iterations: 100, NsPerOp: 95},
+		// An even count takes the mean of the two middle values.
+		{Name: "BenchmarkHierarchicalAllocate1k-2", Iterations: 2, NsPerOp: 60, BytesPerOp: 20, AllocsPerOp: 2,
+			Samples: 2, NsPerOpMin: 50, NsPerOpMax: 70},
+	}
+	if len(got) != len(want) {
+		t.Fatalf("grouped %d benchmarks, want %d: %+v", len(got), len(want), got)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("benchmark %d = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+}
+
+// TestSingleSampleSchemaUnchanged checks that a recording made at -count 1
+// carries none of the spread fields, so it reads as recordings made
+// before -count existed.
+func TestSingleSampleSchemaUnchanged(t *testing.T) {
+	lines, _, err := parseBenchOutput(strings.NewReader(sampleOutput))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	if err := writeRecording(&b, rec(groupSamples(lines)...)); err != nil {
+		t.Fatal(err)
+	}
+	for _, field := range []string{"samples", "ns_per_op_min", "ns_per_op_max"} {
+		if strings.Contains(b.String(), field) {
+			t.Errorf("single-sample recording has %q:\n%s", field, b.String())
+		}
+	}
+	var m strings.Builder
+	if err := writeRecording(&m, rec(groupSamples(append(lines, lines[0]))...)); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(m.String(), `"samples":2`) {
+		t.Errorf("two-sample recording lacks its sample count:\n%s", m.String())
+	}
+}
+
+// TestDiffComparesMedians checks that diff mode judges a multi-sample
+// benchmark by its median: one slow outlier among three runs is no
+// regression, a slow median is.
+func TestDiffComparesMedians(t *testing.T) {
+	runs := func(ns ...float64) Recording {
+		var lines []Benchmark
+		for _, v := range ns {
+			lines = append(lines, Benchmark{Name: "A", Iterations: 1, NsPerOp: v})
+		}
+		return rec(groupSamples(lines)...)
+	}
+	old := runs(100, 100, 100)
+	if regs, _ := diffRecordings(old, runs(100, 500, 110), 1.3); len(regs) != 0 {
+		t.Errorf("one outlier of three flagged: %v", regs)
+	}
+	if regs, _ := diffRecordings(old, runs(140, 500, 135), 1.3); len(regs) != 1 {
+		t.Errorf("median 1.4x slower: %d regressions, want 1", len(regs))
+	}
+}

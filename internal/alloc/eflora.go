@@ -49,8 +49,10 @@ type Report struct {
 	Passes int
 	// Improvements counts committed single-device changes.
 	Improvements int
-	// CandidatesTried counts the enumerated (device, SF, TP, channel)
-	// options: every feasible move other than the device's current one.
+	// CandidatesTried counts the (device, SF, TP, channel) options the
+	// scans covered: every feasible move other than the device's current
+	// one. They are counted per feasible (SF, TP) pair, not enumerated, so
+	// the channels the pruning rules out cost nothing.
 	CandidatesTried int
 	// CandidatesEvaluated counts the MinEEIfAbove calls the scans made:
 	// the tried options the bottleneck-group pruning did not rule out.
@@ -235,13 +237,15 @@ type candidate struct {
 // then channel) and returns the first one attaining the largest network
 // minimum strictly above cur, and whether any did. With keepCurrent false
 // i's committed assignment is not a candidate. It adds the candidates it
-// enumerates and evaluates to rep.
+// covers and evaluates to rep.
 //
-// Candidates that ev.BlockingGroups rules out at cur are counted but not
-// evaluated. Each of them would have made MinEEIfAbove return at most its
-// threshold, and the threshold — the running best — never drops below
-// cur, so none of them could have become the winner: the scan picks the
-// same move a full scan does, at a few percent of the evaluations.
+// Candidates that ev.BlockingGroups rules out at cur are counted but
+// neither enumerated nor evaluated: with two or more blocking groups no
+// channel is visited, with one only that group's channel at its SF. Each
+// of them would have made MinEEIfAbove return at most its threshold, and
+// the threshold — the running best — never drops below cur, so none of
+// them could have become the winner: the scan picks the same move a full
+// scan does, at a few percent of the evaluations.
 //
 //eflora:hotpath
 func greedyStep(ev *model.Evaluator, gains [][]float64, i int, tpLevels []float64, nch int, cur float64, keepCurrent bool, rep *Report) (candidate, bool) {
@@ -254,12 +258,23 @@ func greedyStep(ev *model.Evaluator, gains [][]float64, i int, tpLevels []float6
 			if !model.FeasibleDB(gainDB, sf, tp) {
 				continue
 			}
-			for ch := 0; ch < nch; ch++ {
-				if !keepCurrent && sf == curSF && tp == curTP && ch == curCh {
+			skipCur := !keepCurrent && sf == curSF && tp == curTP
+			rep.CandidatesTried += nch
+			if skipCur {
+				rep.CandidatesTried--
+			}
+			lo, hi := 0, nch
+			switch {
+			case blocking > 1:
+				continue
+			case blocking == 1:
+				if sf != onlySF {
 					continue
 				}
-				rep.CandidatesTried++
-				if blocking > 1 || (blocking == 1 && (sf != onlySF || ch != onlyCh)) {
+				lo, hi = onlyCh, onlyCh+1
+			}
+			for ch := lo; ch < hi; ch++ {
+				if skipCur && ch == curCh {
 					continue
 				}
 				rep.CandidatesEvaluated++

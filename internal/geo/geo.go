@@ -48,9 +48,11 @@ func UniformDisc(n int, radius float64, r *rng.RNG) []Point {
 // meshed and gateways sit on the mesh cross positions, uniformly spread
 // within the coverage. One gateway is placed at the center; multiple
 // gateways are the g grid crossings nearest the center of a k x k lattice
-// scaled to the disc's inscribed square.
+// scaled to the disc's inscribed square. It returns nil when g <= 0 or
+// the radius is NaN, infinite or negative: no lattice cell lies inside
+// such a disc.
 func GridGateways(g int, radius float64) []Point {
-	if g <= 0 {
+	if g <= 0 || !(radius >= 0) || math.IsInf(radius, 1) {
 		return nil
 	}
 	if g == 1 {

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"eflora/internal/rng"
 )
@@ -123,6 +124,28 @@ func TestGridGatewaysDeterministic(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("GridGateways is not deterministic")
+		}
+	}
+}
+
+// TestGridGatewaysRejectsBadRadius checks that a NaN, infinite or
+// negative radius yields no gateways. No lattice cell of such a disc
+// passes the inside test, so a search that grows the lattice until enough
+// cells pass never ends; each call runs on its own goroutine so such a
+// search fails the test at a deadline instead of hanging it.
+func TestGridGatewaysRejectsBadRadius(t *testing.T) {
+	for _, radius := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1} {
+		for _, g := range []int{1, 4} {
+			done := make(chan []Point, 1)
+			go func() { done <- GridGateways(g, radius) }()
+			select {
+			case pts := <-done:
+				if pts != nil {
+					t.Errorf("GridGateways(%d, %v) = %v, want nil", g, radius, pts)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatalf("GridGateways(%d, %v) did not return within 5 s", g, radius)
+			}
 		}
 	}
 }

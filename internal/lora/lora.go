@@ -46,8 +46,8 @@ func (s SF) Valid() bool { return s >= MinSF && s <= MaxSF }
 func (s SF) String() string { return fmt.Sprintf("SF%d", int(s)) }
 
 // snrThresholdDB is the minimum SNR (dB) required to demodulate each SF at
-// 125 kHz bandwidth (paper Table IV).
-var snrThresholdDB = map[SF]float64{
+// 125 kHz bandwidth (paper Table IV), indexed by SF.
+var snrThresholdDB = [...]float64{
 	SF7:  -6,
 	SF8:  -9,
 	SF9:  -12,
@@ -57,8 +57,8 @@ var snrThresholdDB = map[SF]float64{
 }
 
 // sensitivityDBm is the gateway receiver sensitivity (dBm) for each SF at
-// 125 kHz bandwidth (paper Table IV).
-var sensitivityDBm = map[SF]float64{
+// 125 kHz bandwidth (paper Table IV), indexed by SF.
+var sensitivityDBm = [...]float64{
 	SF7:  -123,
 	SF8:  -126,
 	SF9:  -129,
@@ -71,22 +71,20 @@ var sensitivityDBm = map[SF]float64{
 // sent with spreading factor s (paper Table IV). It panics on an invalid SF
 // because the tables are a fixed physical contract, not user input.
 func SNRThresholdDB(s SF) float64 {
-	th, ok := snrThresholdDB[s]
-	if !ok {
+	if !s.Valid() {
 		panic(fmt.Sprintf("lora: invalid spreading factor %d", int(s)))
 	}
-	return th
+	return snrThresholdDB[s]
 }
 
 // SensitivityDBm returns the receiver sensitivity in dBm for spreading
 // factor s at 125 kHz bandwidth (paper Table IV).
 func SensitivityDBm(s SF) float64 {
-	ss, ok := sensitivityDBm[s]
-	if !ok {
+	if !s.Valid() {
 		//eflora:alloc-ok panic message on the programming-error path only, never taken for valid SFs
 		panic(fmt.Sprintf("lora: invalid spreading factor %d", int(s)))
 	}
-	return ss
+	return sensitivityDBm[s]
 }
 
 // SensitivityFromNoise computes the sensitivity in dBm from first

@@ -46,7 +46,8 @@ type group struct {
 //
 // An Evaluator is not safe for concurrent use: besides SetDevice and
 // RecomputeAll, the read paths MinEEIf, MinEEIfAbove and Explain refresh
-// θ rows and reuse scratch buffers.
+// θ rows, keep the last candidate's prologue and leaving-group scan, and
+// reuse scratch buffers.
 type Evaluator struct {
 	net *Network
 	p   Params
@@ -88,10 +89,42 @@ type Evaluator struct {
 
 	ee []float64
 
-	// MinEEIfAbove scratch: the last candidate's prologue, and the
-	// exposure sums of the group being scanned.
+	// rank holds the indices of the three groups with the lowest minimum
+	// EE, ordered by (minEE, group index). rankGroups renews it after
+	// every group refresh, so MinEE, MinEEIfAbove and BlockingGroups read
+	// it instead of folding every group.
+	rank [3]int32
+
+	// Plan-level tables: levelDBm[k] is the plan's k-th power level (as
+	// TxPowerLevels accumulates it, at most maxLevels of them), levelMW[k]
+	// its power in mW and levelES[sfIndex·len(levelDBm)+k] the energy of
+	// one attempt at that SF and level (see power).
+	levelDBm, levelMW, levelES []float64
+
+	// MinEEIfAbove scratch: the last candidate's prologue, the kept
+	// leaving-group scan, and the exposure sums of the group being
+	// scanned.
 	cand     prologue
+	leave    leaving
 	visX, qX []float64
+}
+
+// maxLevels caps the plan-level tables; a power beyond them is converted
+// on each use, like a power off the plan's grid.
+const maxLevels = 64
+
+// leaving is the member scan of device i's group once i has left it,
+// under the committed state at one epoch. It depends on neither the
+// candidate's SF, power nor channel, so one scan serves every candidate
+// of i that leaves the group until a commit or flush bumps the epoch.
+type leaving struct {
+	i     int
+	epoch uint64
+	// min is the lowest EE of the other members when full; otherwise the
+	// scan stopped at a member whose EE, min, was at or below its
+	// threshold.
+	min  float64
+	full bool
 }
 
 // setting is one device's (SF, power) choice together with the factors
@@ -156,6 +189,8 @@ func NewEvaluator(net *Network, p Params, alloc Allocation, mode Mode) (*Evaluat
 		e.floorMW[si] = math.Max(thLin*noiseMW, e.ssMW[si])
 	}
 	e.gain = Gains(net, p)
+	var levels [maxLevels]float64
+	nl := planLevels(p.Plan, levels[:])
 
 	e.sf = make([]lora.SF, e.n)
 	e.tpDBm = make([]float64, e.n)
@@ -166,13 +201,23 @@ func NewEvaluator(net *Network, p Params, alloc Allocation, mode Mode) (*Evaluat
 	e.ee = make([]float64, e.n)
 	e.thetaEpoch = make([]uint64, e.n)
 	// One backing array for every per-gateway row and buffer: the
-	// committed rows, the groups' sums and the scratch.
+	// committed rows, the groups' sums, the scratch and the plan-level
+	// tables.
 	ng := len(lora.SFs()) * e.nch
-	buf := make([]float64, (4*e.n+2*ng+5)*e.g)
-	row := func() []float64 {
-		r := buf[:e.g:e.g]
-		buf = buf[e.g:]
+	buf := make([]float64, (4*e.n+2*ng+5)*e.g+(2+len(e.toaBySF))*nl)
+	take := func(n int) []float64 {
+		r := buf[:n:n]
+		buf = buf[n:]
 		return r
+	}
+	row := func() []float64 { return take(e.g) }
+	e.levelDBm, e.levelMW, e.levelES = take(nl), take(nl), take(len(e.toaBySF)*nl)
+	copy(e.levelDBm, levels[:nl])
+	for k, tp := range e.levelDBm {
+		e.levelMW[k] = lora.DBmToMilliwatts(tp)
+		for si, toa := range e.toaBySF {
+			e.levelES[si*nl+k] = p.Profile.TransmissionEnergy(tp, toa)
+		}
 	}
 	e.vis = make([][]float64, e.n)
 	e.q = make([][]float64, e.n)
@@ -194,17 +239,17 @@ func NewEvaluator(net *Network, p Params, alloc Allocation, mode Mode) (*Evaluat
 	e.next = make([]int32, e.n)
 	e.prev = make([]int32, e.n)
 	e.cand = prologue{i: -1, setting: setting{vis: row(), fade: row()}, q: row()}
+	e.leave.i = -1
 	e.visX, e.qX = row(), row()
 	copy(e.sf, alloc.SF)
 	copy(e.tpDBm, alloc.TPdBm)
 	copy(e.ch, alloc.Channel)
 
 	for i := 0; i < e.n; i++ {
-		e.tpMW[i] = lora.DBmToMilliwatts(e.tpDBm[i])
+		e.tpMW[i], e.es[i] = e.power(e.sf[i], e.tpDBm[i])
 		toa := e.toaBySF[sfIndex(e.sf[i])]
 		interval := p.IntervalFor(net, i, e.sf[i])
 		e.alpha[i] = math.Min(1, toa/interval)
-		e.es[i] = p.Profile.TransmissionEnergy(e.tpDBm[i], toa)
 		e.linkFactors(i, e.sf[i], e.tpMW[i], e.alpha[i], e.vis[i], e.q[i], e.fade[i])
 		gr := e.groupOf(e.sf[i], e.ch[i])
 		e.link(gr, i)
@@ -222,6 +267,44 @@ func NewEvaluator(net *Network, p Params, alloc Allocation, mode Mode) (*Evaluat
 }
 
 func sfIndex(s lora.SF) int { return int(s) - int(lora.SF7) }
+
+// planLevels writes the plan's first len(dst) power levels into dst,
+// accumulating them as Plan.TxPowerLevels does, and returns how many it
+// wrote.
+func planLevels(plan lora.Plan, dst []float64) int {
+	if plan.TxPowerStepDBm <= 0 {
+		dst[0] = plan.MaxTxPowerDBm
+		return 1
+	}
+	n := 0
+	for tp := plan.MinTxPowerDBm; tp <= plan.MaxTxPowerDBm+1e-9 && n < len(dst); tp += plan.TxPowerStepDBm {
+		dst[n] = tp
+		n++
+	}
+	return n
+}
+
+// power returns tpDBm in mW and the energy of one transmission attempt at
+// SF s and that power: from the plan-level tables when tpDBm is one of
+// their levels, else from the same conversions the tables were built
+// with.
+func (e *Evaluator) power(s lora.SF, tpDBm float64) (mw, es float64) {
+	nl := len(e.levelDBm)
+	k := 0 // a plan without a positive step has the one level
+	if step := e.p.Plan.TxPowerStepDBm; step > 0 {
+		// The nearest level's index; a NaN or out-of-range power has none.
+		f := (tpDBm-e.p.Plan.MinTxPowerDBm)/step + 0.5
+		if !(f >= 0 && f < float64(nl)) {
+			k = -1
+		} else {
+			k = int(f)
+		}
+	}
+	if k >= 0 && e.levelDBm[k] == tpDBm {
+		return e.levelMW[k], e.levelES[sfIndex(s)*nl+k]
+	}
+	return lora.DBmToMilliwatts(tpDBm), e.p.Profile.TransmissionEnergy(tpDBm, e.toaBySF[sfIndex(s)])
+}
 
 func (e *Evaluator) groupOf(s lora.SF, c int) *group { return &e.groups[sfIndex(s)*e.nch+c] }
 
@@ -360,6 +443,29 @@ func (e *Evaluator) RecomputeAll() {
 	for gi := range e.groups {
 		e.refreshGroup(&e.groups[gi])
 	}
+	e.rankGroups()
+}
+
+// rankGroups renews e.rank from every group's minimum. A group joins the
+// ranking only strictly below a ranked one, and the groups arrive in
+// index order, so ties rank by index.
+//
+//eflora:hotpath
+func (e *Evaluator) rankGroups() {
+	rank := [3]int32{-1, -1, -1}
+	var min [3]float64
+	for gi := range e.groups {
+		m := e.groups[gi].minEE
+		if rank[2] >= 0 && !(m < min[2]) {
+			continue
+		}
+		k := 2
+		for ; k > 0 && (rank[k-1] < 0 || m < min[k-1]); k-- {
+			rank[k], min[k] = rank[k-1], min[k-1]
+		}
+		rank[k], min[k] = int32(gi), m
+	}
+	e.rank = rank
 }
 
 // refreshGroup recomputes the EE of every member of gr and the group
@@ -394,13 +500,8 @@ func (e *Evaluator) EEAll() []float64 {
 // MinEE returns the network's minimum energy efficiency and the device
 // attaining it — the objective of the paper's Eq. 1.
 func (e *Evaluator) MinEE() (float64, int) {
-	min, idx := math.Inf(1), -1
-	for gi := range e.groups {
-		if gr := &e.groups[gi]; gr.minEE < min {
-			min, idx = gr.minEE, gr.minIndex
-		}
-	}
-	return min, idx
+	gr := &e.groups[e.rank[0]]
+	return gr.minEE, gr.minIndex
 }
 
 // Assignment returns device i's committed (SF, TP dBm, channel) without
@@ -439,20 +540,19 @@ func (e *Evaluator) candidate(i int, sf lora.SF, tpDBm float64) *prologue {
 	if c.i == i && c.sf == sf && c.tpDBm == tpDBm {
 		return c
 	}
-	toa := e.toaBySF[sfIndex(sf)]
 	c.i, c.sf, c.tpDBm = i, sf, tpDBm
-	c.tpmw = lora.DBmToMilliwatts(tpDBm)
-	c.es = e.p.Profile.TransmissionEnergy(tpDBm, toa)
-	c.alpha = math.Min(1, toa/e.p.IntervalFor(e.net, i, sf))
+	c.tpmw, c.es = e.power(sf, tpDBm)
+	c.alpha = math.Min(1, e.toaBySF[sfIndex(sf)]/e.p.IntervalFor(e.net, i, sf))
 	e.linkFactors(i, sf, c.tpmw, c.alpha, c.vis, c.q, c.fade)
 	return c
 }
 
-// MinEEIfAbove is MinEEIf with an early-abort threshold: as soon as the
-// running minimum falls to the threshold or below, it returns immediately
-// with that value. The greedy allocator only cares whether a candidate
-// beats the current best, so most candidates are rejected after O(G) work
-// instead of a full scan of the affected groups.
+// MinEEIfAbove is MinEEIf with an early-abort threshold: as soon as it
+// knows the minimum is at the threshold or below, it returns a value at
+// or below the threshold, not necessarily the minimum itself. A result
+// above the threshold is exact. The greedy allocator only cares whether a
+// candidate beats the current best, so most candidates are rejected after
+// O(G) work instead of a full scan of the affected groups.
 //
 //eflora:hotpath
 func (e *Evaluator) MinEEIfAbove(i int, sf lora.SF, tpDBm float64, ch int, threshold float64) float64 {
@@ -468,19 +568,19 @@ func (e *Evaluator) MinEEIfAbove(i int, sf lora.SF, tpDBm float64, ch int, thres
 		return min
 	}
 
-	// Fold in the untouched groups' cached minima before the expensive
-	// member scans: if any of them is already at or below the threshold
-	// the candidate cannot win and we bail out after O(1) work per group.
-	for gi := range e.groups {
-		gr := &e.groups[gi]
-		if gr == oldGr || gr == newGr {
-			continue
-		}
-		if gr.minEE < min {
-			min = gr.minEE
-			if min <= threshold {
-				return min
+	// Fold in the lowest untouched group minimum before the expensive
+	// member scans: if it is already at or below the threshold the
+	// candidate cannot win. The move touches at most two groups, so the
+	// first ranked group it leaves untouched holds that minimum.
+	for _, gi := range e.rank {
+		if gr := &e.groups[gi]; gr != oldGr && gr != newGr {
+			if gr.minEE < min {
+				min = gr.minEE
+				if min <= threshold {
+					return min
+				}
 			}
+			break
 		}
 	}
 
@@ -494,15 +594,11 @@ func (e *Evaluator) MinEEIfAbove(i int, sf lora.SF, tpDBm float64, ch int, thres
 		x = exposure{visSum: e.visX, qSum: e.qX, withSelf: true}
 		return e.membersMin(newGr, i, &x, min, threshold)
 	}
-	// Members of the old group (i leaves): exposure minus i's old
-	// contribution.
-	for k := 0; k < e.g; k++ {
-		e.visX[k] = oldGr.visSum[k] - e.vis[i][k]
-		e.qX[k] = oldGr.qSum[k] - e.q[i][k]
-	}
-	x = exposure{visSum: e.visX, qSum: e.qX, withSelf: true}
-	if min = e.membersMin(oldGr, i, &x, min, threshold); min <= threshold {
-		return min
+	// Members of the old group (i leaves).
+	if l := e.leavingMin(oldGr, i, threshold); l < min {
+		if min = l; min <= threshold {
+			return min
+		}
 	}
 	// Members of the new group (i joins): exposure plus i's new
 	// contribution.
@@ -537,9 +633,34 @@ func (e *Evaluator) membersMin(gr *group, i int, x *exposure, min, threshold flo
 	return min
 }
 
+// leavingMin returns the member scan of gr, device i's group, once i has
+// left it: the members' exposure is the group's minus i's committed
+// contribution. The scan is kept (see leaving) and served again for the
+// same device and epoch when it ran to the end, or when it stopped at or
+// below threshold, which a fresh scan would then also do; as with
+// membersMin, a caller discards the exact value of a return at or below
+// its threshold.
+//
+//eflora:hotpath
+func (e *Evaluator) leavingMin(gr *group, i int, threshold float64) float64 {
+	l := &e.leave
+	if l.i == i && l.epoch == e.epoch && (l.full || l.min <= threshold) {
+		return l.min
+	}
+	for k := 0; k < e.g; k++ {
+		e.visX[k] = gr.visSum[k] - e.vis[i][k]
+		e.qX[k] = gr.qSum[k] - e.q[i][k]
+	}
+	x := exposure{visSum: e.visX, qSum: e.qX, withSelf: true}
+	l.i, l.epoch = i, e.epoch
+	l.min = e.membersMin(gr, i, &x, math.Inf(1), threshold)
+	l.full = !(l.min <= threshold)
+	return l.min
+}
+
 // BlockingGroups counts the (SF, channel) groups other than device i's own
 // whose cached minimum EE is at or below t, stopping at two, and returns
-// the SF and channel of the first one it finds. Before MinEEIfAbove can
+// the SF and channel of the lowest one. Before MinEEIfAbove can
 // return a value above its threshold t it folds in the cached minimum of
 // every group the move leaves untouched, so:
 //   - with two or more blocking groups, no move of i can beat t;
@@ -548,20 +669,25 @@ func (e *Evaluator) membersMin(gr *group, i int, x *exposure, min, threshold flo
 //
 // A group at or below t stays at or below every larger threshold, so the
 // verdict also holds for a scan whose threshold rises from t as it finds
-// better moves. The method reads the cached group minima only and
-// allocates nothing.
+// better moves. The method reads the ranked group minima only: i's own
+// group takes at most one of the three places, so the other two decide
+// the count. It allocates nothing.
 //
 //eflora:hotpath
 func (e *Evaluator) BlockingGroups(i int, t float64) (n int, sf lora.SF, ch int) {
 	own := e.groupOf(e.sf[i], e.ch[i])
-	for gi := range e.groups {
-		if gr := &e.groups[gi]; gr == own || !(gr.minEE <= t) {
+	for _, gi := range e.rank {
+		gr := &e.groups[gi]
+		if gr == own {
 			continue
+		}
+		if !(gr.minEE <= t) {
+			break
 		}
 		if n == 1 {
 			return 2, sf, ch
 		}
-		n, sf, ch = 1, lora.SF7+lora.SF(gi/e.nch), gi%e.nch
+		n, sf, ch = 1, lora.SF7+lora.SF(int(gi)/e.nch), int(gi)%e.nch
 	}
 	return n, sf, ch
 }
@@ -584,7 +710,6 @@ func (e *Evaluator) SetDevice(i int, sf lora.SF, tpDBm float64, ch int) error {
 		return fmt.Errorf("model: TP %v outside plan range", tpDBm)
 	}
 	oldGr, newGr := e.groupOf(e.sf[i], e.ch[i]), e.groupOf(sf, ch)
-	tpmw := lora.DBmToMilliwatts(tpDBm)
 
 	// Remove i's old footprint.
 	for k := 0; k < e.g; k++ {
@@ -597,13 +722,11 @@ func (e *Evaluator) SetDevice(i int, sf lora.SF, tpDBm float64, ch int) error {
 	// Apply the new assignment.
 	e.sf[i] = sf
 	e.tpDBm[i] = tpDBm
-	e.tpMW[i] = tpmw
+	e.tpMW[i], e.es[i] = e.power(sf, tpDBm)
 	e.ch[i] = ch
-	toa := e.toaBySF[sfIndex(sf)]
 	interval := e.p.IntervalFor(e.net, i, sf)
-	e.alpha[i] = math.Min(1, toa/interval)
-	e.es[i] = e.p.Profile.TransmissionEnergy(tpDBm, toa)
-	e.linkFactors(i, sf, tpmw, e.alpha[i], e.vis[i], e.q[i], e.fade[i])
+	e.alpha[i] = math.Min(1, e.toaBySF[sfIndex(sf)]/interval)
+	e.linkFactors(i, sf, e.tpMW[i], e.alpha[i], e.vis[i], e.q[i], e.fade[i])
 	for k := 0; k < e.g; k++ {
 		newGr.visSum[k] += e.vis[i][k]
 		newGr.qSum[k] += e.q[i][k]
@@ -617,6 +740,7 @@ func (e *Evaluator) SetDevice(i int, sf lora.SF, tpDBm float64, ch int) error {
 	if newGr != oldGr {
 		e.refreshGroup(newGr)
 	}
+	e.rankGroups()
 	return nil
 }
 

@@ -158,12 +158,169 @@ func checkPrologue(t *testing.T, ev *Evaluator, i int, sf lora.SF, tpDBm float64
 	}
 }
 
+// checkRanked fails unless ev.rank holds the three groups with the lowest
+// cached minimum EE in (minEE, group index) order, as a linear scan of
+// the groups finds them.
+func checkRanked(t *testing.T, ev *Evaluator, step string) {
+	t.Helper()
+	taken := make([]bool, len(ev.groups))
+	for r, gi := range ev.rank {
+		want := -1
+		for g := range ev.groups {
+			if !taken[g] && (want < 0 || ev.groups[g].minEE < ev.groups[want].minEE) {
+				want = g
+			}
+		}
+		taken[want] = true
+		if int(gi) != want {
+			t.Fatalf("%s: rank %d is group %d (min %v), linear scan finds group %d (min %v)",
+				step, r, gi, ev.groups[gi].minEE, want, ev.groups[want].minEE)
+		}
+	}
+}
+
+// leavingEEs returns the EE of every member of device i's group other
+// than i under the group's exposure minus i's committed row, and their
+// minimum: a fresh full leaving-group scan.
+func leavingEEs(ev *Evaluator, i int) (ees []float64, min float64) {
+	gr := ev.groupOf(ev.sf[i], ev.ch[i])
+	x := exposure{visSum: make([]float64, ev.g), qSum: make([]float64, ev.g), withSelf: true}
+	for k := 0; k < ev.g; k++ {
+		x.visSum[k] = gr.visSum[k] - ev.vis[i][k]
+		x.qSum[k] = gr.qSum[k] - ev.q[i][k]
+	}
+	min = math.Inf(1)
+	for j := int(gr.head); j >= 0; j = int(ev.next[j]) {
+		if j == i {
+			continue
+		}
+		s := ev.committed(j)
+		ee := ev.eeCompute(j, &s, &x)
+		if ee < min {
+			min = ee
+		}
+		ees = append(ees, ee)
+	}
+	return ees, min
+}
+
+// checkLeaving checks a leaving-group scan of device i against a fresh
+// full one (leavingEEs): bit for bit when the scan ran to the end, else
+// it must be one member's EE, so at or above the fresh minimum.
+func checkLeaving(t *testing.T, ev *Evaluator, i int, got float64, full bool, step string) {
+	t.Helper()
+	ees, min := leavingEEs(ev, i)
+	if full {
+		if !sameBits(got, min) {
+			t.Fatalf("%s: leaving scan of device %d at epoch %d is %v, a fresh scan %v",
+				step, i, ev.epoch, got, min)
+		}
+		return
+	}
+	for _, ee := range ees {
+		if sameBits(ee, got) {
+			return
+		}
+	}
+	t.Fatalf("%s: partial leaving scan of device %d at epoch %d stopped at %v, no member's EE (fresh minimum %v)",
+		step, i, ev.epoch, got, min)
+}
+
+// checkKeptLeaving checks the leaving-group scan ev keeps, if it is for
+// the current epoch, and reports whether it was.
+func checkKeptLeaving(t *testing.T, ev *Evaluator, step string) bool {
+	t.Helper()
+	l := ev.leave
+	if l.i < 0 || l.epoch != ev.epoch {
+		return false
+	}
+	checkLeaving(t, ev, l.i, l.min, l.full, step)
+	return true
+}
+
+// refMinEEIf computes MinEEIf(i, sf, tpDBm, ch) with neither the kept
+// prologue, the plan-level tables, the ranked group minima nor the kept
+// leaving-group scan: device i's candidate setting from the parameters, a
+// fold over every untouched group's cached minimum in index order, and
+// full member scans of the groups the move touches.
+func refMinEEIf(ev *Evaluator, i int, sf lora.SF, tpDBm float64, ch int) float64 {
+	g := ev.g
+	toa := ev.p.TimeOnAir(sf)
+	c := setting{
+		sf:    sf,
+		tpmw:  lora.DBmToMilliwatts(tpDBm),
+		alpha: math.Min(1, toa/ev.p.IntervalFor(ev.net, i, sf)),
+		es:    ev.p.Profile.TransmissionEnergy(tpDBm, toa),
+		vis:   make([]float64, g),
+		fade:  make([]float64, g),
+	}
+	q := make([]float64, g)
+	for k := 0; k < g; k++ {
+		c.vis[k], q[k], c.fade[k] = freshLink(ev, i, k, sf, tpDBm)
+	}
+	oldGr, newGr := ev.groupOf(ev.sf[i], ev.ch[i]), ev.groupOf(sf, ch)
+	same := oldGr == newGr
+	min := ev.eeCompute(i, &c, &exposure{visSum: newGr.visSum, qSum: newGr.qSum, withSelf: same})
+	for gi := range ev.groups {
+		if gr := &ev.groups[gi]; gr != oldGr && gr != newGr && gr.minEE < min {
+			min = gr.minEE
+		}
+	}
+	x := exposure{visSum: make([]float64, g), qSum: make([]float64, g), withSelf: true}
+	scan := func(gr *group) {
+		for j := int(gr.head); j >= 0; j = int(ev.next[j]) {
+			if j == i {
+				continue
+			}
+			s := ev.committed(j)
+			if ee := ev.eeCompute(j, &s, &x); ee < min {
+				min = ee
+			}
+		}
+	}
+	if same {
+		for k := 0; k < g; k++ {
+			x.visSum[k] = newGr.visSum[k] - ev.vis[i][k] + c.vis[k]
+			x.qSum[k] = newGr.qSum[k] - ev.q[i][k] + q[k]
+		}
+		scan(newGr)
+		return min
+	}
+	for k := 0; k < g; k++ {
+		x.visSum[k] = oldGr.visSum[k] - ev.vis[i][k]
+		x.qSum[k] = oldGr.qSum[k] - ev.q[i][k]
+	}
+	scan(oldGr)
+	for k := 0; k < g; k++ {
+		x.visSum[k] = newGr.visSum[k] + c.vis[k]
+		x.qSum[k] = newGr.qSum[k] + q[k]
+	}
+	scan(newGr)
+	return min
+}
+
+// checkMinEEIfAbove probes MinEEIfAbove(i, sf, tpDBm, ch, threshold)
+// against refMinEEIf: when either result is above the threshold both must
+// be equal bit for bit; otherwise both must be at or below it, where the
+// evaluator may stop early at any such value.
+func checkMinEEIfAbove(t *testing.T, ev *Evaluator, i int, sf lora.SF, tpDBm float64, ch int, threshold float64, step string) {
+	t.Helper()
+	got := ev.MinEEIfAbove(i, sf, tpDBm, ch, threshold)
+	want := refMinEEIf(ev, i, sf, tpDBm, ch)
+	if (got > threshold || want > threshold) && !sameBits(got, want) {
+		t.Fatalf("%s: MinEEIfAbove(%d, %v, %v dBm, ch %d, %v) = %v, reference %v",
+			step, i, sf, tpDBm, ch, threshold, got, want)
+	}
+}
+
 // FuzzEvaluatorRowsFresh interleaves commits, flushes and candidate
-// probes at random, and checks after every step that no committed row or
-// candidate prologue the evaluator would serve is stale (checkRowsFresh,
-// checkPrologue). FuzzEvaluatorConsistency compares state only after a
-// RecomputeAll flush, so it cannot see a commit that forgets to bump the
-// epoch; this target can.
+// probes at random, and checks after every step that no committed row,
+// candidate prologue, group ranking or kept leaving-group scan the
+// evaluator would serve is stale (checkRowsFresh, checkPrologue,
+// checkRanked, checkLeaving), and every probe against refMinEEIf at
+// random thresholds, −Inf included. FuzzEvaluatorConsistency compares
+// state only after a RecomputeAll flush, so it cannot see a commit that
+// forgets to bump the epoch or re-rank the groups; this target can.
 func FuzzEvaluatorRowsFresh(f *testing.F) {
 	for v := uint64(0); v < 5; v++ {
 		f.Add(uint64(20261018)+v, v)
@@ -177,10 +334,16 @@ func FuzzEvaluatorRowsFresh(f *testing.F) {
 			t.Fatal(err)
 		}
 		checkRowsFresh(t, ev, "NewEvaluator")
+		checkRanked(t, ev, "NewEvaluator")
 		r := rng.New(seed ^ 0x5851f42d4c957f2d)
-		served := 0
+		served, kept := 0, 0
+		i := 0
 		for op := 0; op < 80; op++ {
-			i := r.Intn(net.N())
+			// Half the steps stay on the last step's device, so a
+			// scan kept for it meets later commits and flushes.
+			if op == 0 || r.Intn(2) == 0 {
+				i = r.Intn(net.N())
+			}
 			sf := lora.SF7 + lora.SF(r.Intn(6))
 			tp := tpLevels[r.Intn(len(tpLevels))]
 			var step string
@@ -195,25 +358,52 @@ func FuzzEvaluatorRowsFresh(f *testing.F) {
 				ev.RecomputeAll()
 			case 4, 5:
 				step = fmt.Sprintf("op %d MinEEIf(%d)", op, i)
-				ev.MinEEIf(i, sf, tp, r.Intn(nch))
+				checkMinEEIfAbove(t, ev, i, sf, tp, r.Intn(nch), math.Inf(-1), step)
 				checkPrologue(t, ev, i, sf, tp, step)
 			default:
 				// Every TP level and channel of one (device, SF) in
 				// the greedy's order, so a kept prologue is reused
-				// across channels and must be replaced across powers.
+				// across channels and must be replaced across powers,
+				// and a kept leaving scan is served across both. Each
+				// probe draws its threshold: −Inf, the network minimum,
+				// a level above it, or the reference value itself.
 				step = fmt.Sprintf("op %d MinEEIfAbove(%d, %v) over all powers and channels", op, i, sf)
 				cur, _ := ev.MinEE()
+				maxEE := math.Inf(-1)
+				for _, ee := range ev.ee {
+					maxEE = math.Max(maxEE, ee)
+				}
 				for _, tp := range tpLevels {
 					for ch := 0; ch < nch; ch++ {
-						ev.MinEEIfAbove(i, sf, tp, ch, cur)
+						th := math.Inf(-1)
+						switch r.Intn(4) {
+						case 1:
+							th = cur
+						case 2:
+							th = cur + (maxEE-cur)*r.Float64()
+						case 3:
+							th = refMinEEIf(ev, i, sf, tp, ch)
+						}
+						// What the evaluator serves for i at th,
+						// kept or scanned now.
+						l := ev.leavingMin(ev.groupOf(ev.sf[i], ev.ch[i]), i, th)
+						checkLeaving(t, ev, i, l, !(l <= th), step)
+						checkMinEEIfAbove(t, ev, i, sf, tp, ch, th, step)
 					}
 					checkPrologue(t, ev, i, sf, tp, step)
 				}
 			}
 			served += checkRowsFresh(t, ev, step)
+			checkRanked(t, ev, step)
+			if checkKeptLeaving(t, ev, step) {
+				kept++
+			}
 		}
 		if served == 0 {
 			t.Fatal("no θ row was current at any check")
+		}
+		if kept == 0 {
+			t.Fatal("no leaving-group scan was kept at any check")
 		}
 	})
 }
