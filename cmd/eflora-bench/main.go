@@ -21,6 +21,14 @@
 //
 //	eflora-bench -bench 'EFLoRaAllocate' -benchtime 1x -count 3 -o BENCH_alloc.json
 //
+// The -pkg flag takes a comma-separated list of packages, so one
+// recording can span several (go test runs their benchmarks one package
+// at a time):
+//
+//	eflora-bench -pkg ./internal/statestore,./internal/ingest \
+//	    -bench 'WALAppend|SnapshotEncode|Recover|DecodePushData|DecodeHostileKeys' \
+//	    -benchtime 2s -count 5 -cpu 2 -o BENCH_nsd.json
+//
 // Diff mode compares two recordings benchmark-by-benchmark (medians, for
 // a recording made with -count N) and exits non-zero when any shared
 // benchmark regressed beyond the threshold ratio on time, bytes or
@@ -390,13 +398,25 @@ func writeRecording(w io.Writer, rec Recording) error {
 	return err
 }
 
-func runRecord(benchRe, benchtime, timeout, pkg, outPath, desc, cpu string, count int) error {
+// splitPackages splits the -pkg flag's comma-separated list into go test
+// package arguments, dropping blank entries.
+func splitPackages(list string) []string {
+	var pkgs []string
+	for _, p := range strings.Split(list, ",") {
+		if p = strings.TrimSpace(p); p != "" {
+			pkgs = append(pkgs, p)
+		}
+	}
+	return pkgs
+}
+
+func runRecord(benchRe, benchtime, timeout string, pkgs []string, outPath, desc, cpu string, count int) error {
 	args := []string{"test", "-run", "^$", "-bench", benchRe,
 		"-benchtime", benchtime, "-timeout", timeout, "-benchmem", "-count=" + strconv.Itoa(count)}
 	if cpu != "" {
 		args = append(args, "-cpu", cpu)
 	}
-	args = append(args, pkg)
+	args = append(args, pkgs...)
 	fmt.Fprintf(os.Stderr, "eflora-bench: go %s\n", strings.Join(args, " "))
 	cmd := exec.Command("go", args...)
 	cmd.Stderr = os.Stderr
@@ -488,7 +508,7 @@ func main() {
 		benchRe   = flag.String("bench", "Sequential|Parallel", "record mode: -bench regexp passed to go test")
 		benchtime = flag.String("benchtime", "3x", "record mode: -benchtime passed to go test")
 		timeout   = flag.String("timeout", "60m", "record mode: -timeout passed to go test (heavy suites exceed go's 10m default)")
-		pkg       = flag.String("pkg", ".", "record mode: package to benchmark")
+		pkg       = flag.String("pkg", ".", "record mode: comma-separated packages to benchmark")
 		outPath   = flag.String("o", "BENCH_sim.json", "record mode: output recording path")
 		desc      = flag.String("description", "", "record mode: recording description")
 		cpu       = flag.String("cpu", "", "record mode: -cpu list passed to go test (e.g. 1,2,4) to record per-core scaling curves")
@@ -508,7 +528,12 @@ func main() {
 		}
 		err = runDiff(flag.Arg(0), flag.Arg(1), *threshold, *scaling)
 	} else {
-		err = runRecord(*benchRe, *benchtime, *timeout, *pkg, *outPath, *desc, *cpu, *count)
+		pkgs := splitPackages(*pkg)
+		if len(pkgs) == 0 {
+			fmt.Fprintf(os.Stderr, "eflora-bench: -pkg names no package: %q\n", *pkg)
+			os.Exit(2)
+		}
+		err = runRecord(*benchRe, *benchtime, *timeout, pkgs, *outPath, *desc, *cpu, *count)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "eflora-bench:", err)

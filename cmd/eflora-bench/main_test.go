@@ -2,6 +2,7 @@ package main
 
 import (
 	"os"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -124,6 +125,20 @@ func TestParseExistingRecording(t *testing.T) {
 	}
 	if len(recFile.Benchmarks) == 0 || recFile.Host.GOOS == "" {
 		t.Errorf("BENCH_sim.json parsed to %+v", recFile)
+	}
+}
+
+func TestSplitPackages(t *testing.T) {
+	for list, want := range map[string][]string{
+		".": {"."},
+		"./internal/statestore,./internal/ingest": {"./internal/statestore", "./internal/ingest"},
+		" ./a , ,./b,": {"./a", "./b"},
+		"":             nil,
+		" , ":          nil,
+	} {
+		if got := splitPackages(list); !slices.Equal(got, want) {
+			t.Errorf("splitPackages(%q) = %q, want %q", list, got, want)
+		}
 	}
 }
 

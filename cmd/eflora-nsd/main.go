@@ -57,7 +57,6 @@ type config struct {
 	shards       int
 	queueDepth   int
 	dedupWindowS float64
-	retainCap    int
 	flushEvery   time.Duration
 	reallocEvery time.Duration
 	snrMarginDB  float64
@@ -132,7 +131,6 @@ func parseArgs(args []string) (config, error) {
 	fs.IntVar(&cfg.shards, "shards", 8, "DevAddr shards (independent network-server locks)")
 	fs.IntVar(&cfg.queueDepth, "queue", 1024, "per-shard inbox depth; a full inbox backpressures the reader")
 	fs.Float64Var(&cfg.dedupWindowS, "dedup-window", 0.2, "dedup window in seconds")
-	fs.IntVar(&cfg.retainCap, "retain", 4096, "per-shard delivery backlog cap (ring); 0 = unbounded")
 	fs.DurationVar(&cfg.flushEvery, "flush-every", 100*time.Millisecond, "clock-driven dedup flush interval")
 	fs.DurationVar(&cfg.reallocEvery, "realloc-every", 30*time.Second, "online re-allocation interval (0 = disabled)")
 	fs.Float64Var(&cfg.snrMarginDB, "snr-margin", 1, "SNR headroom above the SF demodulation floor before a device counts as drifting")
@@ -307,7 +305,6 @@ func newServer(cfg config, netw *core.Network, a model.Allocation) (*server, err
 		Shards:       cfg.shards,
 		QueueDepth:   cfg.queueDepth,
 		DedupWindowS: cfg.dedupWindowS,
-		RetainCap:    cfg.retainCap,
 		OnDelivery: func(_ int, del netserver.Delivery) {
 			s.tracker.Observe(del)
 			if del.FPort == 0 {
@@ -792,6 +789,7 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	for _, e := range s.sched.AckErrors() {
 		fmt.Fprintf(w, "eflora_nsd_txack_total{gateway=\"%x\",error=%q} %d\n", e.EUI, e.Error, e.Count)
 	}
+	fmt.Fprintf(w, "eflora_nsd_txack_unsolicited_total %d\n", dl.Unsolicited)
 	if s.realloc != nil {
 		ans := s.realloc.Ans()
 		fmt.Fprintf(w, "eflora_nsd_linkadr_sent_total %d\n", ans.Sent)

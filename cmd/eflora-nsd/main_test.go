@@ -756,12 +756,13 @@ func TestDaemonDownlinkDelivery(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 	}
 	checks := map[string]float64{
-		"eflora_nsd_downlink_queued_total":  1,
-		"eflora_nsd_downlink_sent_total":    2,
-		"eflora_nsd_downlink_acked_total":   1,
-		"eflora_nsd_downlink_retried_total": 1,
-		"eflora_nsd_downlink_failed_total":  0,
-		"eflora_nsd_gateway_routes":         1,
+		"eflora_nsd_downlink_queued_total":   1,
+		"eflora_nsd_downlink_sent_total":     2,
+		"eflora_nsd_downlink_acked_total":    1,
+		"eflora_nsd_downlink_retried_total":  1,
+		"eflora_nsd_downlink_failed_total":   0,
+		"eflora_nsd_gateway_routes":          1,
+		"eflora_nsd_txack_unsolicited_total": 0,
 	}
 	for name, want := range checks {
 		if got, ok := metricValue(body, name); !ok || got != want {

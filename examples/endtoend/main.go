@@ -37,7 +37,9 @@ func main() {
 		{"soil-b", geo.Point{X: 400, Y: -2200}, lora.SF9, device(0x22)},
 		{"tank-c", geo.Point{X: 3500, Y: 1500}, lora.SF11, device(0x33)},
 	}
-	server := netserver.New([]netserver.Device{sensors[0].dev, sensors[1].dev, sensors[2].dev})
+	var deliveries []netserver.Delivery
+	server := netserver.New([]netserver.Device{sensors[0].dev, sensors[1].dev, sensors[2].dev},
+		func(d netserver.Delivery) { deliveries = append(deliveries, d) })
 	r := rng.New(2026)
 	const tpDBm = 14.0
 	noiseDBm := model.DefaultParams().NoiseDBm
@@ -104,7 +106,7 @@ func main() {
 	server.Flush()
 
 	fmt.Println("\nNetwork server:")
-	for _, d := range server.Deliveries() {
+	for _, d := range deliveries {
 		fmt.Printf("  dev %08x FCnt %d via %d gateway(s): %q\n",
 			d.DevAddr, d.FCnt, len(d.Gateways), d.Payload)
 	}

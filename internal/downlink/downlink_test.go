@@ -1,6 +1,8 @@
 package downlink
 
 import (
+	"encoding/binary"
+	"fmt"
 	"net"
 	"testing"
 
@@ -8,6 +10,7 @@ import (
 	"eflora/internal/ingest"
 	"eflora/internal/lora"
 	"eflora/internal/lorawan"
+	"eflora/internal/rng"
 )
 
 func TestRoutesUpdateLookupEvict(t *testing.T) {
@@ -184,9 +187,75 @@ func TestSchedulerAck(t *testing.T) {
 	if c.Acked != 1 || c.Failed != 0 || s.PendingCount() != 0 {
 		t.Errorf("counters = %+v, pending %d", c, s.PendingCount())
 	}
-	// Unsolicited token: tallied per gateway, no crash, no retry.
+	// Unsolicited token: counted, not tallied, no crash, no retry.
 	if f := s.OnTxAck(up.EUI, 0x7777, ingest.TxErrTxPower, 101); f != nil {
 		t.Fatal("unsolicited ack produced a frame")
+	}
+	if c := s.Counters(); c.Unsolicited != 1 {
+		t.Errorf("unsolicited = %d, want 1", c.Unsolicited)
+	}
+	if errs := s.AckErrors(); len(errs) != 1 || errs[0].EUI != up.EUI || errs[0].Error != ingest.TxErrNone || errs[0].Count != 1 {
+		t.Errorf("ack tallies = %+v, want one NONE from the frame's gateway", errs)
+	}
+
+	// An error from another gateway cannot fail or retry this gateway's
+	// frame; the right gateway's unknown error string is tallied as OTHER
+	// and still earns the RX2 retry.
+	s.ObserveUplink(testUplink(8, 200), 200)
+	f = s.Enqueue(8, testPhy(t, 8), 200.05)
+	if f == nil {
+		t.Fatal("no frame")
+	}
+	foreign := up.EUI
+	foreign[0] ^= 0xff
+	if retry := s.OnTxAck(foreign, f.Token, ingest.TxErrTooLate, 200.2); retry != nil || s.PendingCount() != 1 {
+		t.Fatalf("foreign gateway's TX_ACK resolved the frame: retry %+v, pending %d", retry, s.PendingCount())
+	}
+	if retry := s.OnTxAck(up.EUI, f.Token, "made-up", 200.2); retry == nil || retry.Window != 2 {
+		t.Fatalf("unknown error string: retry = %+v, want RX2", retry)
+	}
+	c = s.Counters()
+	if c.Unsolicited != 2 || c.Retried != 1 {
+		t.Errorf("counters = %+v, want 2 unsolicited and 1 retry", c)
+	}
+	errs := s.AckErrors()
+	if len(errs) != 2 || errs[0].Error != ingest.TxErrNone || errs[1].Error != "OTHER" {
+		t.Errorf("ack tallies = %+v, want NONE and OTHER", errs)
+	}
+}
+
+// TestSchedulerUnsolicitedAcksBounded floods the scheduler with random
+// TX_ACKs, as any UDP sender can: none may add a tally or resolve the
+// pending frame, so /metrics cannot grow with them.
+func TestSchedulerUnsolicitedAcksBounded(t *testing.T) {
+	s := NewScheduler(Config{})
+	up := testUplink(7, 100)
+	s.ObserveUplink(up, 100)
+	f := s.Enqueue(7, testPhy(t, 7), 100.05)
+	if f == nil {
+		t.Fatal("no frame")
+	}
+	r := rng.New(31)
+	const n = 10000
+	for i := 0; i < n; i++ {
+		var eui [8]byte
+		binary.LittleEndian.PutUint64(eui[:], r.Uint64())
+		if eui == up.EUI {
+			eui[0] ^= 1
+		}
+		errStr := fmt.Sprintf("ERR_%x", r.Uint64())
+		if retry := s.OnTxAck(eui, uint16(r.Uint64()), errStr, 100.1); retry != nil {
+			t.Fatalf("unsolicited TX_ACK %d produced a frame", i)
+		}
+	}
+	if errs := s.AckErrors(); len(errs) != 0 {
+		t.Fatalf("%d tallies after %d unsolicited TX_ACKs, want none", len(errs), n)
+	}
+	if c := s.Counters(); c.Unsolicited != n || c.Acked != 0 || c.Failed != 0 || s.PendingCount() != 1 {
+		t.Fatalf("counters = %+v, pending %d; want %d unsolicited and the frame still pending", c, s.PendingCount(), n)
+	}
+	if retry := s.OnTxAck(up.EUI, f.Token, "", 100.2); retry != nil || s.Counters().Acked != 1 {
+		t.Fatal("the frame's own gateway could not acknowledge it after the flood")
 	}
 }
 

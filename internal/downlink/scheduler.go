@@ -99,9 +99,14 @@ type Counters struct {
 	// outcomes; Retried the RX2 second attempts after a TX_ACK error;
 	// Expired the sends with no TX_ACK within the timeout; NoRoute the
 	// frames dropped for lack of a live gateway route; DutyBlocked the
-	// window attempts skipped by the duty-cycle budget.
-	Queued, Sent, Acked, Failed, Retried, Expired, NoRoute, DutyBlocked int
+	// window attempts skipped by the duty-cycle budget; Unsolicited the
+	// TX_ACKs that resolved no pending frame of their gateway.
+	Queued, Sent, Acked, Failed, Retried, Expired, NoRoute, DutyBlocked, Unsolicited int
 }
+
+// ackErrOther is the tally key of a TX_ACK error outside the protocol's
+// TxErr* values.
+const ackErrOther = "OTHER"
 
 // AckErrorCount is one gateway's tally of a TX_ACK outcome.
 type AckErrorCount struct {
@@ -282,16 +287,31 @@ func (s *Scheduler) allocTokenLocked() uint16 {
 	}
 }
 
-// OnTxAck resolves a sent frame from its gateway TX_ACK. A success
+// OnTxAck resolves a sent frame from its gateway's TX_ACK. A success
 // finalizes the delivery; an error on the RX1 attempt produces exactly
 // one RX2 retry (the returned frame, when the duty budget allows it); an
-// error on the RX2 attempt is terminal. The error tally is kept per
-// gateway for metrics.
+// error on the RX2 attempt is terminal. Only a TX_ACK that resolves a
+// pending frame and comes from the gateway the frame went to counts:
+// every other one, an unknown or expired token or a foreign gateway,
+// changes nothing but Counters.Unsolicited. Counted outcomes are tallied
+// per gateway for metrics, an error outside the TxErr* values as OTHER,
+// so no sender can grow the tallies with made-up EUIs or strings.
 func (s *Scheduler) OnTxAck(eui [8]byte, token uint16, errStr string, nowS float64) *Frame {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if errStr == "" {
+	p, ok := s.pending[token]
+	if !ok || p.up.EUI != eui {
+		s.c.Unsolicited++
+		return nil
+	}
+	delete(s.pending, token)
+	switch errStr {
+	case "":
 		errStr = ingest.TxErrNone
+	case ingest.TxErrNone, ingest.TxErrTooLate, ingest.TxErrTooEarly, ingest.TxErrCollisionPacket,
+		ingest.TxErrCollisionBeacon, ingest.TxErrTxFreq, ingest.TxErrTxPower, ingest.TxErrGPSUnlocked:
+	default:
+		errStr = ackErrOther
 	}
 	tally := s.ackErrs[eui]
 	if tally == nil {
@@ -299,12 +319,6 @@ func (s *Scheduler) OnTxAck(eui [8]byte, token uint16, errStr string, nowS float
 		s.ackErrs[eui] = tally
 	}
 	tally[errStr]++
-
-	p, ok := s.pending[token]
-	if !ok {
-		return nil // unsolicited or already expired
-	}
-	delete(s.pending, token)
 	if errStr == ingest.TxErrNone {
 		s.c.Acked++
 		return nil

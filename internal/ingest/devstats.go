@@ -18,8 +18,6 @@ type DevStats struct {
 	// Received counts deliveries observed; Expected additionally counts
 	// the FCnt gaps, so Received/Expected estimates the PRR.
 	Received, Expected uint64
-	// BestGateway is the most recent delivery's best-SNR gateway.
-	BestGateway int
 }
 
 // PRR returns the received/expected packet reception ratio (1 before any
@@ -57,21 +55,20 @@ func (t *Tracker) Observe(d netserver.Delivery) {
 	if len(d.Gateways) == 0 {
 		return
 	}
-	best := d.Gateways[0]
+	snr := d.Gateways[0].SNRdB // best copy first
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	s, ok := t.m[d.DevAddr]
 	if !ok {
 		t.m[d.DevAddr] = &DevStats{
-			EwmaSNRdB:   best.SNRdB,
-			LastFCnt:    d.FCnt,
-			Received:    1,
-			Expected:    1,
-			BestGateway: best.Gateway,
+			EwmaSNRdB: snr,
+			LastFCnt:  d.FCnt,
+			Received:  1,
+			Expected:  1,
 		}
 		return
 	}
-	s.EwmaSNRdB += t.alpha * (best.SNRdB - s.EwmaSNRdB)
+	s.EwmaSNRdB += t.alpha * (snr - s.EwmaSNRdB)
 	s.Received++
 	if d.FCnt > s.LastFCnt {
 		s.Expected += uint64(d.FCnt - s.LastFCnt)
@@ -81,7 +78,6 @@ func (t *Tracker) Observe(d netserver.Delivery) {
 		// gap.
 		s.Expected++
 	}
-	s.BestGateway = best.Gateway
 }
 
 // Get returns device devAddr's stats (ok false if never observed).

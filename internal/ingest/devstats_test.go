@@ -31,7 +31,7 @@ func TestTrackerPRRFromFCntGaps(t *testing.T) {
 	if got := s.PRR(); math.Abs(got-4.0/6.0) > 1e-12 {
 		t.Errorf("PRR = %v, want 2/3", got)
 	}
-	if s.LastFCnt != 6 || s.BestGateway != 0 {
+	if s.LastFCnt != 6 {
 		t.Errorf("stats = %+v", s)
 	}
 }
@@ -43,9 +43,6 @@ func TestTrackerEWMAAndReset(t *testing.T) {
 	s, _ := tr.Get(3)
 	if math.Abs(s.EwmaSNRdB-(-4)) > 1e-12 {
 		t.Errorf("EWMA = %v, want -4", s.EwmaSNRdB)
-	}
-	if s.BestGateway != 2 {
-		t.Errorf("best gateway = %d, want 2", s.BestGateway)
 	}
 	// Out-of-order counter: counted, no gap charged.
 	tr.Observe(delivery(3, 1, -8, 2))

@@ -24,12 +24,12 @@ type PoolConfig struct {
 	// DedupWindowS overrides the servers' dedup window (0 keeps the
 	// netserver default).
 	DedupWindowS float64
-	// RetainCap bounds each shard's delivery backlog (ring semantics);
-	// 0 keeps the unbounded default.
+	// RetainCap is ignored: the shard servers keep no deliveries. It
+	// remains only because perfbench sets it, and goes with model.Mode.
 	RetainCap int
-	// OnDelivery, when set, streams every finalized delivery out of the
-	// owning shard. It runs on the shard worker with the shard server's
-	// lock held and must not call back into the pool.
+	// OnDelivery, when set, receives every finalized delivery of the
+	// owning shard; the shards keep none. It runs on the shard worker with
+	// the shard server's lock held and must not call back into the pool.
 	OnDelivery func(shard int, d netserver.Delivery)
 }
 
@@ -89,20 +89,16 @@ func NewPool(devices []netserver.Device, cfg PoolConfig) *Pool {
 		perShard[k] = append(perShard[k], d)
 	}
 	for k := range p.shards {
+		var sink func(netserver.Delivery)
+		if cfg.OnDelivery != nil {
+			sink = func(d netserver.Delivery) { cfg.OnDelivery(k, d) }
+		}
 		sh := &shard{
-			srv:   netserver.New(perShard[k]),
+			srv:   netserver.New(perShard[k], sink),
 			inbox: make(chan queued, cfg.QueueDepth),
 		}
 		if cfg.DedupWindowS > 0 {
 			sh.srv.DedupWindowS = cfg.DedupWindowS
-		}
-		if cfg.RetainCap > 0 || cfg.OnDelivery != nil {
-			k := k
-			var drain func(netserver.Delivery)
-			if cfg.OnDelivery != nil {
-				drain = func(d netserver.Delivery) { cfg.OnDelivery(k, d) }
-			}
-			sh.srv.SetRetention(cfg.RetainCap, drain)
 		}
 		p.shards[k] = sh
 	}
@@ -225,12 +221,6 @@ func (p *Pool) PendingCounts() []int {
 	}
 	return out
 }
-
-// Shard exposes shard k's server (tests, per-shard inspection).
-func (p *Pool) Shard(k int) *netserver.Server { return p.shards[k].srv }
-
-// Shards returns the shard count.
-func (p *Pool) Shards() int { return len(p.shards) }
 
 // LatencyQuantile reports the nearest-rank q-quantile (0 < q <= 1) of
 // ingest latency — enqueue to handled — across all shards, as the upper

@@ -1,6 +1,7 @@
 package ingest
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -41,7 +42,16 @@ func TestShardOfCoversAndIsStable(t *testing.T) {
 
 func TestPoolRoutesAndAggregates(t *testing.T) {
 	devs := ProvisionDevices(32)
-	p := NewPool(devs, PoolConfig{Shards: 4})
+	var mu sync.Mutex
+	best := make(map[uint32][]int) // each delivery's best gateway, per device
+	p := NewPool(devs, PoolConfig{Shards: 4, OnDelivery: func(shard int, d netserver.Delivery) {
+		mu.Lock()
+		defer mu.Unlock()
+		if shard != ShardOf(d.DevAddr, 4) {
+			t.Errorf("device %08x delivered by shard %d", d.DevAddr, shard)
+		}
+		best[d.DevAddr] = append(best[d.DevAddr], d.Gateways[0].Gateway)
+	}})
 	p.Start()
 	defer p.Close()
 	for fcnt := uint32(1); fcnt <= 3; fcnt++ {
@@ -64,11 +74,12 @@ func TestPoolRoutesAndAggregates(t *testing.T) {
 	if depths := p.ShardDepths(); len(depths) != 4 {
 		t.Errorf("depths = %v", depths)
 	}
-	// Every device must be reachable on some shard (BestGateway resolves).
+	// Every device's deliveries come from its own shard, best copy first.
+	mu.Lock()
+	defer mu.Unlock()
 	for _, d := range devs {
-		srv := p.Shard(ShardOf(d.DevAddr, 4))
-		if gw, ok := srv.BestGateway(d.DevAddr); !ok || gw != 1 {
-			t.Errorf("device %08x best gateway = (%d, %v), want (1, true)", d.DevAddr, gw, ok)
+		if gws := best[d.DevAddr]; !slices.Equal(gws, []int{1, 1, 1}) {
+			t.Errorf("device %08x best gateways = %v, want [1 1 1]", d.DevAddr, gws)
 		}
 	}
 }
@@ -138,8 +149,7 @@ func TestPoolDeliveryDrainStreams(t *testing.T) {
 	var mu sync.Mutex
 	got := 0
 	p := NewPool(devs, PoolConfig{
-		Shards:    4,
-		RetainCap: 2,
+		Shards: 4,
 		OnDelivery: func(shard int, d netserver.Delivery) {
 			mu.Lock()
 			got++
@@ -160,13 +170,8 @@ func TestPoolDeliveryDrainStreams(t *testing.T) {
 	if got != 8*5 {
 		t.Errorf("drained deliveries = %d, want 40", got)
 	}
-	// Retention keeps only the newest 2 per shard server.
-	total := 0
-	for k := 0; k < p.Shards(); k++ {
-		total += len(p.Shard(k).Deliveries())
-	}
-	if total > 2*p.Shards() {
-		t.Errorf("retained %d deliveries across shards, cap is 2 each", total)
+	if c := p.Counters(); c.Delivered != got {
+		t.Errorf("counted %d deliveries, drained %d", c.Delivered, got)
 	}
 }
 
@@ -255,7 +260,7 @@ func TestConcurrentGatewaysMatchSequential(t *testing.T) {
 
 	// Sequential oracle: one server, same traffic, gateway-major order
 	// within each round.
-	seq := netserver.New(devs)
+	seq := netserver.New(devs, nil)
 	for r := 1; r <= rounds; r++ {
 		for gw := 0; gw < gateways; gw++ {
 			for _, up := range buildRound(gw, r) {

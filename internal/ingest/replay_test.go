@@ -100,7 +100,7 @@ func TestReplayBitExactAcrossShardCounts(t *testing.T) {
 
 	sharded := run(8)
 	single := run(1)
-	seq := netserver.New(rt.Devices)
+	seq := netserver.New(rt.Devices, nil)
 	seq.DedupWindowS = rt.DedupWindowS
 	for _, up := range rt.Uplinks {
 		_ = seq.HandleUplink(up)
@@ -130,7 +130,6 @@ func TestReplayFeedsTracker(t *testing.T) {
 	pool := NewPool(rt.Devices, PoolConfig{
 		Shards:       4,
 		DedupWindowS: rt.DedupWindowS,
-		RetainCap:    16,
 		OnDelivery:   func(_ int, d netserver.Delivery) { tracker.Observe(d) },
 	})
 	pool.Start()

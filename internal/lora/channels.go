@@ -1,6 +1,9 @@
 package lora
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Channel describes one uplink frequency channel.
 type Channel struct {
@@ -66,6 +69,12 @@ func US915Sub1() Plan {
 	}
 }
 
+// MaxTxPowerLevels bounds a plan's power ladder: Validate rejects a plan
+// whose TxPowerLevels would hold more. A LinkADRReq addresses only 16
+// power indices, and the model's evaluator tabulates at most this many
+// levels.
+const MaxTxPowerLevels = 64
+
 // NumChannels returns the number of uplink channels in the plan.
 func (p Plan) NumChannels() int { return len(p.Uplink) }
 
@@ -130,8 +139,23 @@ func (p Plan) Validate() error {
 			return fmt.Errorf("lora: plan %q channel %d has non-positive frequency or bandwidth", p.Name, i)
 		}
 	}
+	for _, v := range [...]float64{p.MinTxPowerDBm, p.MaxTxPowerDBm, p.TxPowerStepDBm} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("lora: plan %q has a non-finite TX power bound or step", p.Name)
+		}
+	}
 	if p.MinTxPowerDBm > p.MaxTxPowerDBm {
 		return fmt.Errorf("lora: plan %q has min TX power above max", p.Name)
+	}
+	// Count the ladder as TxPowerLevels accumulates it, so a step too
+	// small to move the level fails here instead of looping there.
+	if p.TxPowerStepDBm > 0 {
+		n := 0
+		for tp := p.MinTxPowerDBm; tp <= p.MaxTxPowerDBm+1e-9; tp += p.TxPowerStepDBm {
+			if n++; n > MaxTxPowerLevels {
+				return fmt.Errorf("lora: plan %q has more than %d TX power levels", p.Name, MaxTxPowerLevels)
+			}
+		}
 	}
 	return nil
 }

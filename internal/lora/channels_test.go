@@ -3,6 +3,7 @@ package lora
 import (
 	"math"
 	"testing"
+	"time"
 )
 
 func TestEU868Plan(t *testing.T) {
@@ -58,6 +59,14 @@ func TestTxPowerLevels(t *testing.T) {
 			t.Errorf("level[%d] = %v, want %v", i, levels[i], want[i])
 		}
 	}
+	// The longest ladder Validate allows.
+	p.MinTxPowerDBm, p.MaxTxPowerDBm, p.TxPowerStepDBm = 0, MaxTxPowerLevels-1, 1
+	if err := p.Validate(); err != nil {
+		t.Fatalf("%d-level plan rejected: %v", MaxTxPowerLevels, err)
+	}
+	if n := len(p.TxPowerLevels()); n != MaxTxPowerLevels {
+		t.Errorf("TxPowerLevels lists %d levels, want %d", n, MaxTxPowerLevels)
+	}
 }
 
 func TestTxPowerLevelsZeroStep(t *testing.T) {
@@ -69,6 +78,11 @@ func TestTxPowerLevelsZeroStep(t *testing.T) {
 }
 
 func TestPlanValidateFailures(t *testing.T) {
+	eu868 := func(mutate func(*Plan)) Plan {
+		p := EU868()
+		mutate(&p)
+		return p
+	}
 	tests := []struct {
 		name string
 		plan Plan
@@ -81,10 +95,30 @@ func TestPlanValidateFailures(t *testing.T) {
 			Uplink:        []Channel{{Index: 0, CenterHz: 1, BandwidthHz: 1}},
 			MinTxPowerDBm: 14, MaxTxPowerDBm: 2,
 		}},
+		// Power ladders TxPowerLevels never finished: non-finite bounds
+		// or steps, a step too small to move the level, and one level
+		// past MaxTxPowerLevels.
+		{"NaN min", eu868(func(p *Plan) { p.MinTxPowerDBm = math.NaN() })},
+		{"NaN max", eu868(func(p *Plan) { p.MaxTxPowerDBm = math.NaN() })},
+		{"NaN step", eu868(func(p *Plan) { p.TxPowerStepDBm = math.NaN() })},
+		{"-Inf min", eu868(func(p *Plan) { p.MinTxPowerDBm = math.Inf(-1) })},
+		{"+Inf max", eu868(func(p *Plan) { p.MaxTxPowerDBm = math.Inf(1) })},
+		{"+Inf step", eu868(func(p *Plan) { p.TxPowerStepDBm = math.Inf(1) })},
+		{"tiny step", eu868(func(p *Plan) { p.TxPowerStepDBm = 1e-300 })},
+		{"65 levels", eu868(func(p *Plan) { p.MinTxPowerDBm, p.MaxTxPowerDBm, p.TxPowerStepDBm = 0, 64, 1 })},
 	}
+	// Validate runs under a deadline, so a check that loops fails instead
+	// of hanging.
 	for _, tt := range tests {
-		if err := tt.plan.Validate(); err == nil {
-			t.Errorf("Validate(%s) = nil, want error", tt.name)
+		done := make(chan error, 1)
+		go func() { done <- tt.plan.Validate() }()
+		select {
+		case err := <-done:
+			if err == nil {
+				t.Errorf("Validate(%s) = nil, want error", tt.name)
+			}
+		case <-time.After(5 * time.Second):
+			t.Errorf("Validate(%s) did not return within 5 s", tt.name)
 		}
 	}
 }

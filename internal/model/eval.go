@@ -96,9 +96,11 @@ type Evaluator struct {
 	rank [3]int32
 
 	// Plan-level tables: levelDBm[k] is the plan's k-th power level (as
-	// TxPowerLevels accumulates it, at most maxLevels of them), levelMW[k]
-	// its power in mW and levelES[sfIndex·len(levelDBm)+k] the energy of
-	// one attempt at that SF and level (see power).
+	// TxPowerLevels accumulates it; Params.Validate admits at most
+	// lora.MaxTxPowerLevels of them), levelMW[k] its power in mW and
+	// levelES[sfIndex·len(levelDBm)+k] the energy of one attempt at that
+	// SF and level (see power). A power off the plan's grid is converted
+	// on each use.
 	levelDBm, levelMW, levelES []float64
 
 	// MinEEIfAbove scratch: the last candidate's prologue, the kept
@@ -108,10 +110,6 @@ type Evaluator struct {
 	leave    leaving
 	visX, qX []float64
 }
-
-// maxLevels caps the plan-level tables; a power beyond them is converted
-// on each use, like a power off the plan's grid.
-const maxLevels = 64
 
 // leaving is the member scan of device i's group once i has left it,
 // under the committed state at one epoch. It depends on neither the
@@ -189,7 +187,7 @@ func NewEvaluator(net *Network, p Params, alloc Allocation, mode Mode) (*Evaluat
 		e.floorMW[si] = math.Max(thLin*noiseMW, e.ssMW[si])
 	}
 	e.gain = Gains(net, p)
-	var levels [maxLevels]float64
+	var levels [lora.MaxTxPowerLevels]float64
 	nl := planLevels(p.Plan, levels[:])
 
 	e.sf = make([]lora.SF, e.n)

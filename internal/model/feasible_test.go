@@ -3,6 +3,7 @@ package model
 import (
 	"math"
 	"testing"
+	"time"
 
 	"eflora/internal/geo"
 	"eflora/internal/lora"
@@ -136,6 +137,45 @@ func TestFeasibleDBUnheardDevice(t *testing.T) {
 	for _, sf := range lora.SFs() {
 		if Feasible(gains, 0, sf, 20) || FeasibleDB(BestGainDB(gains, 0), sf, 20) {
 			t.Errorf("%v: an unheard device is feasible", sf)
+		}
+	}
+}
+
+// TestParamsValidateRejectsEndlessLadders pins that Params.Validate
+// refuses the power ladders Plan.Validate rejects: non-finite bounds or
+// steps, a step too small to move the level, and one level past
+// lora.MaxTxPowerLevels. Each case runs under a deadline: a plan that
+// validates is then walked by MinFeasibleTP for a link needing about
+// 160 dBm, which never returns on a ladder stuck below that, so a
+// regression fails instead of hanging.
+func TestParamsValidateRejectsEndlessLadders(t *testing.T) {
+	unreachable := [][]float64{{1e-30}}
+	cases := map[string]func(*lora.Plan){
+		"NaN min":   func(p *lora.Plan) { p.MinTxPowerDBm = math.NaN() },
+		"NaN step":  func(p *lora.Plan) { p.TxPowerStepDBm = math.NaN() },
+		"+Inf max":  func(p *lora.Plan) { p.MaxTxPowerDBm = math.Inf(1) },
+		"-Inf min":  func(p *lora.Plan) { p.MinTxPowerDBm = math.Inf(-1) },
+		"tiny step": func(p *lora.Plan) { p.TxPowerStepDBm = 1e-300 },
+		"65 levels": func(p *lora.Plan) { p.MinTxPowerDBm, p.MaxTxPowerDBm, p.TxPowerStepDBm = 0, 64, 1 },
+	}
+	for name, mutate := range cases {
+		p := DefaultParams()
+		mutate(&p.Plan)
+		done := make(chan error, 1)
+		go func() {
+			err := p.Validate()
+			if err == nil {
+				MinFeasibleTP(unreachable, 0, lora.SF12, p.Plan)
+			}
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err == nil {
+				t.Errorf("%s: Params.Validate accepted the plan", name)
+			}
+		case <-time.After(5 * time.Second):
+			t.Errorf("%s: Params.Validate accepted the plan and MinFeasibleTP did not return within 5 s", name)
 		}
 	}
 }

@@ -2,8 +2,8 @@
 // paper's system model (Section III-A): gateways forward every reception
 // with metadata to a central server, which de-duplicates the copies (an
 // uplink heard by several gateways counts once), verifies and decrypts
-// the frames, tracks per-device counters and retains the best-gateway
-// statistics that drive downlink routing and ADR.
+// the frames, tracks per-device frame counters, and hands each delivery,
+// its gateway copies ranked best SNR first, to one sink.
 //
 // A Server is one unit of concurrency: it serializes ingestion under a
 // single mutex. Batch callers (the simulator, examples) use one Server
@@ -60,12 +60,9 @@ type Server struct {
 	mu      sync.Mutex
 	devices map[uint32]lorawan.Keys
 	// lastFCnt tracks the highest accepted counter per device for replay
-	// protection and FCnt roll-over reconstruction.
+	// protection and FCnt roll-over reconstruction; a device without an
+	// entry has never sent.
 	lastFCnt map[uint32]uint32
-	seen     map[uint32]bool // whether the device has sent before
-	// lastBest caches the best-SNR gateway of each device's most recent
-	// delivery so BestGateway is O(1) per downlink decision.
-	lastBest map[uint32]int
 	// pending groups copies of the current frame per device until the
 	// dedup window closes.
 	pending map[uint32]*pendingFrame
@@ -73,12 +70,8 @@ type Server struct {
 	// before finalizing a delivery (default 0.2 s).
 	DedupWindowS float64
 
-	// deliveries retains finalized uplinks. Unbounded by default; a ring
-	// of the most recent retainCap entries once SetRetention caps it.
-	deliveries []Delivery
-	ringHead   int // index of the oldest entry when the ring is full
-	retainCap  int // 0 = unbounded
-	drain      func(Delivery)
+	// sink receives every finalized delivery; the server keeps none.
+	sink func(Delivery)
 
 	// Uplinks counts every HandleUplink call; Delivered counts finalized
 	// deliveries; Duplicates counts redundant gateway copies (merged into
@@ -95,42 +88,22 @@ type pendingFrame struct {
 	copies  []Uplink
 }
 
-// New creates a server with the given provisioned devices.
-func New(devices []Device) *Server {
+// New creates a server with the given provisioned devices. sink receives
+// every delivery as it finalizes, in finalization order; it runs with the
+// server lock held and must not call back into the Server. A nil sink
+// discards deliveries, which the counters still count.
+func New(devices []Device, sink func(Delivery)) *Server {
 	s := &Server{
 		devices:      make(map[uint32]lorawan.Keys, len(devices)),
 		lastFCnt:     make(map[uint32]uint32),
-		seen:         make(map[uint32]bool),
-		lastBest:     make(map[uint32]int),
 		pending:      make(map[uint32]*pendingFrame),
 		DedupWindowS: 0.2,
+		sink:         sink,
 	}
 	for _, d := range devices {
 		s.devices[d.DevAddr] = d.Keys
 	}
 	return s
-}
-
-// SetRetention bounds the delivery backlog to the most recent cap entries
-// (ring semantics) and registers a drain callback invoked with every
-// delivery as it finalizes, so a long-running caller can stream
-// deliveries out instead of accumulating them. cap 0 restores the
-// unbounded default (simulation use); drain may be nil. The callback runs
-// with the server lock held and must not call back into the Server.
-func (s *Server) SetRetention(cap int, drain func(Delivery)) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if cap < 0 {
-		cap = 0
-	}
-	// Normalize any existing ring to arrival order before re-bounding.
-	s.deliveries = append(s.deliveries[s.ringHead:], s.deliveries[:s.ringHead]...)
-	s.ringHead = 0
-	s.retainCap = cap
-	s.drain = drain
-	if cap > 0 && len(s.deliveries) > cap {
-		s.deliveries = append([]Delivery(nil), s.deliveries[len(s.deliveries)-cap:]...)
-	}
 }
 
 // HandleUplink ingests one gateway reception. Frames that fail MIC
@@ -183,13 +156,13 @@ func (s *Server) HandleUplink(up Uplink) error {
 	// copy of the *current* counter is not an attack — it is a gateway
 	// copy that lost the race with the dedup window (or with a clock
 	// flush) — so it counts as a late duplicate, not a reject.
-	if s.seen[devAddr] && f.FCnt <= s.lastFCnt[devAddr] {
-		if f.FCnt == s.lastFCnt[devAddr] {
+	if last, seen := s.lastFCnt[devAddr]; seen && f.FCnt <= last {
+		if f.FCnt == last {
 			s.Duplicates++
 			return nil
 		}
 		s.Rejected++
-		return fmt.Errorf("netserver: replayed FCnt %d (last %d)", f.FCnt, s.lastFCnt[devAddr])
+		return fmt.Errorf("netserver: replayed FCnt %d (last %d)", f.FCnt, last)
 	}
 	s.pending[devAddr] = &pendingFrame{
 		fcnt:    f.FCnt,
@@ -199,35 +172,25 @@ func (s *Server) HandleUplink(up Uplink) error {
 		copies:  []Uplink{up},
 	}
 	s.lastFCnt[devAddr] = f.FCnt
-	s.seen[devAddr] = true
 	return nil
 }
 
 // finalizeLocked turns a pending frame into a delivery. Callers hold mu.
 func (s *Server) finalizeLocked(devAddr uint32, pf *pendingFrame) {
+	s.Delivered++
+	if s.sink == nil {
+		return
+	}
 	sort.SliceStable(pf.copies, func(i, j int) bool {
 		return pf.copies[i].SNRdB > pf.copies[j].SNRdB
 	})
-	if len(pf.copies) > 0 {
-		s.lastBest[devAddr] = pf.copies[0].Gateway
-	}
-	d := Delivery{
+	s.sink(Delivery{
 		DevAddr:  devAddr,
 		FCnt:     pf.fcnt,
 		FPort:    pf.fport,
 		Payload:  pf.payload,
 		Gateways: pf.copies,
-	}
-	s.Delivered++
-	if s.drain != nil {
-		s.drain(d)
-	}
-	if s.retainCap > 0 && len(s.deliveries) >= s.retainCap {
-		s.deliveries[s.ringHead] = d
-		s.ringHead = (s.ringHead + 1) % s.retainCap
-		return
-	}
-	s.deliveries = append(s.deliveries, d)
+	})
 }
 
 // Flush finalizes every pending frame (end of a simulation or batch).
@@ -300,25 +263,4 @@ func (s *Server) Counters() Counters {
 		Duplicates: s.Duplicates,
 		Rejected:   s.Rejected,
 	}
-}
-
-// Deliveries returns the retained finalized uplinks in arrival order
-// (all of them by default; the most recent retention-cap entries when
-// SetRetention bounds the backlog).
-func (s *Server) Deliveries() []Delivery {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]Delivery, 0, len(s.deliveries))
-	out = append(out, s.deliveries[s.ringHead:]...)
-	out = append(out, s.deliveries[:s.ringHead]...)
-	return out
-}
-
-// BestGateway returns the gateway that most recently delivered the
-// device's traffic with the best SNR — the downlink routing choice.
-func (s *Server) BestGateway(devAddr uint32) (int, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	gw, ok := s.lastBest[devAddr]
-	return gw, ok
 }

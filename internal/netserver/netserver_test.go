@@ -29,9 +29,16 @@ func encode(t *testing.T, d Device, fcnt uint32, payload []byte) []byte {
 	return phy
 }
 
+// collect returns a server over devs whose sink appends every delivery to
+// the returned slice.
+func collect(devs ...Device) (*Server, *[]Delivery) {
+	var ds []Delivery
+	return New(devs, func(d Delivery) { ds = append(ds, d) }), &ds
+}
+
 func TestDeduplicatesGatewayCopies(t *testing.T) {
 	dev := deviceFixture(0x100)
-	s := New([]Device{dev})
+	s, delivered := collect(dev)
 	phy := encode(t, dev, 1, []byte("reading-1"))
 	// Three gateways report the same frame within the window.
 	for gw := 0; gw < 3; gw++ {
@@ -43,7 +50,7 @@ func TestDeduplicatesGatewayCopies(t *testing.T) {
 		}
 	}
 	s.Flush()
-	ds := s.Deliveries()
+	ds := *delivered
 	if len(ds) != 1 {
 		t.Fatalf("deliveries = %d, want 1", len(ds))
 	}
@@ -64,7 +71,7 @@ func TestDeduplicatesGatewayCopies(t *testing.T) {
 
 func TestSeparateFramesDelivered(t *testing.T) {
 	dev := deviceFixture(0x200)
-	s := New([]Device{dev})
+	s, delivered := collect(dev)
 	for fcnt := uint32(1); fcnt <= 5; fcnt++ {
 		phy := encode(t, dev, fcnt, []byte{byte(fcnt)})
 		if err := s.HandleUplink(Uplink{Gateway: 0, ReceivedAtS: float64(fcnt) * 10, PHYPayload: phy}); err != nil {
@@ -72,7 +79,7 @@ func TestSeparateFramesDelivered(t *testing.T) {
 		}
 	}
 	s.Flush()
-	ds := s.Deliveries()
+	ds := *delivered
 	if len(ds) != 5 {
 		t.Fatalf("deliveries = %d, want 5", len(ds))
 	}
@@ -85,7 +92,7 @@ func TestSeparateFramesDelivered(t *testing.T) {
 
 func TestReplayRejected(t *testing.T) {
 	dev := deviceFixture(0x300)
-	s := New([]Device{dev})
+	s, delivered := collect(dev)
 	phy5 := encode(t, dev, 5, []byte("x"))
 	phy4 := encode(t, dev, 4, []byte("y"))
 	if err := s.HandleUplink(Uplink{ReceivedAtS: 1, PHYPayload: phy5}); err != nil {
@@ -107,7 +114,7 @@ func TestReplayRejected(t *testing.T) {
 		t.Errorf("duplicates = %d, want 1", s.Duplicates)
 	}
 	s.Flush()
-	if ds := s.Deliveries(); len(ds) != 1 {
+	if ds := *delivered; len(ds) != 1 {
 		t.Errorf("deliveries = %d, want 1", len(ds))
 	}
 }
@@ -117,7 +124,7 @@ func TestReplayRejected(t *testing.T) {
 // as a late Duplicate so dedup accounting is flush-timing invariant.
 func TestLateCopyAfterWindowCountedAsDuplicate(t *testing.T) {
 	dev := deviceFixture(0x310)
-	s := New([]Device{dev})
+	s := New([]Device{dev}, nil)
 	phy := encode(t, dev, 7, []byte("m"))
 	if err := s.HandleUplink(Uplink{Gateway: 0, ReceivedAtS: 1, PHYPayload: phy}); err != nil {
 		t.Fatal(err)
@@ -141,7 +148,7 @@ func TestLateCopyAfterWindowCountedAsDuplicate(t *testing.T) {
 func TestUnknownDeviceAndBadMIC(t *testing.T) {
 	dev := deviceFixture(0x400)
 	stranger := deviceFixture(0x999)
-	s := New([]Device{dev})
+	s := New([]Device{dev}, nil)
 	if err := s.HandleUplink(Uplink{PHYPayload: encode(t, stranger, 1, []byte("?"))}); err == nil {
 		t.Error("unknown device accepted")
 	}
@@ -161,7 +168,7 @@ func TestUnknownDeviceAndBadMIC(t *testing.T) {
 
 func TestLateCopyOutsideWindowNotMerged(t *testing.T) {
 	dev := deviceFixture(0x500)
-	s := New([]Device{dev})
+	s, delivered := collect(dev)
 	phy := encode(t, dev, 1, []byte("z"))
 	if err := s.HandleUplink(Uplink{Gateway: 0, ReceivedAtS: 1, PHYPayload: phy}); err != nil {
 		t.Fatal(err)
@@ -175,31 +182,36 @@ func TestLateCopyOutsideWindowNotMerged(t *testing.T) {
 	if s.Duplicates != 1 {
 		t.Errorf("duplicates = %d, want 1", s.Duplicates)
 	}
-	ds := s.Deliveries()
+	ds := *delivered
 	if len(ds) != 1 || len(ds[0].Gateways) != 1 {
 		t.Fatalf("deliveries = %+v", ds)
 	}
 }
 
+// TestBestGateway checks that a delivery lists its best-SNR copy first:
+// Gateways[0] is the copy the tracker reads.
 func TestBestGateway(t *testing.T) {
 	dev := deviceFixture(0x600)
-	s := New([]Device{dev})
-	if _, ok := s.BestGateway(dev.DevAddr); ok {
-		t.Error("best gateway before any traffic")
-	}
+	s, delivered := collect(dev)
 	phy := encode(t, dev, 1, []byte("a"))
 	_ = s.HandleUplink(Uplink{Gateway: 4, SNRdB: -3, ReceivedAtS: 1, PHYPayload: phy})
 	_ = s.HandleUplink(Uplink{Gateway: 2, SNRdB: 6, ReceivedAtS: 1.05, PHYPayload: phy})
+	if len(*delivered) != 0 {
+		t.Error("delivery before the dedup window closed")
+	}
 	s.Flush()
-	gw, ok := s.BestGateway(dev.DevAddr)
-	if !ok || gw != 2 {
-		t.Errorf("best gateway = (%d, %v), want (2, true)", gw, ok)
+	ds := *delivered
+	if len(ds) != 1 || len(ds[0].Gateways) != 2 {
+		t.Fatalf("deliveries = %+v", ds)
+	}
+	if gw := ds[0].Gateways[0].Gateway; gw != 2 {
+		t.Errorf("best gateway = %d, want 2", gw)
 	}
 }
 
 func TestFlushExpired(t *testing.T) {
 	devA, devB := deviceFixture(0x610), deviceFixture(0x611)
-	s := New([]Device{devA, devB})
+	s, delivered := collect(devA, devB)
 	if err := s.HandleUplink(Uplink{ReceivedAtS: 1.0, PHYPayload: encode(t, devA, 1, []byte("a"))}); err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +222,7 @@ func TestFlushExpired(t *testing.T) {
 	if n := s.FlushExpired(1.25); n != 1 {
 		t.Fatalf("FlushExpired(1.25) = %d, want 1", n)
 	}
-	if ds := s.Deliveries(); len(ds) != 1 || ds[0].DevAddr != devA.DevAddr {
+	if ds := *delivered; len(ds) != 1 || ds[0].DevAddr != devA.DevAddr {
 		t.Fatalf("deliveries after first flush = %+v", ds)
 	}
 	if got := s.PendingCount(); got != 1 {
@@ -219,16 +231,17 @@ func TestFlushExpired(t *testing.T) {
 	if n := s.FlushExpired(2.0); n != 1 {
 		t.Fatalf("FlushExpired(2.0) = %d, want 1", n)
 	}
-	if ds := s.Deliveries(); len(ds) != 2 {
+	if ds := *delivered; len(ds) != 2 {
 		t.Fatalf("deliveries = %d, want 2", len(ds))
 	}
 }
 
-func TestRetentionRingAndDrain(t *testing.T) {
+// TestSinkStreamsEveryDelivery pins the sink contract: every delivery
+// reaches it once, in finalization order, and the counters agree.
+func TestSinkStreamsEveryDelivery(t *testing.T) {
 	dev := deviceFixture(0x620)
-	s := New([]Device{dev})
 	var drained []uint32
-	s.SetRetention(3, func(d Delivery) { drained = append(drained, d.FCnt) })
+	s := New([]Device{dev}, func(d Delivery) { drained = append(drained, d.FCnt) })
 	for fcnt := uint32(1); fcnt <= 8; fcnt++ {
 		phy := encode(t, dev, fcnt, []byte{byte(fcnt)})
 		if err := s.HandleUplink(Uplink{ReceivedAtS: float64(fcnt) * 10, PHYPayload: phy}); err != nil {
@@ -236,23 +249,12 @@ func TestRetentionRingAndDrain(t *testing.T) {
 		}
 	}
 	s.Flush()
-	// Every delivery streamed out through the drain...
 	if len(drained) != 8 {
 		t.Fatalf("drained = %d, want 8", len(drained))
 	}
 	for i, f := range drained {
 		if f != uint32(i+1) {
 			t.Errorf("drained[%d] = %d, want %d", i, f, i+1)
-		}
-	}
-	// ...while the backlog holds only the most recent 3, oldest first.
-	ds := s.Deliveries()
-	if len(ds) != 3 {
-		t.Fatalf("retained = %d, want 3", len(ds))
-	}
-	for i, want := range []uint32{6, 7, 8} {
-		if ds[i].FCnt != want {
-			t.Errorf("retained[%d].FCnt = %d, want %d", i, ds[i].FCnt, want)
 		}
 	}
 	if s.Delivered != 8 {
@@ -264,20 +266,50 @@ func TestRetentionRingAndDrain(t *testing.T) {
 	}
 }
 
+// TestNilSinkCountsDeliveries checks that a server without a sink still
+// dedups, protects against replays and counts what it finalizes.
+func TestNilSinkCountsDeliveries(t *testing.T) {
+	dev := deviceFixture(0x625)
+	s := New([]Device{dev}, nil)
+	for fcnt := uint32(1); fcnt <= 4; fcnt++ {
+		phy := encode(t, dev, fcnt, []byte{byte(fcnt)})
+		for gw := 0; gw < 2; gw++ {
+			if err := s.HandleUplink(Uplink{Gateway: gw, ReceivedAtS: float64(fcnt) * 10, PHYPayload: phy}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := s.HandleUplink(Uplink{ReceivedAtS: 50, PHYPayload: encode(t, dev, 2, nil)}); err == nil {
+		t.Error("replayed counter accepted")
+	}
+	s.Flush()
+	c := s.Counters()
+	if c.Uplinks != 9 || c.Delivered != 4 || c.Duplicates != 4 || c.Rejected != 1 {
+		t.Errorf("counters = %+v, want 9 uplinks, 4 delivered, 4 duplicates, 1 rejected", c)
+	}
+}
+
+// TestBestGatewayAcrossDeliveries checks that each delivery ranks its
+// own copies: the newest delivery's best copy comes first even though an
+// earlier delivery had a better absolute SNR.
 func TestBestGatewayAcrossDeliveries(t *testing.T) {
 	dev := deviceFixture(0x630)
-	s := New([]Device{dev})
+	s, delivered := collect(dev)
 	phy1 := encode(t, dev, 1, []byte("a"))
 	_ = s.HandleUplink(Uplink{Gateway: 4, SNRdB: 6, ReceivedAtS: 1, PHYPayload: phy1})
 	phy2 := encode(t, dev, 2, []byte("b"))
 	_ = s.HandleUplink(Uplink{Gateway: 1, SNRdB: -2, ReceivedAtS: 10, PHYPayload: phy2})
 	_ = s.HandleUplink(Uplink{Gateway: 3, SNRdB: 0.5, ReceivedAtS: 10.05, PHYPayload: phy2})
 	s.Flush()
-	// The most recent delivery's best copy wins, even though an earlier
-	// delivery had a better absolute SNR.
-	gw, ok := s.BestGateway(dev.DevAddr)
-	if !ok || gw != 3 {
-		t.Errorf("best gateway = (%d, %v), want (3, true)", gw, ok)
+	ds := *delivered
+	if len(ds) != 2 {
+		t.Fatalf("deliveries = %d, want 2", len(ds))
+	}
+	if gw := ds[0].Gateways[0].Gateway; gw != 4 {
+		t.Errorf("first delivery's best gateway = %d, want 4", gw)
+	}
+	if gw := ds[1].Gateways[0].Gateway; gw != 3 {
+		t.Errorf("second delivery's best gateway = %d, want 3", gw)
 	}
 }
 
@@ -286,7 +318,7 @@ func TestConcurrentForwarders(t *testing.T) {
 	for i := range devs {
 		devs[i] = deviceFixture(uint32(0x700 + i))
 	}
-	s := New(devs)
+	s, delivered := collect(devs...)
 	var wg sync.WaitGroup
 	for gw := 0; gw < 4; gw++ {
 		wg.Add(1)
@@ -313,7 +345,7 @@ func TestConcurrentForwarders(t *testing.T) {
 	}
 	wg.Wait()
 	s.Flush()
-	ds := s.Deliveries()
+	ds := *delivered
 	// Each (device, fcnt) pair delivers at most once.
 	seen := make(map[[2]uint32]bool)
 	for _, d := range ds {

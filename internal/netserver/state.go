@@ -24,17 +24,11 @@ type State struct {
 	Pending []PendingState
 }
 
-// DeviceState is one device's replay-protection and routing state.
+// DeviceState is one device's replay-protection state: the highest
+// counter it has had accepted. A device that has never sent has no entry.
 type DeviceState struct {
-	DevAddr uint32
-	// LastFCnt is the highest accepted counter; Seen whether the device
-	// has ever been heard.
+	DevAddr  uint32
 	LastFCnt uint32
-	Seen     bool
-	// BestGateway is the device's last best-SNR gateway; HasBest whether
-	// one has been recorded.
-	BestGateway int
-	HasBest     bool
 }
 
 // PendingState is one open dedup window.
@@ -60,34 +54,11 @@ func (s *Server) ExportState() State {
 			Rejected:   s.Rejected,
 		},
 	}
-	// The union of every map's keys, deduplicated via lastFCnt∪seen∪
-	// lastBest: a device can appear in any subset.
-	addrs := make(map[uint32]bool, len(s.lastFCnt))
-	for a := range s.lastFCnt {
-		addrs[a] = true
+	st.Devices = make([]DeviceState, 0, len(s.lastFCnt))
+	for a, f := range s.lastFCnt {
+		st.Devices = append(st.Devices, DeviceState{DevAddr: a, LastFCnt: f})
 	}
-	for a := range s.seen {
-		addrs[a] = true
-	}
-	for a := range s.lastBest {
-		addrs[a] = true
-	}
-	sorted := make([]uint32, 0, len(addrs))
-	for a := range addrs {
-		sorted = append(sorted, a)
-	}
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	st.Devices = make([]DeviceState, 0, len(sorted))
-	for _, a := range sorted {
-		gw, hasBest := s.lastBest[a]
-		st.Devices = append(st.Devices, DeviceState{
-			DevAddr:     a,
-			LastFCnt:    s.lastFCnt[a],
-			Seen:        s.seen[a],
-			BestGateway: gw,
-			HasBest:     hasBest,
-		})
-	}
+	sort.Slice(st.Devices, func(i, j int) bool { return st.Devices[i].DevAddr < st.Devices[j].DevAddr })
 	pendAddrs := make([]uint32, 0, len(s.pending))
 	for a := range s.pending {
 		pendAddrs = append(pendAddrs, a)
@@ -114,9 +85,7 @@ func (s *Server) ExportState() State {
 }
 
 // ImportState replaces the server's durable state with st (a previous
-// ExportState). The provisioned device set and retention/drain wiring are
-// untouched; the delivery backlog is cleared — recovered deliveries were
-// already drained before the exporting cut.
+// ExportState). The provisioned device set and the sink are untouched.
 func (s *Server) ImportState(st State) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -130,18 +99,8 @@ func (s *Server) ImportState(st State) error {
 	s.Duplicates = st.Counters.Duplicates
 	s.Rejected = st.Counters.Rejected
 	s.lastFCnt = make(map[uint32]uint32, len(st.Devices))
-	s.seen = make(map[uint32]bool, len(st.Devices))
-	s.lastBest = make(map[uint32]int, len(st.Devices))
 	for _, d := range st.Devices {
-		if d.LastFCnt != 0 || d.Seen {
-			s.lastFCnt[d.DevAddr] = d.LastFCnt
-		}
-		if d.Seen {
-			s.seen[d.DevAddr] = true
-		}
-		if d.HasBest {
-			s.lastBest[d.DevAddr] = d.BestGateway
-		}
+		s.lastFCnt[d.DevAddr] = d.LastFCnt
 	}
 	s.pending = make(map[uint32]*pendingFrame, len(st.Pending))
 	for _, p := range st.Pending {
@@ -158,7 +117,5 @@ func (s *Server) ImportState(st State) error {
 		}
 		s.pending[p.DevAddr] = pf
 	}
-	s.deliveries = nil
-	s.ringHead = 0
 	return nil
 }

@@ -21,10 +21,10 @@ func benchDelta() *scenario.Delta {
 	}
 }
 
-// BenchmarkWALAppend measures the buffered append path — the per-record
-// cost on the serving loop, with group-commit fsyncs amortized elsewhere.
-// This is the number that must keep up with the ingest pipeline's
-// sustained uplink rate.
+// BenchmarkWALAppend measures the buffered append path: JSON encoding,
+// framing and the buffered write, with group-commit fsyncs amortized
+// elsewhere. The daemon appends one record per control step that changes
+// the allocation, not one per uplink, so this is far from its bottleneck.
 func BenchmarkWALAppend(b *testing.B) {
 	s, err := Open(b.TempDir(), Options{})
 	if err != nil {

@@ -11,8 +11,9 @@ import (
 
 // FuzzSnapshotRoundtrip feeds arbitrary bytes to the snapshot decoder.
 // Malformed images may be rejected but must not panic or over-allocate;
-// images that decode must re-encode to a state with the same digest and
-// identical envelope (a decode→encode→decode fixed point).
+// images that decode, in either format, must re-encode to a state with
+// the same digest and identical envelope (a decode→encode→decode fixed
+// point).
 func FuzzSnapshotRoundtrip(f *testing.F) {
 	f.Add(EncodeSnapshot(testState()))
 	f.Add(EncodeSnapshot(&State{}))
@@ -24,6 +25,8 @@ func FuzzSnapshotRoundtrip(f *testing.F) {
 	f.Add([]byte{})
 	// Declared payload length far beyond the buffer.
 	f.Add([]byte("EFSS\x01\x00\x00\x00\xff\xff\xff\xff\xff\xff\xff\xff"))
+	// A format-1 image, which decodes and re-encodes as format 2.
+	f.Add(readSnapshotV1(f))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		st, err := DecodeSnapshot(data)

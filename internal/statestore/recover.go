@@ -12,8 +12,10 @@ type Recovered struct {
 	// snapshot's Seq (all records on a cold start), in replay order.
 	Tail []WALRecord
 	// SnapshotsSkipped counts snapshot files that failed validation
-	// before one loaded; DiscardedBytes the torn-tail bytes truncated
-	// when the store was opened.
+	// before one loaded. DiscardedBytes counts the bytes dropped from the
+	// newest segment's tail: the torn bytes truncated when the store was
+	// opened, plus a record whose CRC holds but whose JSON does not parse
+	// and everything after it.
 	SnapshotsSkipped int
 	DiscardedBytes   uint64
 }
@@ -50,10 +52,11 @@ func (s *Store) Recover() (*Recovered, error) {
 		if i+1 < len(segs) && segs[i+1].startSeq-1 <= afterSeq {
 			continue // entire segment absorbed by the snapshot
 		}
-		recs, _, err := readSegment(sf, i == len(segs)-1)
+		recs, discarded, err := readSegment(sf, i == len(segs)-1)
 		if err != nil {
 			return nil, err
 		}
+		out.DiscardedBytes += uint64(discarded)
 		for _, r := range recs {
 			if r.Seq <= afterSeq {
 				continue
@@ -67,6 +70,7 @@ func (s *Store) Recover() (*Recovered, error) {
 	}
 	s.metrics.RecoveryReplayed = uint64(len(out.Tail))
 	s.metrics.RecoverySnapshotsSkipped = uint64(out.SnapshotsSkipped)
+	s.metrics.RecoveryDiscardedBytes = out.DiscardedBytes
 	if out.Snapshot != nil {
 		s.snapSeq = out.Snapshot.Seq
 		if s.nextSeq <= out.Snapshot.Seq {

@@ -14,10 +14,13 @@ import (
 //
 // all little-endian; the CRC32 (IEEE) covers exactly the payload bytes.
 // The version gates the payload codec: readers reject versions they do
-// not know rather than guessing at field layouts.
+// not know rather than guessing at field layouts. Version 2 is written.
+// Version 1 is still read: it also carried each device's seen flag and
+// best gateway and the tracker's best gateway, which nothing reads, so
+// the decoder skips them.
 const (
 	snapMagic   = "EFSS"
-	snapVersion = 1
+	snapVersion = 2
 	// snapHeaderLen = magic + version + payload-len
 	snapHeaderLen  = 4 + 4 + 8
 	snapTrailerLen = 4
@@ -49,8 +52,8 @@ func DecodeSnapshot(buf []byte) (*State, error) {
 		return nil, fmt.Errorf("statestore: snapshot magic mismatch")
 	}
 	version := binary.LittleEndian.Uint32(buf[4:8])
-	if version != snapVersion {
-		return nil, fmt.Errorf("statestore: snapshot version %d (want %d)", version, snapVersion)
+	if version != 1 && version != snapVersion {
+		return nil, fmt.Errorf("statestore: snapshot version %d (want 1 or %d)", version, snapVersion)
 	}
 	payloadLen := binary.LittleEndian.Uint64(buf[8:16])
 	if payloadLen > maxSnapPayload {
@@ -64,7 +67,7 @@ func DecodeSnapshot(buf []byte) (*State, error) {
 	if got := crc32.ChecksumIEEE(payload); got != want {
 		return nil, fmt.Errorf("statestore: snapshot crc mismatch (got %08x want %08x)", got, want)
 	}
-	return decodeState(&decoder{buf: payload})
+	return decodeState(&decoder{buf: payload, version: version})
 }
 
 // WriteSnapshot durably records st, rotates the WAL so the next segment

@@ -85,7 +85,6 @@ func (st *State) encodeBody(e *encoder) {
 		e.u32(t.Stats.LastFCnt)
 		e.u64(t.Stats.Received)
 		e.u64(t.Stats.Expected)
-		e.u64(uint64(int64(t.Stats.BestGateway)))
 	}
 	// Allocation.
 	e.u32(uint32(len(st.Alloc.SF)))
@@ -118,9 +117,6 @@ func encodeServerState(e *encoder, st netserver.State) {
 	for _, d := range st.Devices {
 		e.u32(d.DevAddr)
 		e.u32(d.LastFCnt)
-		e.bool(d.Seen)
-		e.u64(uint64(int64(d.BestGateway)))
-		e.bool(d.HasBest)
 	}
 	e.u32(uint32(len(st.Pending)))
 	for _, p := range st.Pending {
@@ -180,7 +176,9 @@ func decodeState(d *decoder) (*State, error) {
 		t.Stats.LastFCnt = d.u32()
 		t.Stats.Received = d.u64()
 		t.Stats.Expected = d.u64()
-		t.Stats.BestGateway = int(int64(d.u64()))
+		if d.version == 1 {
+			d.u64() // the tracker's best gateway, which format 2 dropped
+		}
 		st.Tracker = append(st.Tracker, t)
 	}
 	// Allocation.
@@ -230,9 +228,17 @@ func decodeServerState(d *decoder) netserver.State {
 		var ds netserver.DeviceState
 		ds.DevAddr = d.u32()
 		ds.LastFCnt = d.u32()
-		ds.Seen = d.bool()
-		ds.BestGateway = int(int64(d.u64()))
-		ds.HasBest = d.bool()
+		if d.version == 1 {
+			// Format 1's seen flag and best gateway. An entry with
+			// neither a counter nor the flag held no replay state, and
+			// importing it changed nothing.
+			seen := d.bool()
+			d.u64()
+			d.bool()
+			if ds.LastFCnt == 0 && !seen {
+				continue
+			}
+		}
 		st.Devices = append(st.Devices, ds)
 	}
 	nPend := d.count("shard pending")
@@ -296,11 +302,13 @@ func (e *encoder) bytes(b []byte) {
 	e.buf = append(e.buf, b...)
 }
 
-// decoder walks a snapshot payload, latching the first error.
+// decoder walks a snapshot payload of the given format version, latching
+// the first error.
 type decoder struct {
-	buf []byte
-	off int
-	err error
+	buf     []byte
+	off     int
+	err     error
+	version uint32
 }
 
 func (d *decoder) fail(what string) {

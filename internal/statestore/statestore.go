@@ -87,10 +87,8 @@ type Store struct {
 	snapSeq    uint64
 	nextSnapID uint64
 	// repairDiscardedBytes counts torn-tail bytes truncated at Open;
-	// surfaced through Recover and Metrics.
+	// Recover adds what it drops and reports both.
 	repairDiscardedBytes uint64
-	// scratch is the reused record-render buffer (single-writer).
-	scratch []byte
 
 	// metrics is the writer's own accounting. After every mutation the
 	// writer publishes a copy into pub, under pubMu, which guards nothing
@@ -122,8 +120,9 @@ type Metrics struct {
 	// Recovery accounting from the last Recover on this store:
 	// RecoveryReplayed counts WAL records replayed on top of the loaded
 	// snapshot, RecoverySnapshotsSkipped snapshots that failed validation
-	// before one loaded, and RecoveryDiscardedBytes torn-tail bytes
-	// truncated at Open.
+	// before one loaded, and RecoveryDiscardedBytes the WAL tail bytes
+	// dropped: truncated at Open, plus what Recover drops (see
+	// Recovered.DiscardedBytes).
 	RecoveryReplayed         uint64
 	RecoverySnapshotsSkipped uint64
 	RecoveryDiscardedBytes   uint64
@@ -168,6 +167,7 @@ func Open(dir string, opts Options) (*Store, error) {
 		segs = segs[:len(segs)-1]
 	}
 	s.snapSeq = s.nextSeq - 1 // until told otherwise, no replay debt
+	s.metrics.RecoveryDiscardedBytes = s.repairDiscardedBytes
 	s.publish()
 	return s, nil
 }
@@ -193,7 +193,6 @@ func (s *Store) publish() {
 	if s.nextSeq-1 >= s.snapSeq {
 		s.pub.WALLagRecords = s.nextSeq - 1 - s.snapSeq
 	}
-	s.pub.RecoveryDiscardedBytes = s.repairDiscardedBytes
 	s.pubMu.Unlock()
 }
 

@@ -1,7 +1,9 @@
 package statestore
 
 import (
+	"encoding/binary"
 	"encoding/json"
+	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
@@ -30,8 +32,8 @@ func testState() *State {
 				{
 					Counters: netserver.Counters{Uplinks: 100, Delivered: 90, Duplicates: 7, Rejected: 3},
 					Devices: []netserver.DeviceState{
-						{DevAddr: 1, LastFCnt: 10, Seen: true, BestGateway: 2, HasBest: true},
-						{DevAddr: 5, LastFCnt: 0, Seen: true},
+						{DevAddr: 1, LastFCnt: 10},
+						{DevAddr: 5, LastFCnt: 0},
 					},
 					Pending: []netserver.PendingState{
 						{
@@ -52,8 +54,8 @@ func testState() *State {
 			MaxSeenS: []float64{678.25, math.Inf(-1)},
 		},
 		Tracker: []ingest.TrackerEntry{
-			{DevAddr: 1, Stats: ingest.DevStats{EwmaSNRdB: 2.625, LastFCnt: 10, Received: 9, Expected: 10, BestGateway: 2}},
-			{DevAddr: 5, Stats: ingest.DevStats{EwmaSNRdB: -0.125, LastFCnt: 10, Received: 8, Expected: 11, BestGateway: 0}},
+			{DevAddr: 1, Stats: ingest.DevStats{EwmaSNRdB: 2.625, LastFCnt: 10, Received: 9, Expected: 10}},
+			{DevAddr: 5, Stats: ingest.DevStats{EwmaSNRdB: -0.125, LastFCnt: 10, Received: 8, Expected: 11}},
 		},
 		Alloc:      testAlloc(),
 		Reassigned: 4,
@@ -582,30 +584,167 @@ func TestMetricsConcurrentWithWriter(t *testing.T) {
 	}
 }
 
-func TestAppendDeltaJSONMatchesEncodingJSON(t *testing.T) {
-	cases := []*scenario.Delta{
-		{Version: 1, Changes: []scenario.DeltaChange{}},
-		{Version: 1, AtS: 0.1, Changes: []scenario.DeltaChange{{Device: 3, SF: 9, TPdBm: 8.5, Channel: 2}}},
-		{Version: 1, AtS: 1e21, Comment: `quote " backslash \ newline` + "\n\ttab", Changes: nil},
-		{Version: 1, AtS: -2.5e-7, Changes: []scenario.DeltaChange{{Device: 0, SF: 7, TPdBm: -0.30000000000000004, Channel: 0}}, Resets: []int{0, 5, 9}},
-		{Version: 1, AtS: 86400.000001, Comment: "üñïçø∂é", Changes: []scenario.DeltaChange{{Device: 1, SF: 12, TPdBm: 14, Channel: 7}}},
+// snapshotV1Path holds a format-1 image of testState(), written by the
+// last build that wrote format 1. Format 1 also carried each device's
+// seen flag and best gateway and the tracker's best gateway.
+const snapshotV1Path = "testdata/snapshot-v1.efss"
+
+func readSnapshotV1(t testing.TB) []byte {
+	t.Helper()
+	img, err := os.ReadFile(snapshotV1Path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i, d := range cases {
-		fast := appendDeltaJSON(nil, d)
-		var got scenario.Delta
-		if err := json.Unmarshal(fast, &got); err != nil {
-			t.Fatalf("case %d: hand-rolled JSON does not parse: %v\n%s", i, err, fast)
-		}
-		std, err := json.Marshal(d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var want scenario.Delta
-		if err := json.Unmarshal(std, &want); err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("case %d: hand-rolled decode %+v != std decode %+v", i, got, want)
-		}
+	return img
+}
+
+// TestSnapshotDecodesFormat1 pins that a snapshot written before format 2
+// still restores: it decodes to testState() without the dropped fields.
+func TestSnapshotDecodesFormat1(t *testing.T) {
+	img := readSnapshotV1(t)
+	if v := binary.LittleEndian.Uint32(img[4:8]); v != 1 {
+		t.Fatalf("fixture is format %d, want 1", v)
+	}
+	got, err := DecodeSnapshot(img)
+	if err != nil {
+		t.Fatalf("DecodeSnapshot(format 1): %v", err)
+	}
+	want, err := DecodeSnapshot(EncodeSnapshot(testState()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("format-1 decode:\n got %+v\nwant %+v", got, want)
+	}
+	if got.Digest() != testState().Digest() {
+		t.Fatal("format-1 decode digest differs from testState()")
+	}
+
+	// Device 5 has LastFCnt 0 and kept its entry only through its seen
+	// flag. With the flag cleared it held no replay state, so the decoder
+	// drops it. Its flag follows the envelope (32 bytes), the shard count
+	// (4), shard 0's counters (32), its device count (4), device 1's
+	// 18-byte entry and device 5's address and counter (8).
+	payload := img[snapHeaderLen : len(img)-snapTrailerLen]
+	const seenOff = 32 + 4 + 32 + 4 + 18 + 8
+	if payload[seenOff] != 1 {
+		t.Fatalf("payload[%d] = %d, want device 5's seen flag", seenOff, payload[seenOff])
+	}
+	payload[seenOff] = 0
+	binary.LittleEndian.PutUint32(img[len(img)-snapTrailerLen:], crc32.ChecksumIEEE(payload))
+	got, err = DecodeSnapshot(img)
+	if err != nil {
+		t.Fatalf("DecodeSnapshot(unseen device): %v", err)
+	}
+	if devs := got.Pool.Shards[0].Devices; len(devs) != 1 || devs[0].DevAddr != 1 {
+		t.Fatalf("devices = %+v, want only device 1", devs)
+	}
+}
+
+// TestRecoverFormat1SnapshotWithWAL restarts from a directory an older
+// build left: a format-1 snapshot plus a WAL segment past it.
+func TestRecoverFormat1SnapshotWithWAL(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(snapPath(dir, 3), readSnapshotV1(t), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	payload, err := json.Marshal(delta(700, 4, 9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(segPath(dir, 42), encodeWALRecord(42, payload), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := mustOpen(t, dir, Options{})
+	defer s.Close()
+	rec, err := s.Recover()
+	if err != nil {
+		t.Fatalf("Recover: %v", err)
+	}
+	if rec.Snapshot == nil || rec.Snapshot.Seq != 41 || rec.Snapshot.Digest() != testState().Digest() {
+		t.Fatalf("recovered snapshot = %+v", rec.Snapshot)
+	}
+	if len(rec.Tail) != 1 || rec.Tail[0].Seq != 42 || rec.Tail[0].Delta.Changes[0].Device != 4 {
+		t.Fatalf("tail = %+v, want seq 42 moving device 4", rec.Tail)
+	}
+	// A new snapshot goes out as format 2.
+	if err := s.WriteSnapshot(rec.Snapshot); err != nil {
+		t.Fatal(err)
+	}
+	img, err := os.ReadFile(snapPath(dir, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := binary.LittleEndian.Uint32(img[4:8]); v != snapVersion {
+		t.Fatalf("new snapshot is format %d, want %d", v, snapVersion)
+	}
+}
+
+// TestAppendRefusesUnencodableDelta pins that a delta JSON cannot encode
+// never reaches the log: Append fails before it opens a segment, the
+// sequence does not move, and the records around it recover.
+func TestAppendRefusesUnencodableDelta(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir, Options{})
+	bad := delta(math.NaN(), 1, 8)
+	if _, err := s.Append(bad, 0); err == nil {
+		t.Fatal("Append accepted a NaN delta")
+	}
+	if segs, _, err := s.scan(); err != nil || len(segs) != 0 {
+		t.Fatalf("refused append left segments %v (%v)", segs, err)
+	}
+	mustAppendSync(t, s, delta(1, 0, 7), 1)
+	if _, err := s.AppendSync(bad, 2); err == nil {
+		t.Fatal("AppendSync accepted a NaN delta")
+	}
+	if s.NextSeq() != 2 {
+		t.Fatalf("NextSeq after refused append = %d, want 2", s.NextSeq())
+	}
+	if seq := mustAppendSync(t, s, delta(3, 2, 9), 3); seq != 2 {
+		t.Fatalf("seq after refused append = %d, want 2", seq)
+	}
+	if m := s.Metrics(); m.WALAppends != 2 {
+		t.Fatalf("WALAppends = %d, want 2", m.WALAppends)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := mustOpen(t, dir, Options{}).Recover()
+	if err != nil {
+		t.Fatalf("Recover: %v", err)
+	}
+	if len(rec.Tail) != 2 || rec.Tail[0].Delta.Changes[0].Device != 0 || rec.Tail[1].Delta.Changes[0].Device != 2 || rec.DiscardedBytes != 0 {
+		t.Fatalf("recovered %+v, want the two good records and nothing discarded", rec)
+	}
+}
+
+// TestRecoverCountsUnparseableRecord pins Recover's accounting for a
+// record whose CRC holds but whose JSON does not parse: Open keeps it,
+// Recover stops at it, and the bytes it drops are reported.
+func TestRecoverCountsUnparseableRecord(t *testing.T) {
+	dir := t.TempDir()
+	good, err := json.Marshal(delta(1, 0, 7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec1 := encodeWALRecord(1, good)
+	rec2 := encodeWALRecord(2, []byte(`{"version":1,"atS":NaN}`))
+	rec3 := encodeWALRecord(3, good)
+	seg := append(append(append([]byte(nil), rec1...), rec2...), rec3...)
+	if err := os.WriteFile(segPath(dir, 1), seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := mustOpen(t, dir, Options{})
+	defer s.Close()
+	rec, err := s.Recover()
+	if err != nil {
+		t.Fatalf("Recover: %v", err)
+	}
+	want := uint64(len(rec2) + len(rec3))
+	if len(rec.Tail) != 1 || rec.DiscardedBytes != want {
+		t.Fatalf("tail = %d records, discarded %d bytes; want 1 record, %d bytes", len(rec.Tail), rec.DiscardedBytes, want)
+	}
+	if got := s.Metrics().RecoveryDiscardedBytes; got != want {
+		t.Fatalf("RecoveryDiscardedBytes = %d, want %d", got, want)
 	}
 }

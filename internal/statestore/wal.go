@@ -97,12 +97,14 @@ type walWriter struct {
 
 // Append frames delta as the next WAL record, rotating the open segment
 // first if it is over the size or age threshold. The record lands in the
-// writer's buffer; call Sync (or use AppendSync) to make it durable.
-//
-// The hot path is allocation-free in steady state: the whole record is
-// rendered into a scratch buffer the store reuses across appends (the
-// serving loop appends from a single goroutine, so one buffer suffices).
+// writer's buffer; call Sync (or use AppendSync) to make it durable. A
+// delta JSON cannot encode, such as one holding a NaN, is refused before
+// any segment is opened or rotated and takes no sequence number.
 func (s *Store) Append(delta *scenario.Delta, nowS float64) (uint64, error) {
+	payload, err := json.Marshal(delta)
+	if err != nil {
+		return 0, fmt.Errorf("statestore: wal encode: %w", err)
+	}
 	if s.wal != nil && s.shouldRotate(nowS) {
 		if err := s.closeWAL(); err != nil {
 			return 0, err
@@ -113,18 +115,7 @@ func (s *Store) Append(delta *scenario.Delta, nowS float64) (uint64, error) {
 			return 0, err
 		}
 	}
-	// Render header + payload into the reused scratch, then backfill the
-	// CRC once the payload bytes are known.
-	buf := s.scratch[:0]
-	buf = append(buf, walMagic...)
-	buf = append(buf, ' ')
-	buf = appendHex(buf, s.nextSeq, 16)
-	buf = append(buf, " 00000000 "...)
-	buf = appendDeltaJSON(buf, delta)
-	crc := crc32.ChecksumIEEE(buf[walHeaderLen:])
-	appendHex(buf[20:20:28], uint64(crc), 8)
-	buf = append(buf, '\n')
-	s.scratch = buf
+	buf := encodeWALRecord(s.nextSeq, payload)
 	if _, err := s.wal.bw.Write(buf); err != nil {
 		return 0, fmt.Errorf("statestore: wal append: %w", err)
 	}
